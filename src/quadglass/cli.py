@@ -29,13 +29,12 @@ from .acceptance import CRITERIA, run_criteria
 from .disorder import FAMILIES, DisorderSpec
 from .free_energy import QuadratureRule, convergence_study, limiting_free_energy
 from .model import (
+    Factorization,
     ModelParams,
     NumericalError,
     dump_model,
-    finite_free_energy,
+    format_float,
     load_model,
-    log_det,
-    ones_quadratic_form,
     sample_model,
 )
 from .parallel import default_workers, parallel_map
@@ -84,10 +83,6 @@ def _positive(x):
     return x > 0
 
 
-def _nonnegative(x):
-    return x >= 0
-
-
 def _unit(x):
     return 0 < x <= 1
 
@@ -96,12 +91,12 @@ def _unit(x):
 KEY_SPECS = {
     "experiment.kind": (str, None, lambda v: v in KINDS, f"one of {KINDS}"),
     "experiment.seed": (_int, 0, lambda v: 0 <= v < 2**64, "unsigned 64-bit"),
-    "model.alpha": (_float, None, _positive, "positive"),
-    "model.beta": (_float, None, _nonnegative, "nonnegative"),
+    "model.alpha": (_float, None, lambda v: 0 < v < math.inf, "finite and positive"),
+    "model.beta": (_float, None, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
     "model.h": (_float, None, lambda v: math.isfinite(v), "finite"),
     "model.p": (_int, None, lambda v: v >= 1, "at least 1"),
     "disorder.family": (str, None, lambda v: v in FAMILIES, f"one of {FAMILIES}"),
-    "disorder.param": (_float, 1.0, _positive, "positive"),
+    "disorder.param": (_float, 1.0, lambda v: 0 < v < math.inf, "finite and positive"),
     "disorder.truncation": (_float, math.inf, _positive, "positive or inf"),
     "simulate.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "simulate.replicates": (_int, None, lambda v: v >= 1, "at least 1"),
@@ -152,7 +147,7 @@ class ExperimentConfig:
         for key in sorted(self.options):
             value = self.options[key]
             if isinstance(value, float):
-                text = format(value, ".17g")
+                text = format_float(value)
             elif isinstance(value, bool):
                 text = "true" if value else "false"
             elif isinstance(value, list):
@@ -270,15 +265,12 @@ def _quadrature(options):
 # output helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(
+        ",".join(format_float(c) if isinstance(c, float) else str(c) for c in row)
+        for row in rows
+    )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -308,6 +300,11 @@ def _write_manifest(out_dir: Path, digest: str, wall_time: float, files) -> None
 # experiments
 
 
+def _observables(fac: Factorization):
+    """The log_det, ones_quadratic_form, free_energy columns of one realization."""
+    return (fac.log_det, fac.ones_quadratic_form, fac.free_energy)
+
+
 def _run_simulate(config: ExperimentConfig):
     params, spec = _model_pieces(config.options)
     n_sites = config.options["simulate.n_sites"]
@@ -316,10 +313,7 @@ def _run_simulate(config: ExperimentConfig):
 
     def one(i):
         model = sample_model(params, spec, n_sites, stream(seed, "simulate", i))
-        ld = log_det(model)
-        quad = ones_quadratic_form(model)
-        f = params.h**2 / 2.0 * quad + ld / (2.0 * n_sites)
-        return (i, model.n_clauses, ld, quad, f)
+        return (i, model.n_clauses) + _observables(Factorization(model))
 
     rows = parallel_map(one, range(replicates), config.workers)
     _write_csv(
@@ -386,9 +380,17 @@ def _run_free_energy(config: ExperimentConfig):
                 for node in result.nodes
             ],
             "h_term": result.h_term,
+            "converged": result.converged,
             "config_digest": config.digest(),
         },
     )
+    if not result.converged:
+        print(
+            "warning: free-energy did not converge (unconverged quadrature nodes: "
+            f"{len(result.failed_nodes)} of {len(result.nodes)}; the x=1 solve "
+            "counts as well); free_energy.json has converged=false",
+            file=sys.stderr,
+        )
     return ["free_energy.json"]
 
 
@@ -468,12 +470,10 @@ def _run_dump(config: ExperimentConfig):
 
 def _run_load(config: ExperimentConfig):
     model = load_model(config.options["load.path"])
-    ld = log_det(model)
-    quad = ones_quadratic_form(model)
     _write_csv(
         config.out_dir / "loaded.csv",
         ("n_sites", "n_clauses", "log_det", "ones_quadratic_form", "free_energy"),
-        [(model.n_sites, model.n_clauses, ld, quad, finite_free_energy(model))],
+        [(model.n_sites, model.n_clauses) + _observables(Factorization(model))],
     )
     return ["loaded.csv"]
 

@@ -9,17 +9,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo scalar: value, standard error, sample count, provenance.
-
-    ``provenance`` is a free-form tag (typically the experiment seed or a
-    config digest) carried along so results written to disk can be traced
-    back to the run that produced them.
-    """
+    """A Monte Carlo scalar: value, standard error, sample count."""
 
     value: float
     std_error: float
     n_samples: int
-    provenance: str = ""
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -28,14 +22,14 @@ class Estimate:
             raise ValueError("n_samples must be at least 1")
 
 
-def mc_estimate(samples: np.ndarray, provenance: str = "") -> Estimate:
+def mc_estimate(samples: np.ndarray) -> Estimate:
     """Sample mean with the usual sqrt(var/n) standard error."""
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n == 0:
         raise ValueError("need at least one sample")
     se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return Estimate(float(samples.mean()), se, n, provenance)
+    return Estimate(float(samples.mean()), se, n)
 
 
 def jackknife_se(values: np.ndarray, n_blocks: int = 20) -> float:

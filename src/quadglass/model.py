@@ -12,18 +12,23 @@ thermodynamic observables reduce to linear algebra on A:
 
     F_N = (h^2/2) * (1^T A^{-1} 1)/N + log det A / (2N).
 
-Dense Cholesky factorization is the default backend (desk scale,
-N <= a few thousand); A >= I makes it unconditionally well posed.
+Each realization is factored once by :class:`Factorization`, and every
+observable is a query on that one factor.  ``Factorization`` is the one
+place that chooses the backend: A = I exactly when there are no clauses
+or beta = 0, and no factor is built; otherwise A is assembled densely
+and Cholesky-factored (desk scale, N <= a few thousand).  A >= I makes
+the factorization unconditionally well posed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
@@ -227,12 +232,61 @@ def _factorize(matrix):
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
 
 
+class Factorization:
+    """One realization's matrix A, factored once and queried many times.
+
+    When the realization has no clauses or beta = 0, A = I exactly: no
+    factor is built and every query is answered in closed form (solves
+    return their right-hand side).  Otherwise A is assembled densely and
+    Cholesky-factored once, A = L L^T.
+    """
+
+    def __init__(self, model: FactorModel):
+        self.model = model
+        if model.n_clauses == 0 or model.params.beta == 0:
+            self._factor = None
+        else:
+            self._factor = _factorize(coupling_matrix(model))
+
+    @cached_property
+    def log_det(self) -> float:
+        """log det A; always >= 0 since A >= I."""
+        if self._factor is None:
+            return 0.0
+        return float(2.0 * np.sum(np.log(np.diag(self._factor[0]))))
+
+    def solve(self, rhs) -> np.ndarray:
+        """A^{-1} rhs for a vector or a matrix of right-hand-side columns."""
+        rhs = np.asarray(rhs, dtype=float)
+        if self._factor is None:
+            return rhs.copy()
+        return cho_solve(self._factor, rhs)
+
+    def solve_transposed_factor(self, rhs) -> np.ndarray:
+        """L^{-T} rhs; standard normal columns map to N(0, A^{-1}) draws."""
+        rhs = np.asarray(rhs, dtype=float)
+        if self._factor is None:
+            return rhs.copy()
+        return solve_triangular(self._factor[0], rhs, lower=True, trans="T")
+
+    @cached_property
+    def ones_quadratic_form(self) -> float:
+        """(1^T A^{-1} 1) / N."""
+        ones = np.ones(self.model.n_sites)
+        return float(ones @ self.solve(ones) / self.model.n_sites)
+
+    @cached_property
+    def free_energy(self) -> float:
+        """F_N = (h^2/2) * (1^T A^{-1} 1)/N + log det A / (2N)."""
+        h = self.model.params.h
+        return h * h / 2.0 * self.ones_quadratic_form + self.log_det / (
+            2.0 * self.model.n_sites
+        )
+
+
 def log_det(model: FactorModel) -> float:
     """log det A via symmetric factorization; always >= 0 since A >= I."""
-    if model.n_clauses == 0 or model.params.beta == 0:
-        return 0.0
-    c, _ = _factorize(coupling_matrix(model))
-    return float(2.0 * np.sum(np.log(np.diag(c))))
+    return Factorization(model).log_det
 
 
 def log_det_incremental(model: FactorModel) -> float:
@@ -271,35 +325,19 @@ def inverse_diagonal(model: FactorModel, sites=None) -> np.ndarray:
     idx = np.arange(n) if sites is None else np.asarray(sites, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError("site index out of range")
-    if model.n_clauses == 0 or model.params.beta == 0:
-        return np.ones(idx.size)
-    c = _factorize(coupling_matrix(model))
     rhs = np.zeros((n, idx.size))
     rhs[idx, np.arange(idx.size)] = 1.0
-    sol = cho_solve(c, rhs)
-    return sol[idx, np.arange(idx.size)]
+    return Factorization(model).solve(rhs)[idx, np.arange(idx.size)]
 
 
 def ones_quadratic_form(model: FactorModel) -> float:
     """(1^T A^{-1} 1) / N via a single linear solve."""
-    if model.n_clauses == 0 or model.params.beta == 0:
-        return 1.0
-    c = _factorize(coupling_matrix(model))
-    ones = np.ones(model.n_sites)
-    return float(ones @ cho_solve(c, ones) / model.n_sites)
+    return Factorization(model).ones_quadratic_form
 
 
 def finite_free_energy(model: FactorModel) -> float:
     """F_N = (h^2/2) * (1^T A^{-1} 1)/N + log det A / (2N)."""
-    h = model.params.h
-    if model.n_clauses == 0 or model.params.beta == 0:
-        return h * h / 2.0
-    n = model.n_sites
-    c = _factorize(coupling_matrix(model))
-    ones = np.ones(n)
-    quad = float(ones @ cho_solve(c, ones) / n)
-    ld = float(2.0 * np.sum(np.log(np.diag(c[0]))))
-    return h * h / 2.0 * quad + ld / (2.0 * n)
+    return Factorization(model).free_energy
 
 
 def sample_spins(
@@ -314,14 +352,9 @@ def sample_spins(
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     n = model.n_sites
-    h = model.params.h
-    if model.n_clauses == 0 or model.params.beta == 0:
-        return h + rng.standard_normal((n_samples, n))
-    lower = cholesky(coupling_matrix(model), lower=True)
-    mean = solve_triangular(
-        lower.T, solve_triangular(lower, np.full(n, h), lower=True), lower=False
-    )
-    noise = solve_triangular(lower.T, rng.standard_normal((n, n_samples)), lower=False)
+    fac = Factorization(model)
+    mean = fac.solve(np.full(n, model.params.h))
+    noise = fac.solve_transposed_factor(rng.standard_normal((n, n_samples)))
     return mean[None, :] + noise.T
 
 
@@ -357,13 +390,9 @@ def offdiag_moments(
     a34 = np.empty(n_replicates)
     for i, child in enumerate(substreams(rng, n_replicates)):
         model = sample_model(params, disorder, n_sites, child)
-        if model.n_clauses == 0 or params.beta == 0:
-            a12[i] = a13[i] = a34[i] = 0.0
-            continue
-        c = _factorize(coupling_matrix(model))
         rhs = np.zeros((n_sites, 3))
         rhs[[1, 2, 3], [0, 1, 2]] = 1.0
-        sol = cho_solve(c, rhs)
+        sol = Factorization(model).solve(rhs)
         a12[i] = sol[0, 0]
         a13[i] = sol[0, 1]
         a34[i] = sol[2, 2]
@@ -439,11 +468,9 @@ def woodbury_residual(split: CavitySplit) -> WoodburyResidual:
     """
     params = split.bulk.params
     two_beta = 2.0 * params.beta
-    full = reassemble(split)
-    c_full = _factorize(coupling_matrix(full))
     rhs = np.zeros(split.n_sites)
     rhs[-1] = 1.0
-    exact = float(cho_solve(c_full, rhs)[-1])
+    exact = float(Factorization(reassemble(split)).solve(rhs)[-1])
 
     r = split.n_boundary
     zeta = split.site_weights
@@ -451,12 +478,11 @@ def woodbury_residual(split: CavitySplit) -> WoodburyResidual:
         return WoodburyResidual(abs(exact - 1.0), 0.0)
 
     if split.interior_sites.size:
-        c_bulk = _factorize(coupling_matrix(split.bulk))
         unique_sites, col_of = np.unique(split.interior_sites, return_inverse=True)
         col_of = col_of.reshape(split.interior_sites.shape)
         rhs_b = np.zeros((split.n_sites - 1, unique_sites.size))
         rhs_b[unique_sites, np.arange(unique_sites.size)] = 1.0
-        sol = cho_solve(c_bulk, rhs_b)              # columns of B^{-1}
+        sol = Factorization(split.bulk).solve(rhs_b)  # columns of B^{-1}
         # B^{-1} restricted to the grid of distinct interior sites:
         grid = sol[unique_sites, :]
         xi = split.interior_weights
@@ -498,13 +524,13 @@ def dump_model(model: FactorModel, path) -> None:
             [
                 str(model.n_sites),
                 str(model.n_clauses),
-                _fmt(params.alpha),
-                _fmt(params.beta),
-                _fmt(params.h),
+                format_float(params.alpha),
+                format_float(params.beta),
+                format_float(params.h),
                 str(params.p),
                 spec.family,
-                _fmt(spec.param),
-                _fmt(spec.truncation),
+                format_float(spec.param),
+                format_float(spec.truncation),
             ]
         )
     ]
@@ -512,7 +538,7 @@ def dump_model(model: FactorModel, path) -> None:
         lines.append(
             " ".join(str(int(s) + 1) for s in row)
             + " "
-            + " ".join(_fmt(w) for w in wrow)
+            + " ".join(format_float(w) for w in wrow)
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -544,5 +570,6 @@ def load_model(path) -> FactorModel:
     return FactorModel(n_sites, sites, weights, params, spec)
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """Decimal text of a float with 17 significant digits (lossless float64)."""
     return format(float(x), ".17g")

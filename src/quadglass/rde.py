@@ -25,7 +25,7 @@ import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
-from .model import ModelParams
+from .model import ModelParams, format_float
 
 UNIT_INTERVAL = "unit_interval"
 LOG_NONNEG = "log_nonneg"
@@ -111,14 +111,18 @@ def from_log_domain(pop: Population) -> Population:
 # one generation of the push-forward
 
 
-def _clause_draws(params, disorder, rate_scale, out_size, rng):
-    """Common sampling step: clause counts, owners, weights."""
-    lam = params.alpha * rate_scale * params.p
+def _clause_draws(disorder, lam, width, out_size, rng):
+    """Common sampling step: clause counts, owners, weights.
+
+    Each of ``out_size`` outputs owns Poisson(``lam``) clauses; each
+    clause gets one weight at the output site (``zeta``, shape (total,))
+    and ``width`` interior weights (``xi``, shape (total, width)).
+    """
     counts = rng.poisson(lam, size=out_size)
     total = int(counts.sum())
     owner = np.repeat(np.arange(out_size), counts)
     zeta = _sample_shape(disorder, (total,), rng)
-    xi = _sample_shape(disorder, (total, params.p - 1), rng)
+    xi = _sample_shape(disorder, (total, width), rng)
     return counts, owner, zeta, xi
 
 
@@ -144,7 +148,8 @@ def step(
     if out_size < 1:
         raise ValueError("out_size must be at least 1")
     two_beta = 2.0 * params.beta
-    _, owner, zeta, xi = _clause_draws(params, disorder, rate_scale, out_size, rng)
+    rate = params.alpha * rate_scale * params.p
+    _, owner, zeta, xi = _clause_draws(disorder, rate, params.p - 1, out_size, rng)
     if params.p > 1:
         picks = pop.values[rng.integers(0, pop.size, size=xi.shape)]
         denom = 1.0 + two_beta * np.sum(picks * xi**2, axis=1)
@@ -152,12 +157,7 @@ def step(
         denom = np.ones(zeta.shape[0])
     contrib = two_beta * zeta**2 / denom
     totals = np.bincount(owner, weights=contrib, minlength=out_size)
-    return Population(
-        1.0 / (1.0 + totals),
-        UNIT_INTERVAL,
-        params.alpha * rate_scale * params.p,
-        pop.generation + 1,
-    )
+    return Population(1.0 / (1.0 + totals), UNIT_INTERVAL, rate, pop.generation + 1)
 
 
 def conjugate_step(
@@ -183,19 +183,15 @@ def conjugate_step(
     if out_size < 1:
         raise ValueError("out_size must be at least 1")
     gamma = 1.0 / (2.0 * params.beta)
-    _, owner, zeta, xi = _clause_draws(params, disorder, rate_scale, out_size, rng)
+    rate = params.alpha * rate_scale * params.p
+    _, owner, zeta, xi = _clause_draws(disorder, rate, params.p - 1, out_size, rng)
     if params.p > 1:
         picks = pop.values[rng.integers(0, pop.size, size=xi.shape)]
         denom = gamma + np.sum(xi**2 * np.exp(-picks), axis=1)
     else:
         denom = np.full(zeta.shape[0], gamma)
     totals = np.bincount(owner, weights=zeta**2 / denom, minlength=out_size)
-    return Population(
-        np.log1p(totals),
-        LOG_NONNEG,
-        params.alpha * rate_scale * params.p,
-        pop.generation + 1,
-    )
+    return Population(np.log1p(totals), LOG_NONNEG, rate, pop.generation + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +307,9 @@ def contraction_factor(
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
     gamma = 1.0 / (2.0 * params.beta)
-    counts = rng.poisson(params.alpha * params.p, size=n_mc)
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(n_mc), counts)
-    zeta = _sample_shape(disorder, (total,), rng)
+    counts, owner, zeta, _ = _clause_draws(
+        disorder, params.alpha * params.p, 0, n_mc, rng
+    )
     chi = np.bincount(owner, weights=zeta**2, minlength=n_mc)
     samples = (chi / (gamma + chi)) ** q * counts * (params.p - 1)
     return mc_estimate(samples)
@@ -376,12 +371,9 @@ def pair_step(
     if out_size < 1:
         raise ValueError("out_size must be at least 1")
     two_beta = 2.0 * params.beta
-    counts = rng.poisson(2.0 * params.alpha, size=out_size)
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(out_size), counts)
-    zeta = _sample_shape(disorder, (total,), rng)
-    xi = _sample_shape(disorder, (total,), rng)
-    picks = pairs[rng.integers(0, pairs.shape[0], size=total)]
+    _, owner, zeta, xi = _clause_draws(disorder, 2.0 * params.alpha, 1, out_size, rng)
+    xi = xi[:, 0]
+    picks = pairs[rng.integers(0, pairs.shape[0], size=zeta.size)]
     u_k, x_k = picks[:, 0], picks[:, 1]
     denom = 1.0 + two_beta * xi**2 * x_k
     u_new = 1.0 - np.bincount(
@@ -414,8 +406,8 @@ def iterate_pair(
 
 def dump_population(pop: Population, path) -> None:
     """Single-column decimal text: header (domain rate generation size), values."""
-    lines = [f"{pop.domain} {pop.rate:.17g} {pop.generation} {pop.size}"]
-    lines.extend(format(v, ".17g") for v in pop.values)
+    lines = [f"{pop.domain} {format_float(pop.rate)} {pop.generation} {pop.size}"]
+    lines.extend(format_float(v) for v in pop.values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .disorder import DisorderSpec
 from .estimate import Estimate
-from .model import ModelParams, inverse_diagonal, sample_model
+from .model import ModelParams, format_float, inverse_diagonal, sample_model
 from .parallel import parallel_map
 from .rde import Population, wasserstein
 from .streams import substreams
@@ -199,7 +199,7 @@ def write_pooled_samples(path, values, column: str = "value") -> None:
     """Single-column CSV export for pooled samples (17 significant digits)."""
     values = np.asarray(values, dtype=float)
     lines = [column]
-    lines.extend(format(v, ".17g") for v in values)
+    lines.extend(format_float(v) for v in values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

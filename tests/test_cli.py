@@ -108,6 +108,21 @@ def test_invalid_p_names_offending_key(tmp_path, capsys):
     assert "model.p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, old, new",
+    [
+        ("model.alpha", "model.alpha=0.8", "model.alpha=inf"),
+        ("model.beta", "model.beta=0.5", "model.beta=inf"),
+        ("disorder.param", "disorder.family=rademacher",
+         "disorder.family=gaussian\ndisorder.param=inf"),
+    ],
+)
+def test_non_finite_model_input_names_offending_key(tmp_path, capsys, key, old, new):
+    cfg = write_cfg(tmp_path, BASE_SIM.replace(old, new))
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_SIM + "model.gamma=1\n")
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
@@ -223,7 +238,9 @@ def test_free_energy_json_schema(tmp_path):
     out = tmp_path / "fe"
     assert run_cli(["free-energy", "--config", cfg, "--out", out]) == 0
     payload = json.loads((out / "free_energy.json").read_text())
-    assert set(payload) == {"value", "std_error", "nodes", "h_term", "config_digest"}
+    assert set(payload) == {
+        "value", "std_error", "nodes", "h_term", "converged", "config_digest"
+    }
     assert len(payload["nodes"]) == 4
     assert set(payload["nodes"][0]) == {"x", "rate", "edge_term", "se", "converged"}
     assert math.isfinite(payload["value"])

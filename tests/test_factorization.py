@@ -1,0 +1,124 @@
+"""One factorization per realization, and none when A = I.
+
+Every finite-size observable is a query on a single ``Factorization``;
+these tests count the Cholesky calls behind each entry point by
+wrapping the ``cho_factor`` binding that ``quadglass.model`` uses.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import cho_factor
+
+import quadglass.model
+from quadglass import (
+    DisorderSpec,
+    FactorModel,
+    Factorization,
+    ModelParams,
+    cli,
+    coupling_matrix,
+    finite_free_energy,
+    inverse_diagonal,
+    log_det,
+    offdiag_moments,
+    ones_quadratic_form,
+    sample_model,
+    sample_spins,
+)
+from quadglass.streams import stream
+
+RAD = DisorderSpec("rademacher")
+MODEL_KEYS = """
+model.alpha=0.8
+model.beta=0.5
+model.h=1.0
+model.p=2
+disorder.family=rademacher
+"""
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    calls = []
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return cho_factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(quadglass.model, "cho_factor", counting)
+    return calls
+
+
+def write_cfg(path, text):
+    path.write_text(text.strip() + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_simulate_factors_each_replicate_once(tmp_path, factor_calls):
+    cfg = write_cfg(
+        tmp_path / "sim.txt",
+        MODEL_KEYS + "simulate.n_sites=60\nsimulate.replicates=3\n",
+    )
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == 0
+    assert len(factor_calls) == 3
+
+
+def test_load_factors_once(tmp_path, factor_calls):
+    dump_cfg = write_cfg(tmp_path / "dump.txt", MODEL_KEYS + "dump.n_sites=60\n")
+    assert cli.main(["dump", "--config", dump_cfg, "--out", str(tmp_path / "d")]) == 0
+    assert factor_calls == []
+    load_cfg = write_cfg(
+        tmp_path / "load.txt", f"load.path={tmp_path / 'd' / 'model.txt'}\n"
+    )
+    assert cli.main(["load", "--config", load_cfg, "--out", str(tmp_path / "l")]) == 0
+    assert len(factor_calls) == 1
+
+
+def test_finite_free_energy_factors_once(factor_calls):
+    model = sample_model(ModelParams(0.8, 0.5, 1.0, 2), RAD, 60, stream(1, "fe"))
+    assert model.n_clauses > 0
+    finite_free_energy(model)
+    assert len(factor_calls) == 1
+
+
+def _beta_zero():
+    return sample_model(ModelParams(1.0, 0.0, 0.7, 2), RAD, 30, stream(2, "b0"))
+
+
+def _no_clauses():
+    empty = np.empty((0, 2))
+    return FactorModel(30, empty, empty, ModelParams(1.0, 0.5, 0.7, 2), RAD)
+
+
+@pytest.mark.parametrize("make", [_beta_zero, _no_clauses])
+def test_identity_realization_is_never_factored(factor_calls, make):
+    model = make()
+    assert log_det(model) == 0.0
+    assert ones_quadratic_form(model) == 1.0
+    assert finite_free_energy(model) == 0.7 * 0.7 / 2.0
+    assert np.array_equal(inverse_diagonal(model), np.ones(30))
+    spins = sample_spins(model, 4, stream(3, "spins"))
+    assert spins.shape == (4, 30)
+    if model.params.beta == 0:
+        report = offdiag_moments(model.params, RAD, 30, 3, stream(4, "od"))
+        assert report.entry_12.value == 0.0
+        assert report.product_12_34.value == 0.0
+    assert factor_calls == []
+
+
+def test_queries_share_one_factor_and_match_dense_linear_algebra(factor_calls):
+    model = sample_model(ModelParams(1.0, 0.5, 0.3, 3), RAD, 40, stream(5, "q"))
+    fac = Factorization(model)
+    a = coupling_matrix(model)
+    inv = np.linalg.inv(a)
+    ones = np.ones(40)
+    assert fac.log_det == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12)
+    assert fac.ones_quadratic_form == pytest.approx(ones @ inv @ ones / 40, rel=1e-12)
+    assert fac.solve(np.eye(40)) == pytest.approx(inv, abs=1e-12)
+    whiten = fac.solve_transposed_factor(np.eye(40))  # L^{-T}
+    assert whiten @ whiten.T == pytest.approx(inv, abs=1e-12)
+    assert fac.free_energy == (
+        0.3 * 0.3 / 2.0 * fac.ones_quadratic_form + fac.log_det / 80.0
+    )
+    assert len(factor_calls) == 1
