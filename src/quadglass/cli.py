@@ -92,7 +92,7 @@ KEY_SPECS = {
     "experiment.kind": (str, None, lambda v: v in KINDS, f"one of {KINDS}"),
     "experiment.seed": (_int, 0, lambda v: 0 <= v < 2**64, "unsigned 64-bit"),
     "model.alpha": (_float, None, lambda v: 0 < v < math.inf, "finite and positive"),
-    "model.beta": (_float, None, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+    "model.beta": (_float, None, lambda v: 0 <= 2 * v < math.inf, "nonnegative with 2*beta finite"),
     "model.h": (_float, None, lambda v: math.isfinite(v), "finite"),
     "model.p": (_int, None, lambda v: v >= 1, "at least 1"),
     "disorder.family": (str, None, lambda v: v in FAMILIES, f"one of {FAMILIES}"),
@@ -116,6 +116,9 @@ KEY_SPECS = {
     "dump.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "load.path": (str, None, lambda v: bool(v), "nonempty path"),
 }
+
+# numpy's Generator.poisson rejects means above int64 max - 10*sqrt(int64 max)
+POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 _MODEL_KEYS = ("model.alpha", "model.beta", "model.h", "model.p", "disorder.family")
 REQUIRED_BY_KIND = {
@@ -220,6 +223,12 @@ def build_config(
             _model_pieces(options)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        mean = _largest_poisson_mean(kind, options)
+        if mean > POISSON_MEAN_MAX:
+            raise ConfigError(
+                f"model.alpha={raw['model.alpha']!r}: clause counts would be drawn with "
+                f"Poisson mean {mean:.6g}, above numpy's limit {POISSON_MEAN_MAX:.6g}"
+            )
     if kind == "simulate" and options["simulate.n_sites"] < options["model.p"]:
         raise ConfigError("simulate.n_sites: must be at least model.p")
     if kind == "dump" and options["dump.n_sites"] < options["model.p"]:
@@ -237,6 +246,14 @@ def build_config(
         Path(out_dir) if out_dir is not None else Path("out"),
         int(workers) if workers is not None else default_workers(),
     )
+
+
+def _largest_poisson_mean(kind, options):
+    """Largest clause-count mean a kind draws: alpha*N per realization, alpha*p per RDE draw."""
+    if kind in ("simulate", "dump"):
+        return options["model.alpha"] * options[f"{kind}.n_sites"]
+    sizes = options["convergence.n_grid"] if kind == "convergence" else []
+    return options["model.alpha"] * max([options["model.p"], *sizes])
 
 
 def _criteria_list(raw):

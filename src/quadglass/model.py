@@ -15,9 +15,11 @@ thermodynamic observables reduce to linear algebra on A:
 Each realization is factored once by :class:`Factorization`, and every
 observable is a query on that one factor.  ``Factorization`` is the one
 place that chooses the backend: A = I exactly when there are no clauses
-or beta = 0, and no factor is built; otherwise A is assembled densely
-and Cholesky-factored (desk scale, N <= a few thousand).  A >= I makes
-the factorization unconditionally well posed.
+or beta = 0, and no factor is built; otherwise the roughly
+N + alpha*N*p^2 nonzeros of A are assembled as a sparse matrix and
+factored by a fill-reducing symmetric sparse LU, A = P^T L D L^T P.
+A >= I makes the factorization unconditionally well posed, so it needs
+no pivoting off the diagonal.
 """
 
 from __future__ import annotations
@@ -28,13 +30,16 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
 from .streams import substreams
 
 INCREMENTAL_SIZE_CAP = 200
+# unit right-hand sides solved together by Factorization.inverse_diagonal
+INVERSE_DIAGONAL_BLOCK = 64
 
 
 class NumericalError(RuntimeError):
@@ -61,14 +66,6 @@ class ModelParams:
             raise ValueError("beta must be nonnegative")
         if self.p < 1:
             raise ValueError("p must be at least 1")
-
-
-@dataclass(frozen=True)
-class Clause:
-    """One interaction term: p distinct sites and their weights."""
-
-    sites: tuple[int, ...]
-    weights: tuple[float, ...]
 
 
 class FactorModel:
@@ -103,13 +100,6 @@ class FactorModel:
     def n_clauses(self) -> int:
         return self.sites.shape[0]
 
-    @property
-    def clauses(self) -> tuple[Clause, ...]:
-        return tuple(
-            Clause(tuple(int(s) for s in row), tuple(float(w) for w in wrow))
-            for row, wrow in zip(self.sites, self.weights)
-        )
-
 
 @dataclass(frozen=True)
 class CavitySplit:
@@ -130,21 +120,6 @@ class CavitySplit:
     @property
     def n_boundary(self) -> int:
         return self.site_weights.shape[0]
-
-    @property
-    def boundary_clauses(self) -> tuple[Clause, ...]:
-        last = self.n_sites - 1
-        out = []
-        for row, wrow, z in zip(
-            self.interior_sites, self.interior_weights, self.site_weights
-        ):
-            out.append(
-                Clause(
-                    tuple(int(s) for s in row) + (last,),
-                    tuple(float(w) for w in wrow) + (float(z),),
-                )
-            )
-        return tuple(out)
 
 
 class WoodburyResidual(NamedTuple):
@@ -208,28 +183,59 @@ def sample_model(
 # linear algebra
 
 
-def coupling_matrix(model: FactorModel) -> np.ndarray:
-    """Assemble the dense N x N matrix I + 2*beta * sum_k v_k v_k^T."""
+def _assemble(model: FactorModel) -> csc_matrix:
+    """A = I + 2*beta * sum_k v_k v_k^T as a sparse CSC matrix.
+
+    Each clause contributes its p x p block of weight products; entries
+    that land on the same (row, column) are summed.
+    """
     n = model.n_sites
-    a = np.eye(n)
-    if model.n_clauses and model.params.beta > 0:
-        contrib = (
-            2.0
-            * model.params.beta
-            * model.weights[:, :, None]
-            * model.weights[:, None, :]
-        )
-        rows = np.broadcast_to(model.sites[:, :, None], contrib.shape)
-        cols = np.broadcast_to(model.sites[:, None, :], contrib.shape)
-        np.add.at(a, (rows, cols), contrib)
-    return a
+    contrib = (
+        2.0 * model.params.beta * model.weights[:, :, None] * model.weights[:, None, :]
+    )
+    rows = np.broadcast_to(model.sites[:, :, None], contrib.shape)
+    cols = np.broadcast_to(model.sites[:, None, :], contrib.shape)
+    diag = np.arange(n)
+    return csc_matrix(
+        (
+            np.concatenate([np.ones(n), contrib.ravel()]),
+            (np.concatenate([diag, rows.ravel()]), np.concatenate([diag, cols.ravel()])),
+        ),
+        shape=(n, n),
+    )
+
+
+def coupling_matrix(model: FactorModel) -> np.ndarray:
+    """The dense N x N matrix I + 2*beta * sum_k v_k v_k^T (for inspection).
+
+    The same assembly that :class:`Factorization` factors, densified.
+    """
+    return _assemble(model).toarray()
 
 
 def _factorize(matrix):
+    """Symmetric sparse LU of A, P A P^T = L U, and the pivots diag(U).
+
+    ``SymmetricMode`` with no threshold pivoting keeps the pivots on the
+    diagonal of the symmetrically permuted matrix, so U = D L^T with
+    D = diag(U) and A = P^T L D L^T P.  The row and column permutations
+    must agree and every pivot must be finite and positive.
+    """
     try:
-        return cho_factor(matrix, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - bug signal
-        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+        lu = splu(
+            matrix,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalError("sparse LU pivoted off the diagonal")
+    pivots = lu.U.diagonal()
+    if not np.all((pivots > 0) & (pivots < math.inf)):
+        raise NumericalError("sparse LU produced a pivot that is not finite and positive")
+    return lu, pivots
 
 
 class Factorization:
@@ -237,37 +243,62 @@ class Factorization:
 
     When the realization has no clauses or beta = 0, A = I exactly: no
     factor is built and every query is answered in closed form (solves
-    return their right-hand side).  Otherwise A is assembled densely and
-    Cholesky-factored once, A = L L^T.
+    return their right-hand side).  Otherwise the sparse A is factored
+    once by a symmetric sparse LU, A = C C^T with C = P^T L D^{1/2}: P a
+    fill-reducing permutation, L unit lower triangular, D = diag(U) > 0.
     """
 
     def __init__(self, model: FactorModel):
         self.model = model
         if model.n_clauses == 0 or model.params.beta == 0:
-            self._factor = None
+            self._lu = None
         else:
-            self._factor = _factorize(coupling_matrix(model))
+            self._lu, self._pivots = _factorize(_assemble(model))
 
     @cached_property
     def log_det(self) -> float:
-        """log det A; always >= 0 since A >= I."""
-        if self._factor is None:
+        """log det A = sum of log pivots; always >= 0 since A >= I."""
+        if self._lu is None:
             return 0.0
-        return float(2.0 * np.sum(np.log(np.diag(self._factor[0]))))
+        return float(np.sum(np.log(self._pivots)))
 
     def solve(self, rhs) -> np.ndarray:
         """A^{-1} rhs for a vector or a matrix of right-hand-side columns."""
         rhs = np.asarray(rhs, dtype=float)
-        if self._factor is None:
+        if self._lu is None:
             return rhs.copy()
-        return cho_solve(self._factor, rhs)
+        return self._lu.solve(rhs)
 
     def solve_transposed_factor(self, rhs) -> np.ndarray:
-        """L^{-T} rhs; standard normal columns map to N(0, A^{-1}) draws."""
+        """C^{-T} rhs; standard normal columns map to N(0, A^{-1}) draws.
+
+        With A = C C^T, C^{-T} g = P^T L^{-T} D^{-1/2} g has covariance
+        (C C^T)^{-1} = A^{-1}.
+        """
         rhs = np.asarray(rhs, dtype=float)
-        if self._factor is None:
+        if self._lu is None:
             return rhs.copy()
-        return solve_triangular(self._factor[0], rhs, lower=True, trans="T")
+        scale = np.sqrt(self._pivots).reshape((-1,) + (1,) * (rhs.ndim - 1))
+        x = spsolve_triangular(
+            self._lu.L.T, rhs / scale, lower=False, unit_diagonal=True
+        )
+        return x[self._lu.perm_c]
+
+    def inverse_diagonal(self, sites) -> np.ndarray:
+        """A^{-1}_{ii} at the given 0-based sites.
+
+        Unit right-hand sides are solved INVERSE_DIAGONAL_BLOCK at a
+        time, so no N x N array is formed.
+        """
+        sites = np.asarray(sites, dtype=np.int64)
+        out = np.empty(sites.size)
+        for start in range(0, sites.size, INVERSE_DIAGONAL_BLOCK):
+            block = sites[start : start + INVERSE_DIAGONAL_BLOCK]
+            cols = np.arange(block.size)
+            rhs = np.zeros((self.model.n_sites, block.size))
+            rhs[block, cols] = 1.0
+            out[start : start + block.size] = self.solve(rhs)[block, cols]
+        return out
 
     @cached_property
     def ones_quadratic_form(self) -> float:
@@ -325,9 +356,7 @@ def inverse_diagonal(model: FactorModel, sites=None) -> np.ndarray:
     idx = np.arange(n) if sites is None else np.asarray(sites, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError("site index out of range")
-    rhs = np.zeros((n, idx.size))
-    rhs[idx, np.arange(idx.size)] = 1.0
-    return Factorization(model).solve(rhs)[idx, np.arange(idx.size)]
+    return Factorization(model).inverse_diagonal(idx)
 
 
 def ones_quadratic_form(model: FactorModel) -> float:
@@ -347,7 +376,7 @@ def sample_spins(
 
     Returns an (n_samples, N) array of i.i.d. draws with mean h*A^{-1}*1
     and covariance A^{-1}, generated by back-substitution against the
-    Cholesky factor (z = L^{-T} g has covariance (L L^T)^{-1} = A^{-1}).
+    factor A = C C^T (z = C^{-T} g has covariance (C C^T)^{-1} = A^{-1}).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

@@ -6,8 +6,39 @@ hand-rolled conjugate gradients instead of library solves, direct
 samplers instead of population dynamics.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.integrate import quad
+
+
+class Clause(NamedTuple):
+    """One interaction term: p distinct sites and their weights."""
+
+    sites: tuple[int, ...]
+    weights: tuple[float, ...]
+
+
+def model_clauses(model):
+    """A realization's clauses, one per row of ``sites`` and ``weights``."""
+    return tuple(
+        Clause(tuple(int(s) for s in row), tuple(float(w) for w in wrow))
+        for row, wrow in zip(model.sites, model.weights)
+    )
+
+
+def boundary_clauses(split):
+    """The boundary clauses of a cavity split, each ending at the last site."""
+    last = split.n_sites - 1
+    return tuple(
+        Clause(
+            tuple(int(s) for s in row) + (last,),
+            tuple(float(w) for w in wrow) + (float(z),),
+        )
+        for row, wrow, z in zip(
+            split.interior_sites, split.interior_weights, split.site_weights
+        )
+    )
 
 
 def truncated_gaussian_second_moment(sigma, c):
@@ -19,6 +50,14 @@ def truncated_gaussian_second_moment(sigma, c):
     value, err = quad(integrand, -c, c, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-11
     return value
+
+
+def dense_coupling_matrix(model):
+    """A = I + 2*beta * sum_k v_k v_k^T, added into a dense array clause by clause."""
+    a = np.eye(model.n_sites)
+    for row, wrow in zip(model.sites, model.weights):
+        a[np.ix_(row, row)] += 2.0 * model.params.beta * np.outer(wrow, wrow)
+    return a
 
 
 def logdet_via_eigenvalues(matrix):

@@ -113,6 +113,8 @@ def test_invalid_p_names_offending_key(tmp_path, capsys):
     [
         ("model.alpha", "model.alpha=0.8", "model.alpha=inf"),
         ("model.beta", "model.beta=0.5", "model.beta=inf"),
+        ("model.alpha", "model.alpha=0.8", "model.alpha=1e300"),
+        ("model.beta", "model.beta=0.5", "model.beta=1e308"),
         ("disorder.param", "disorder.family=rademacher",
          "disorder.family=gaussian\ndisorder.param=inf"),
     ],

@@ -1,13 +1,14 @@
 """One factorization per realization, and none when A = I.
 
 Every finite-size observable is a query on a single ``Factorization``;
-these tests count the Cholesky calls behind each entry point by
-wrapping the ``cho_factor`` binding that ``quadglass.model`` uses.
+these tests count the sparse LU calls behind each entry point by
+wrapping the ``splu`` binding that ``quadglass.model`` uses, and check
+every query against dense numpy linear algebra.
 """
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from scipy.sparse.linalg import splu
 
 import quadglass.model
 from quadglass import (
@@ -27,6 +28,8 @@ from quadglass import (
 )
 from quadglass.streams import stream
 
+from oracles import dense_coupling_matrix, logdet_via_eigenvalues
+
 RAD = DisorderSpec("rademacher")
 MODEL_KEYS = """
 model.alpha=0.8
@@ -43,9 +46,9 @@ def factor_calls(monkeypatch):
 
     def counting(matrix, *args, **kwargs):
         calls.append(matrix.shape)
-        return cho_factor(matrix, *args, **kwargs)
+        return splu(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(quadglass.model, "cho_factor", counting)
+    monkeypatch.setattr(quadglass.model, "splu", counting)
     return calls
 
 
@@ -116,9 +119,47 @@ def test_queries_share_one_factor_and_match_dense_linear_algebra(factor_calls):
     assert fac.log_det == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12)
     assert fac.ones_quadratic_form == pytest.approx(ones @ inv @ ones / 40, rel=1e-12)
     assert fac.solve(np.eye(40)) == pytest.approx(inv, abs=1e-12)
-    whiten = fac.solve_transposed_factor(np.eye(40))  # L^{-T}
+    whiten = fac.solve_transposed_factor(np.eye(40))  # C^{-T}, A = C C^T
     assert whiten @ whiten.T == pytest.approx(inv, abs=1e-12)
     assert fac.free_energy == (
         0.3 * 0.3 / 2.0 * fac.ones_quadratic_form + fac.log_det / 80.0
     )
     assert len(factor_calls) == 1
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("family", ["rademacher", "gaussian"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sparse_factor_matches_dense_oracle(p, family, alpha):
+    # N = 130 leaves a partial last block of unit right-hand sides
+    n = 130
+    model = sample_model(
+        ModelParams(alpha, 0.5, 0.3, p), DisorderSpec(family), n,
+        stream(6, "oracle", p, family, str(alpha)),
+    )
+    assert model.n_clauses > 0
+    a = dense_coupling_matrix(model)
+    inv = np.linalg.inv(a)
+    rhs = stream(7, "rhs").standard_normal((n, 3))
+    fac = Factorization(model)
+    assert fac.log_det == pytest.approx(logdet_via_eigenvalues(a), rel=1e-12)
+    assert fac.solve(rhs) == pytest.approx(np.linalg.solve(a, rhs), abs=1e-12)
+    assert inverse_diagonal(model) == pytest.approx(np.diag(inv), abs=1e-12)
+    whiten = fac.solve_transposed_factor(np.eye(n))
+    assert whiten @ whiten.T == pytest.approx(inv, abs=1e-12)
+
+
+def test_failed_factorization_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
+    def singular(matrix, *args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(quadglass.model, "splu", singular)
+    cfg = write_cfg(
+        tmp_path / "sim.txt",
+        MODEL_KEYS + "simulate.n_sites=60\nsimulate.replicates=1\n",
+    )
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out, "--workers", "1"]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -28,8 +28,10 @@ from quadglass.stats import ks_distance
 from quadglass.streams import stream, substreams
 
 from oracles import (
+    boundary_clauses,
     conjugate_gradient_solve,
     logdet_via_eigenvalues,
+    model_clauses,
     p1_inverse_diagonal,
     partition_function_mc,
 )
@@ -66,7 +68,7 @@ def test_clause_sites_distinct_and_in_range():
     params = ModelParams(2.0, 0.5, 0.0, 3)
     model = sample_model(params, RAD, 10, stream(2, "sites"))
     assert model.n_clauses > 0
-    for clause in model.clauses:
+    for clause in model_clauses(model):
         assert len(set(clause.sites)) == 3
         assert all(0 <= s < 10 for s in clause.sites)
 
@@ -310,7 +312,7 @@ def test_split_counts_add_up_to_full_rate():
 def test_split_p1_boundary_touches_only_last_site():
     params = ModelParams(1.0, 0.5, 0.0, 1)
     split = cavity_split(params, RAD, 50, stream(71, "p1split"))
-    for clause in split.boundary_clauses:
+    for clause in boundary_clauses(split):
         assert clause.sites == (49,)
 
 
