@@ -7,28 +7,14 @@ the limiting free-energy formula, and ships a statistical harness that
 checks every structural identity the two are built on.
 """
 
-from .disorder import DisorderSpec, sample_disorder, second_moment, truncate_spec
-from .estimate import Estimate
-from .free_energy import (
-    ConvergenceStudy,
-    LimitResult,
-    QuadratureRule,
-    convergence_study,
-    edge_term,
-    limiting_free_energy,
-)
+from .disorder import DisorderSpec, truncate_spec
+from .free_energy import QuadratureRule, convergence_study, limiting_free_energy
 from .model import (
-    CavitySplit,
-    FactorModel,
-    Factorization,
     ModelParams,
-    NumericalError,
     cavity_split,
     coupling_matrix,
-    dump_model,
     finite_free_energy,
     inverse_diagonal,
-    load_model,
     log_det,
     log_det_incremental,
     offdiag_moments,
@@ -39,93 +25,44 @@ from .model import (
     woodbury_residual,
 )
 from .rde import (
-    ContractionScan,
     Population,
-    RdeReport,
-    conjugate_step,
-    contraction_factor,
     delta_population,
-    dump_population,
     find_contractive_q,
-    from_log_domain,
     iterate_pair,
-    load_population,
-    pair_step,
     solve_fixed_point,
-    step,
-    to_log_domain,
     wasserstein,
 )
-from .stats import (
-    CorrelationReport,
-    PoissonUniformReport,
-    SlopeFit,
-    diag_law_distance,
-    independence_check,
-    ks_distance,
-    poisson_uniform_check,
-    pooled_inverse_diagonals,
-    slope_fit,
-)
+from .stats import poisson_uniform_check
 from .streams import stream, substreams
 
 __version__ = "0.1.0"
 
+# exactly the names the demos import; everything else lives in its submodule
 __all__ = [
-    "CavitySplit",
-    "ContractionScan",
-    "ConvergenceStudy",
-    "CorrelationReport",
     "DisorderSpec",
-    "Estimate",
-    "FactorModel",
-    "Factorization",
-    "LimitResult",
     "ModelParams",
-    "NumericalError",
-    "PoissonUniformReport",
     "Population",
     "QuadratureRule",
-    "RdeReport",
-    "SlopeFit",
     "cavity_split",
-    "conjugate_step",
-    "contraction_factor",
     "convergence_study",
     "coupling_matrix",
     "delta_population",
-    "diag_law_distance",
-    "dump_model",
-    "dump_population",
-    "edge_term",
     "find_contractive_q",
     "finite_free_energy",
-    "from_log_domain",
-    "independence_check",
     "inverse_diagonal",
     "iterate_pair",
-    "ks_distance",
     "limiting_free_energy",
-    "load_model",
-    "load_population",
     "log_det",
     "log_det_incremental",
     "offdiag_moments",
     "ones_quadratic_form",
-    "pair_step",
     "poisson_uniform_check",
-    "pooled_inverse_diagonals",
     "reassemble",
-    "sample_disorder",
     "sample_model",
     "sample_spins",
-    "second_moment",
-    "slope_fit",
     "solve_fixed_point",
-    "step",
     "stream",
     "substreams",
-    "to_log_domain",
     "truncate_spec",
     "wasserstein",
     "woodbury_residual",

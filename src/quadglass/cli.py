@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -229,10 +230,13 @@ def build_config(
                 f"model.alpha={raw['model.alpha']!r}: clause counts would be drawn with "
                 f"Poisson mean {mean:.6g}, above numpy's limit {POISSON_MEAN_MAX:.6g}"
             )
+        _check_memory(kind, options, raw)
     if kind == "simulate" and options["simulate.n_sites"] < options["model.p"]:
         raise ConfigError("simulate.n_sites: must be at least model.p")
     if kind == "dump" and options["dump.n_sites"] < options["model.p"]:
         raise ConfigError("dump.n_sites: must be at least model.p")
+    if kind == "convergence" and min(options["convergence.n_grid"]) < options["model.p"]:
+        raise ConfigError("convergence.n_grid: every size must be at least model.p")
     if kind == "validate":
         chosen = options.get("validate.criteria", "all")
         if chosen != "all":
@@ -254,6 +258,47 @@ def _largest_poisson_mean(kind, options):
         return options["model.alpha"] * options[f"{kind}.n_sites"]
     sizes = options["convergence.n_grid"] if kind == "convergence" else []
     return options["model.alpha"] * max([options["model.p"], *sizes])
+
+
+def _physical_memory():
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: no guard
+        return math.inf
+
+
+def _check_memory(kind, options, raw):
+    """Reject a config whose largest allocation cannot fit in physical memory.
+
+    Per clause, a realization holds p int64 sites and p float64 weights;
+    an RDE generation holds an owner, an outer weight, and p-1 interior
+    weights and resampled values: 16*p bytes either way, at the mean
+    clause count.  A generation also holds 32 bytes per output, and one
+    edge term draws p weights, indices and values per sample.
+    """
+    alpha, p = options["model.alpha"], options["model.p"]
+    at_alpha = f" at model.alpha={raw['model.alpha']}"
+    needs = []
+    if kind in ("simulate", "dump", "convergence"):
+        key = "convergence.n_grid" if kind == "convergence" else f"{kind}.n_sites"
+        size = max(options[key]) if kind == "convergence" else options[key]
+        needs.append((f"{key}={size}{at_alpha}", "one realization's clause arrays",
+                      16.0 * p * alpha * size))
+    if kind in ("rde", "free-energy", "convergence"):
+        pop = options["rde.pop_size"]
+        rate = alpha * p * (options["rde.rate_scale"] if kind == "rde" else 1.0)
+        needs.append((f"rde.pop_size={pop}{at_alpha}", "one RDE generation's draws",
+                      (16.0 * p * rate + 32.0) * pop))
+    if kind in ("free-energy", "convergence"):
+        n_mc = options["free_energy.n_mc"]
+        needs.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 24.0 * p * n_mc))
+    available = _physical_memory()
+    for setting, what, need in needs:
+        if need > available:
+            raise ConfigError(
+                f"{setting}: {what} need about {need / 2**30:.3g} GiB, "
+                f"more than the {available / 2**30:.3g} GiB of physical memory"
+            )
 
 
 def _criteria_list(raw):
@@ -418,7 +463,8 @@ def _run_convergence(config: ExperimentConfig):
         params, spec, opts["convergence.n_grid"], opts["convergence.seeds_per_n"],
         _quadrature(opts), stream(config.seed, "convergence"),
         pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
-        n_mc=opts["free_energy.n_mc"], workers=config.workers,
+        n_mc=opts["free_energy.n_mc"], max_gens=opts["rde.max_gens"],
+        warm_start=opts["free_energy.warm_start"], workers=config.workers,
     )
     _write_csv(
         config.out_dir / "convergence.csv",
@@ -486,7 +532,11 @@ def _run_dump(config: ExperimentConfig):
 
 
 def _run_load(config: ExperimentConfig):
-    model = load_model(config.options["load.path"])
+    path = config.options["load.path"]
+    try:
+        model = load_model(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"load.path={path!r}: {exc}") from exc
     _write_csv(
         config.out_dir / "loaded.csv",
         ("n_sites", "n_clauses", "log_det", "ones_quadratic_form", "free_energy"),
@@ -512,6 +562,9 @@ def run(config: ExperimentConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         produced = _RUNNERS[config.kind](config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure in {config.kind}: {exc}", file=sys.stderr)
         return 4

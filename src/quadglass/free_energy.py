@@ -253,6 +253,8 @@ def convergence_study(
     pop_size: int = DEFAULT_POP_SIZE,
     tol: float = DEFAULT_TOL,
     n_mc: int = 200_000,
+    max_gens: int = DEFAULT_MAX_GENS,
+    warm_start: bool = True,
     workers: int = 1,
 ) -> ConvergenceStudy:
     """Finite-size free energies against the limiting estimate.
@@ -260,7 +262,8 @@ def convergence_study(
     For each N, ``seeds_per_n`` independent realizations give the mean
     and spread of F_N; the gap column is |mean - limit|.  The log-log
     slope of the std column against N is the empirical concentration
-    rate.
+    rate.  ``pop_size``, ``tol``, ``n_mc``, ``max_gens`` and
+    ``warm_start`` go to :func:`limiting_free_energy`.
     """
     n_grid = [int(n) for n in n_grid]
     if not n_grid:
@@ -269,7 +272,8 @@ def convergence_study(
         raise ValueError("seeds_per_n must be at least 2")
     limit_rng, sim_rng = substreams(rng, 2)
     limit = limiting_free_energy(
-        params, disorder, rule, limit_rng, pop_size=pop_size, tol=tol, n_mc=n_mc
+        params, disorder, rule, limit_rng, pop_size=pop_size, tol=tol, n_mc=n_mc,
+        max_gens=max_gens, warm_start=warm_start,
     ).estimate
 
     rows = []

@@ -11,10 +11,10 @@ samples) represent laws; one generation resamples the whole population
 synchronously from the previous snapshot, so the update is a pure
 push-forward with clean fixed-point semantics.
 
-A conjugated log-domain map (y = -log x) is provided as well: it is a
-contraction in the Wasserstein-q metric for q large enough, which is
-what makes the fixed point unique and gives a certifiable convergence
-criterion through :func:`contraction_factor`.
+Under y = -log x the map is conjugate to one that contracts in the
+Wasserstein-q metric for q large enough, which is what makes the fixed
+point unique; :func:`contraction_factor` estimates that modulus and
+:func:`find_contractive_q` certifies a q from it.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
 from .model import ModelParams, format_float
 
-UNIT_INTERVAL = "unit_interval"
-LOG_NONNEG = "log_nonneg"
-
 CONVERGENCE_WINDOW = 10
 DEFAULT_POP_SIZE = 100_000
 DEFAULT_TOL = 1e-3
@@ -38,17 +35,14 @@ DEFAULT_MAX_GENS = 500
 
 @dataclass(frozen=True)
 class Population:
-    """Fixed-size empirical sample representing a 1-D law.
+    """Fixed-size empirical sample of a variance law on (0, 1].
 
-    ``domain`` is ``unit_interval`` for variance laws (values in (0, 1])
-    or ``log_nonneg`` for their -log images (values in [0, inf)).
     ``rate`` records the Poisson clause rate alpha*rate_scale*p the
     population was built under; ``generation`` counts applications of
     the map.
     """
 
     values: np.ndarray
-    domain: str = UNIT_INTERVAL
     rate: float = 0.0
     generation: int = 0
 
@@ -56,14 +50,8 @@ class Population:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("population values must be a nonempty 1-D array")
-        if self.domain == UNIT_INTERVAL:
-            if values.min() <= 0 or values.max() > 1:
-                raise ValueError("unit_interval population must lie in (0, 1]")
-        elif self.domain == LOG_NONNEG:
-            if values.min() < 0:
-                raise ValueError("log_nonneg population must be nonnegative")
-        else:
-            raise ValueError(f"unknown population domain {self.domain!r}")
+        if values.min() <= 0 or values.max() > 1:
+            raise ValueError("population values must lie in (0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -86,25 +74,9 @@ class RdeReport:
     tol: float
 
 
-def delta_population(
-    value: float, size: int, rate: float = 0.0, domain: str = UNIT_INTERVAL
-) -> Population:
+def delta_population(value: float, size: int, rate: float = 0.0) -> Population:
     """Point-mass population, the usual initialization."""
-    return Population(np.full(size, float(value)), domain, rate, 0)
-
-
-def to_log_domain(pop: Population) -> Population:
-    """Push a unit-interval population through x -> -log x."""
-    if pop.domain != UNIT_INTERVAL:
-        raise ValueError("expected a unit_interval population")
-    return Population(-np.log(pop.values), LOG_NONNEG, pop.rate, pop.generation)
-
-
-def from_log_domain(pop: Population) -> Population:
-    """Inverse of :func:`to_log_domain`."""
-    if pop.domain != LOG_NONNEG:
-        raise ValueError("expected a log_nonneg population")
-    return Population(np.exp(-pop.values), UNIT_INTERVAL, pop.rate, pop.generation)
+    return Population(np.full(size, float(value)), rate, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +113,6 @@ def step(
     ``pop``.  Outputs always lie in (0, 1]; entries whose clause count
     is zero come out exactly 1.
     """
-    if pop.domain != UNIT_INTERVAL:
-        raise ValueError("step acts on unit_interval populations")
     if not 0 < rate_scale <= 1:
         raise ValueError("rate_scale must lie in (0, 1]")
     if out_size < 1:
@@ -157,41 +127,7 @@ def step(
         denom = np.ones(zeta.shape[0])
     contrib = two_beta * zeta**2 / denom
     totals = np.bincount(owner, weights=contrib, minlength=out_size)
-    return Population(1.0 / (1.0 + totals), UNIT_INTERVAL, rate, pop.generation + 1)
-
-
-def conjugate_step(
-    pop: Population,
-    params: ModelParams,
-    disorder: DisorderSpec,
-    rate_scale: float,
-    out_size: int,
-    rng: np.random.Generator,
-) -> Population:
-    """One generation of the log-domain conjugate map.
-
-    New value: log(1 + sum_k z_k^2 / (g + sum_r x_{k,r}^2 exp(-Y_{k,r})))
-    with g = 1/(2*beta).  Undefined at beta = 0 (use :func:`step`, whose
-    output there is the point mass at 1).
-    """
-    if pop.domain != LOG_NONNEG:
-        raise ValueError("conjugate_step acts on log_nonneg populations")
-    if params.beta == 0:
-        raise ValueError("conjugate map undefined at beta = 0")
-    if not 0 < rate_scale <= 1:
-        raise ValueError("rate_scale must lie in (0, 1]")
-    if out_size < 1:
-        raise ValueError("out_size must be at least 1")
-    gamma = 1.0 / (2.0 * params.beta)
-    rate = params.alpha * rate_scale * params.p
-    _, owner, zeta, xi = _clause_draws(disorder, rate, params.p - 1, out_size, rng)
-    if params.p > 1:
-        picks = pop.values[rng.integers(0, pop.size, size=xi.shape)]
-        denom = gamma + np.sum(xi**2 * np.exp(-picks), axis=1)
-    else:
-        denom = np.full(zeta.shape[0], gamma)
-    totals = np.bincount(owner, weights=zeta**2 / denom, minlength=out_size)
-    return Population(np.log1p(totals), LOG_NONNEG, rate, pop.generation + 1)
+    return Population(1.0 / (1.0 + totals), rate, pop.generation + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +143,6 @@ def wasserstein(a: Population, b: Population, q: float = 1.0) -> float:
     common grid; this reduces to the exact coupling when sizes agree and
     is consistent as sizes grow.
     """
-    if a.domain != b.domain:
-        raise ValueError(f"domain mismatch: {a.domain!r} vs {b.domain!r}")
     if q < 1:
         raise ValueError("q must be at least 1")
     return _quantile_distance(a.values, b.values, q)
@@ -294,7 +228,7 @@ def contraction_factor(
     n_mc: int,
     rng: np.random.Generator,
 ) -> Estimate:
-    """Monte Carlo bound on the log-domain map's W_q modulus.
+    """Monte Carlo bound on the W_q modulus of the map conjugated by y = -log x.
 
     Estimates E[(chi_R/(gamma + chi_R))^q * R*(p-1)] with
     chi_R = sum_{k<=R} z_k^2 and R Poisson(alpha*p).  Below 1, the
@@ -405,8 +339,11 @@ def iterate_pair(
 
 
 def dump_population(pop: Population, path) -> None:
-    """Single-column decimal text: header (domain rate generation size), values."""
-    lines = [f"{pop.domain} {format_float(pop.rate)} {pop.generation} {pop.size}"]
+    """Single-column decimal text: header (domain rate generation size), values.
+
+    The domain field is always the literal ``unit_interval``.
+    """
+    lines = [f"unit_interval {format_float(pop.rate)} {pop.generation} {pop.size}"]
     lines.extend(format_float(v) for v in pop.values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -421,8 +358,10 @@ def load_population(path) -> Population:
     head = raw[0].split()
     if len(head) != 4:
         raise ValueError(f"{path}: malformed header (expected 4 fields)")
-    domain, rate, generation, size = head[0], float(head[1]), int(head[2]), int(head[3])
+    if head[0] != "unit_interval":
+        raise ValueError(f"{path}: unknown population domain {head[0]!r}")
+    rate, generation, size = float(head[1]), int(head[2]), int(head[3])
     values = np.array([float(v) for v in raw[1:]])
     if values.size != size:
         raise ValueError(f"{path}: header promises {size} values, found {values.size}")
-    return Population(values, domain, rate, generation)
+    return Population(values, rate, generation)

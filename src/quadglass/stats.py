@@ -14,9 +14,8 @@ import numpy as np
 
 from .disorder import DisorderSpec
 from .estimate import Estimate
-from .model import ModelParams, format_float, inverse_diagonal, sample_model
+from .model import ModelParams, inverse_diagonal, sample_model
 from .parallel import parallel_map
-from .rde import Population, wasserstein
 from .streams import substreams
 
 DEGENERATE_VARIANCE = 1e-14
@@ -62,23 +61,6 @@ def pooled_inverse_diagonals(
         return inverse_diagonal(sample_model(params, disorder, n_sites, child))
 
     return np.concatenate(parallel_map(one, children, workers))
-
-
-def diag_law_distance(
-    params: ModelParams,
-    disorder: DisorderSpec,
-    n_sites: int,
-    n_replicates: int,
-    fixed_point: Population,
-    rng: np.random.Generator,
-    workers: int = 1,
-) -> float:
-    """W1 between pooled inverse diagonals and a fixed-point population."""
-    pooled = pooled_inverse_diagonals(
-        params, disorder, n_sites, n_replicates, rng, workers
-    )
-    pooled_pop = Population(np.minimum(pooled, 1.0), fixed_point.domain)
-    return wasserstein(pooled_pop, fixed_point, 1.0)
 
 
 def independence_check(
@@ -193,32 +175,3 @@ def slope_fit(xs, ys) -> SlopeFit:
     ss_tot = float(dy @ dy)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return SlopeFit(slope, intercept, r2)
-
-
-def write_pooled_samples(path, values, column: str = "value") -> None:
-    """Single-column CSV export for pooled samples (17 significant digits)."""
-    values = np.asarray(values, dtype=float)
-    lines = [column]
-    lines.extend(format_float(v) for v in values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def ks_distance(a, b) -> float:
-    """Kolmogorov-Smirnov distance, two-sample or against a callable CDF."""
-    a = np.sort(np.asarray(a, dtype=float))
-    if a.size == 0:
-        raise ValueError("first sample must be nonempty")
-    n = a.size
-    if callable(b):
-        cdf = np.asarray(b(a), dtype=float)
-        upper = np.max(np.arange(1, n + 1) / n - cdf)
-        lower = np.max(cdf - np.arange(0, n) / n)
-        return float(max(upper, lower, 0.0))
-    b = np.sort(np.asarray(b, dtype=float))
-    if b.size == 0:
-        raise ValueError("second sample must be nonempty")
-    both = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, both, side="right") / n
-    cdf_b = np.searchsorted(b, both, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())

@@ -143,6 +143,33 @@ def direct_conjugate_from_zero_sampler(rate, beta, spec, p, n, rng):
     return np.log1p(np.bincount(owner, weights=zeta**2 / denom, minlength=n))
 
 
+def conjugate_step(values, params, spec, rate_scale, out_size, rng):
+    """One generation of the variance map conjugated by y = -log x.
+
+    Array in, array out: each output is
+    log(1 + sum_k z_k^2 / (g + sum_r x_{k,r}^2 exp(-Y_{k,r}))) with
+    g = 1/(2*beta) and the Y's resampled from ``values``.  Undefined at
+    beta = 0.  Draws come in the same order as ``rde.step``'s, so under a
+    shared stream it returns -log of that push-forward up to rounding.
+    """
+    from quadglass.disorder import _sample_shape
+
+    if params.beta == 0:
+        raise ValueError("conjugate map undefined at beta = 0")
+    gamma = 1.0 / (2.0 * params.beta)
+    counts = rng.poisson(params.alpha * rate_scale * params.p, size=out_size)
+    total = int(counts.sum())
+    owner = np.repeat(np.arange(out_size), counts)
+    zeta = _sample_shape(spec, (total,), rng)
+    xi = _sample_shape(spec, (total, params.p - 1), rng)
+    if params.p > 1:
+        picks = values[rng.integers(0, values.size, size=xi.shape)]
+        denom = gamma + np.sum(xi**2 * np.exp(-picks), axis=1)
+    else:
+        denom = np.full(total, gamma)
+    return np.log1p(np.bincount(owner, weights=zeta**2 / denom, minlength=out_size))
+
+
 def rademacher_contraction_series(alpha, p, beta, q, l_max=60):
     """Truncated Poisson series for the contraction factor, +-1 weights.
 
@@ -193,6 +220,22 @@ def w1_via_cdf_area(x, y):
     fx = np.searchsorted(x, grid, side="right") / x.size
     fy = np.searchsorted(y, grid, side="right") / y.size
     return float(np.sum(np.abs(fx - fy)[:-1] * np.diff(grid)))
+
+
+def ks_distance(a, b):
+    """Kolmogorov-Smirnov distance, two-sample or against a callable CDF."""
+    a = np.sort(np.asarray(a, dtype=float))
+    n = a.size
+    if callable(b):
+        cdf = np.asarray(b(a), dtype=float)
+        upper = np.max(np.arange(1, n + 1) / n - cdf)
+        lower = np.max(cdf - np.arange(0, n) / n)
+        return float(max(upper, lower, 0.0))
+    b = np.sort(np.asarray(b, dtype=float))
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, both, side="right") / n
+    cdf_b = np.searchsorted(b, both, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
 
 
 def poisson_uniform_p_zero(lam):

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from quadglass import cli, finite_free_energy, load_model
+from quadglass import cli, free_energy
+from quadglass.model import finite_free_energy, load_model
 from quadglass.rde import load_population
 
 BASE_SIM = """
@@ -157,6 +158,126 @@ def test_n_sites_must_cover_arity(tmp_path):
     cfg = write_cfg(tmp_path, BASE_SIM.replace("simulate.n_sites=100",
                                                "simulate.n_sites=1"))
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def assert_one_config_error(err, *keys):
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for key in keys:
+        assert key in err
+
+
+BASE_CONV = """
+experiment.seed=10
+model.alpha=0.5
+model.beta=0.25
+model.h=1.0
+model.p=2
+disorder.family=rademacher
+rde.pop_size=2000
+quadrature.nodes=2
+free_energy.n_mc=1000
+convergence.n_grid=20,40
+convergence.seeds_per_n=2
+"""
+
+
+def test_convergence_n_grid_must_cover_arity(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the study started")
+
+    monkeypatch.setattr(cli, "convergence_study", never)
+    cfg = write_cfg(tmp_path, BASE_CONV.replace("=20,40", "=1,50"))
+    assert run_cli(["convergence", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert_one_config_error(capsys.readouterr().err, "convergence.n_grid")
+
+
+class StopAfterLimitCall(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "extra, max_gens, warm_start",
+    [("", 500, True), ("rde.max_gens=7\nfree_energy.warm_start=false\n", 7, False)],
+    ids=["defaults", "set"],
+)
+def test_convergence_passes_max_gens_and_warm_start(
+    tmp_path, monkeypatch, extra, max_gens, warm_start
+):
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        raise StopAfterLimitCall
+
+    monkeypatch.setattr(free_energy, "limiting_free_energy", spy)
+    cfg = write_cfg(tmp_path, BASE_CONV + extra)
+    with pytest.raises(StopAfterLimitCall):
+        run_cli(["convergence", "--config", cfg, "--out", tmp_path / "o"])
+    assert seen["max_gens"] == max_gens
+    assert seen["warm_start"] is warm_start
+
+
+VALID_MODEL_FILE = "10 2 0.5 0.5 1 2 rademacher 1 inf\n1 2 1 -1\n3 4 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        (None, "No such file"),
+        (VALID_MODEL_FILE.replace("10 2 ", "10 3 ", 1), "promises 3 clauses, found 2"),
+        (VALID_MODEL_FILE.replace("3 4 1 1", "99 4 1 1"), "site index out of range"),
+    ],
+    ids=["missing", "clause-count-mismatch", "site-out-of-range"],
+)
+def test_bad_load_file_exits_2_without_traceback(tmp_path, capsys, text, fault):
+    model_path = tmp_path / "model.txt"
+    if text is not None:
+        model_path.write_text(text, encoding="utf-8")
+    cfg = write_cfg(tmp_path, f"load.path={model_path}", name="load.txt")
+    assert run_cli(["load", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert_one_config_error(capsys.readouterr().err, "load.path", fault)
+
+
+@pytest.mark.parametrize(
+    "kind, text, keys",
+    [
+        ("simulate", BASE_SIM.replace("model.alpha=0.8", "model.alpha=1e15")
+         .replace("simulate.n_sites=100", "simulate.n_sites=50"),
+         ("simulate.n_sites", "model.alpha")),
+        ("rde", BASE_SIM.replace("experiment.kind=simulate", "experiment.kind=rde")
+         .replace("model.alpha=0.8", "model.alpha=1e12") + "rde.pop_size=1000\n",
+         ("rde.pop_size", "model.alpha")),
+        ("free-energy", BASE_CONV.replace("free_energy.n_mc=1000",
+                                          "free_energy.n_mc=100000000000000"),
+         ("free_energy.n_mc",)),
+    ],
+    ids=["simulate", "rde", "free-energy-n_mc"],
+)
+def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, keys):
+    cfg = write_cfg(tmp_path, text)
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert_one_config_error(capsys.readouterr().err, *keys)
+
+
+def test_readme_model_passes_memory_guard():
+    raw = cli.parse_config_text(
+        """
+        experiment.kind=free-energy
+        experiment.seed=42
+        model.alpha=0.5
+        model.beta=0.25
+        model.h=1.0
+        model.p=2
+        disorder.family=rademacher
+        rde.pop_size=100000
+        quadrature.nodes=16
+        free_energy.n_mc=200000
+        """
+    )
+    for kind in ("free-energy", "rde", "convergence"):
+        raw["experiment.kind"] = kind
+        assert cli.build_config(kind, raw).kind == kind
 
 
 # ---------------------------------------------------------------------------

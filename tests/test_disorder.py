@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadglass import DisorderSpec, sample_disorder, second_moment, truncate_spec
+from quadglass.disorder import DisorderSpec, sample_disorder, second_moment, truncate_spec
 from quadglass.streams import stream
 
 from oracles import truncated_gaussian_second_moment

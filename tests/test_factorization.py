@@ -11,12 +11,12 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import quadglass.model
-from quadglass import (
-    DisorderSpec,
+from quadglass import cli
+from quadglass.disorder import DisorderSpec
+from quadglass.model import (
     FactorModel,
     Factorization,
     ModelParams,
-    cli,
     coupling_matrix,
     finite_free_energy,
     inverse_diagonal,

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from quadglass import (
-    DisorderSpec,
-    ModelParams,
-    Population,
+from quadglass.disorder import DisorderSpec, _sample_shape
+from quadglass.estimate import combined_se, jackknife_se
+from quadglass.free_energy import (
     QuadratureRule,
     convergence_study,
-    delta_population,
     edge_term,
     limiting_free_energy,
-    solve_fixed_point,
 )
-from quadglass.disorder import _sample_shape
-from quadglass.estimate import combined_se, jackknife_se
+from quadglass.model import ModelParams
+from quadglass.rde import Population, delta_population, solve_fixed_point
 from quadglass.streams import stream
 
 from oracles import balanced_edge_term, direct_p1_variance_sampler

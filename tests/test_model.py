@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from quadglass import (
-    DisorderSpec,
+from quadglass.disorder import DisorderSpec
+from quadglass.model import (
+    CavitySplit,
     FactorModel,
     ModelParams,
+    _distinct_tuples,
     cavity_split,
     coupling_matrix,
     dump_model,
@@ -23,13 +25,12 @@ from quadglass import (
     sample_spins,
     woodbury_residual,
 )
-from quadglass.model import CavitySplit, _distinct_tuples
-from quadglass.stats import ks_distance
 from quadglass.streams import stream, substreams
 
 from oracles import (
     boundary_clauses,
     conjugate_gradient_solve,
+    ks_distance,
     logdet_via_eigenvalues,
     model_clauses,
     p1_inverse_diagonal,

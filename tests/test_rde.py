@@ -3,26 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from quadglass import (
-    DisorderSpec,
-    ModelParams,
+from quadglass.disorder import DisorderSpec
+from quadglass.model import ModelParams
+from quadglass.rde import (
     Population,
-    conjugate_step,
+    _quantile_distance,
     contraction_factor,
     delta_population,
+    dump_population,
     find_contractive_q,
-    from_log_domain,
     iterate_pair,
+    load_population,
     pair_step,
     solve_fixed_point,
     step,
-    to_log_domain,
     wasserstein,
 )
-from quadglass.rde import _quantile_distance
 from quadglass.streams import stream
 
 from oracles import (
+    conjugate_step,
     direct_conjugate_from_zero_sampler,
     direct_p1_variance_sampler,
     rademacher_contraction_series,
@@ -45,31 +45,25 @@ def test_population_domain_validation():
         Population(np.array([0.0, 0.5]))  # 0 excluded on the unit interval
     with pytest.raises(ValueError):
         Population(np.array([0.5, 1.2]))
-    with pytest.raises(ValueError):
-        Population(np.array([-0.1]), domain="log_nonneg")
-    with pytest.raises(ValueError):
-        Population(np.array([0.5]), domain="interval")
-
-
-def test_log_domain_round_trip():
-    pop = Population(stream(0, "rt").uniform(0.05, 1.0, 1000), rate=2.0, generation=3)
-    back = from_log_domain(to_log_domain(pop))
-    assert back.rate == pop.rate and back.generation == pop.generation
-    assert np.allclose(back.values, pop.values, rtol=1e-14)
 
 
 def test_population_file_round_trip(tmp_path):
-    from quadglass.rde import dump_population, load_population
-
     pop = Population(
         stream(99, "file").uniform(0.01, 1.0, 500), rate=1.5, generation=7
     )
     path = tmp_path / "pop.txt"
     dump_population(pop, path)
+    assert path.read_text().splitlines()[0] == "unit_interval 1.5 7 500"
     back = load_population(path)
-    assert back.domain == pop.domain
     assert back.rate == pop.rate and back.generation == pop.generation
     assert np.array_equal(back.values, pop.values)
+
+
+def test_population_file_rejects_other_domains(tmp_path):
+    path = tmp_path / "pop.txt"
+    path.write_text("log_nonneg 1.5 7 2\n0.5\n0.25\n")
+    with pytest.raises(ValueError, match="log_nonneg"):
+        load_population(path)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +124,6 @@ def test_step_validates_arguments():
         step(pop, params_with(), RAD, 0.0, 10, stream(8, "bad"))
     with pytest.raises(ValueError):
         step(pop, params_with(), RAD, 1.0, 0, stream(8, "bad"))
-    with pytest.raises(ValueError):
-        step(to_log_domain(pop), params_with(), RAD, 1.0, 10, stream(8, "bad"))
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +164,6 @@ def test_wasserstein_unequal_sizes_matches_cdf_area():
     approx = _quantile_distance(x, y, 1.0)
     exact = w1_via_cdf_area(x, y)
     assert approx == pytest.approx(exact, abs=2e-3)
-
-
-def test_wasserstein_domain_mismatch_rejected():
-    a = delta_population(0.5, 10)
-    with pytest.raises(ValueError):
-        wasserstein(a, to_log_domain(a))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +223,7 @@ def test_non_convergence_reports_flag_not_exception():
 
 
 # ---------------------------------------------------------------------------
-# conjugate (log-domain) map
+# conjugate map y = -log x (array oracle in tests/oracles.py)
 
 
 def test_conjugate_step_conjugates_the_variance_map():
@@ -245,43 +231,42 @@ def test_conjugate_step_conjugates_the_variance_map():
     n = 10**5
     rng = stream(30, "conj")
     base = Population(rng.uniform(0.2, 1.0, n))
-    direct = to_log_domain(step(base, par, RAD, 1.0, n, stream(31, "cd")))
-    conjug = conjugate_step(to_log_domain(base), par, RAD, 1.0, n, stream(32, "cc"))
-    assert wasserstein(direct, conjug) < 0.01
+    direct = -np.log(step(base, par, RAD, 1.0, n, stream(31, "cd")).values)
+    conjug = conjugate_step(-np.log(base.values), par, RAD, 1.0, n, stream(32, "cc"))
+    assert _quantile_distance(direct, conjug, 1.0) < 0.01
+
+
+def test_conjugate_step_is_minus_log_of_step_under_a_shared_stream():
+    par = params_with(alpha=1.0, beta=0.7, p=3)
+    base = Population(stream(37, "shared").uniform(0.2, 1.0, 2000))
+    direct = -np.log(step(base, par, RAD, 0.6, 5000, stream(38, "sh")).values)
+    conjug = conjugate_step(-np.log(base.values), par, RAD, 0.6, 5000, stream(38, "sh"))
+    assert np.allclose(direct, conjug, rtol=1e-12, atol=1e-14)
 
 
 def test_conjugate_step_from_zero_matches_direct_sampler():
     par = params_with(alpha=1.0, beta=0.7, p=3)
     n = 10**5
-    out = conjugate_step(
-        delta_population(0.0, 100, domain="log_nonneg"), par, RAD, 1.0, n,
-        stream(33, "cz"),
-    )
+    out = conjugate_step(np.zeros(100), par, RAD, 1.0, n, stream(33, "cz"))
     oracle = direct_conjugate_from_zero_sampler(3.0, 0.7, RAD, 3, n, stream(34, "czo"))
-    assert wasserstein(out, Population(oracle, domain="log_nonneg")) < 0.01
+    assert _quantile_distance(out, oracle, 1.0) < 0.01
 
 
 def test_conjugate_step_zero_mass_matches_poisson():
     par = params_with(alpha=0.9, beta=1.0)
     lam = 0.9 * 0.5 * 2
     n = 10**5
-    out = conjugate_step(
-        delta_population(0.3, 1000, domain="log_nonneg"), par, RAD, 0.5, n,
-        stream(35, "cm"),
-    )
-    frac = float((out.values == 0.0).mean())
+    out = conjugate_step(np.full(1000, 0.3), par, RAD, 0.5, n, stream(35, "cm"))
+    frac = float((out == 0.0).mean())
     target = math.exp(-lam)
     se = math.sqrt(target * (1 - target) / n)
     assert abs(frac - target) < 4 * se
-    assert out.values.min() >= 0.0
+    assert out.min() >= 0.0
 
 
 def test_conjugate_step_rejects_zero_temperature():
     with pytest.raises(ValueError):
-        conjugate_step(
-            delta_population(0.0, 10, domain="log_nonneg"),
-            params_with(beta=0.0), RAD, 1.0, 10, stream(36, "c0"),
-        )
+        conjugate_step(np.zeros(10), params_with(beta=0.0), RAD, 1.0, 10, stream(36, "c0"))
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +326,12 @@ def test_certified_q_gives_geometric_decay_of_wq_gaps():
     scan = find_contractive_q(par, RAD, [1, 2, 4, 8, 16, 32, 64], 10**5, stream(47, "geo"))
     q = scan.q
     assert q is not None
-    pop = delta_population(5.0, 20000, domain="log_nonneg")
+    pop = np.full(20000, 5.0)
     gaps = []
     rng = stream(48, "geoiter")
     for _ in range(21):
         new = conjugate_step(pop, par, RAD, 1.0, 20000, rng)
-        gaps.append(wasserstein(pop, new, q))
+        gaps.append(_quantile_distance(pop, new, q))
         pop = new
     ratios = np.array(gaps[1:]) / np.array(gaps[:-1])
     assert np.median(ratios) < 1.0

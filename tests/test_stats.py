@@ -4,27 +4,35 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from quadglass import (
-    DisorderSpec,
-    ModelParams,
-    Population,
-    delta_population,
-    diag_law_distance,
+from quadglass.disorder import DisorderSpec
+from quadglass.model import ModelParams
+from quadglass.rde import Population, delta_population, wasserstein
+from quadglass.stats import (
     independence_check,
-    ks_distance,
     poisson_uniform_check,
     pooled_inverse_diagonals,
     slope_fit,
 )
 from quadglass.streams import stream
 
-from oracles import direct_p1_variance_sampler, lstsq_loglog, poisson_uniform_p_zero
+from oracles import (
+    direct_p1_variance_sampler,
+    ks_distance,
+    lstsq_loglog,
+    poisson_uniform_p_zero,
+)
 
 RAD = DisorderSpec("rademacher")
 
 
 # ---------------------------------------------------------------------------
 # diagonal law distance
+
+
+def diag_law_distance(params, disorder, n_sites, n_replicates, fixed_point, rng):
+    """W1 between pooled inverse diagonals and a fixed-point population."""
+    pooled = pooled_inverse_diagonals(params, disorder, n_sites, n_replicates, rng)
+    return wasserstein(Population(np.minimum(pooled, 1.0)), fixed_point)
 
 
 def test_distance_to_point_mass_at_zero_temperature():
@@ -162,14 +170,8 @@ def test_slope_fit_rejects_bad_input():
         slope_fit([1.0, 2.0, 3.0], [1.0, 0.0, 3.0])
 
 
-# ---------------------------------------------------------------------------
-# Kolmogorov-Smirnov distance
-
-
-def test_reports_serialize_to_json(tmp_path):
+def test_reports_serialize_to_json():
     import json
-
-    from quadglass.stats import write_pooled_samples
 
     par = ModelParams(1.0, 0.5, 0.0, 2)
     report = independence_check(par, RAD, 50, 3, 30, stream(50, "ser"))
@@ -179,12 +181,9 @@ def test_reports_serialize_to_json(tmp_path):
     assert parsed["pu"]["n_samples"] == 10**4
     assert len(parsed["corr"]["correlations"]) == 3
 
-    values = stream(52, "pool").uniform(0.0, 1.0, 100)
-    path = tmp_path / "pooled.csv"
-    write_pooled_samples(path, values)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "value"
-    assert np.array_equal(np.array([float(v) for v in lines[1:]]), values)
+
+# ---------------------------------------------------------------------------
+# Kolmogorov-Smirnov distance (oracle in tests/oracles.py)
 
 
 def test_identical_samples_have_zero_distance():
