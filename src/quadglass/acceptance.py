@@ -30,6 +30,7 @@ from .model import (
 from .parallel import parallel_map
 from .rde import (
     Population,
+    _clause_draws,
     delta_population,
     find_contractive_q,
     iterate_pair,
@@ -80,7 +81,6 @@ def a1(seed, scale=1.0, workers=1):
 
 def a2(seed, scale=1.0, workers=1):
     """Arity-1 inverse diagonals reproduce the direct clause-sum law."""
-    from .disorder import _sample_shape
     from .stats import pooled_inverse_diagonals
 
     params = ModelParams(1.0, 0.5, 0.0, 1)
@@ -91,10 +91,9 @@ def a2(seed, scale=1.0, workers=1):
     )
     # direct sampler of the exact per-site law (matrix-free route)
     n_draws = _count(10**6, scale, floor=10**5)
-    rng = stream(seed, "A2", "direct")
-    counts = rng.poisson(params.alpha, size=n_draws)
-    owner = np.repeat(np.arange(n_draws), counts)
-    zeta = _sample_shape(RADEMACHER, (int(counts.sum()),), rng)
+    _, owner, zeta, _ = _clause_draws(
+        RADEMACHER, params.alpha, 0, n_draws, stream(seed, "A2", "direct")
+    )
     sums = np.bincount(owner, weights=zeta**2, minlength=n_draws)
     direct = 1.0 / (1.0 + 2.0 * params.beta * sums)
     dist = wasserstein(Population(np.minimum(pooled, 1.0)), Population(direct))

@@ -39,7 +39,7 @@ from .model import (
     sample_model,
 )
 from .parallel import default_workers, parallel_map
-from .rde import delta_population, dump_population, solve_fixed_point
+from .rde import dump_population, solve_fixed_point
 from .streams import stream
 
 KINDS = ("simulate", "rde", "free-energy", "convergence", "validate", "dump", "load")
@@ -65,15 +65,6 @@ def _int(raw):
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"not an integer: {raw!r}") from exc
-
-
-def _bool(raw):
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"not a boolean: {raw!r}")
 
 
 def _int_list(raw):
@@ -105,11 +96,9 @@ KEY_SPECS = {
     "rde.pop_size": (_int, 100_000, lambda v: v >= 1, "at least 1"),
     "rde.tol": (_float, 1e-3, _positive, "positive"),
     "rde.max_gens": (_int, 500, lambda v: v >= 1, "at least 1"),
-    "rde.init": (_float, 1.0, _unit, "in (0, 1]"),
-    "quadrature.kind": (str, "gauss", lambda v: v in ("gauss", "midpoint"), "gauss|midpoint"),
+    "quadrature.kind": (str, "gauss", lambda v: v == "gauss", "gauss"),
     "quadrature.nodes": (_int, 16, lambda v: v >= 1, "at least 1"),
     "free_energy.n_mc": (_int, 200_000, lambda v: v >= 1, "at least 1"),
-    "free_energy.warm_start": (_bool, True, lambda v: True, "boolean"),
     "convergence.n_grid": (_int_list, [250, 500, 1000], lambda v: len(v) >= 1 and all(n >= 1 for n in v), "comma list of sizes"),
     "convergence.seeds_per_n": (_int, 10, lambda v: v >= 2, "at least 2"),
     "validate.criteria": (str, "all", lambda v: True, "all or comma list like A1,A8"),
@@ -152,8 +141,6 @@ class ExperimentConfig:
             value = self.options[key]
             if isinstance(value, float):
                 text = format_float(value)
-            elif isinstance(value, bool):
-                text = "true" if value else "false"
             elif isinstance(value, list):
                 text = ",".join(str(v) for v in value)
             else:
@@ -224,6 +211,11 @@ def build_config(
             _model_pieces(options)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        key, sizes = _realization_sizes(kind, options)
+        if sizes and min(sizes) < options["model.p"]:
+            raise ConfigError(
+                f"{key}: realization sizes must be at least model.p={options['model.p']}"
+            )
         mean = _largest_poisson_mean(kind, options)
         if mean > POISSON_MEAN_MAX:
             raise ConfigError(
@@ -231,12 +223,6 @@ def build_config(
                 f"Poisson mean {mean:.6g}, above numpy's limit {POISSON_MEAN_MAX:.6g}"
             )
         _check_memory(kind, options, raw)
-    if kind == "simulate" and options["simulate.n_sites"] < options["model.p"]:
-        raise ConfigError("simulate.n_sites: must be at least model.p")
-    if kind == "dump" and options["dump.n_sites"] < options["model.p"]:
-        raise ConfigError("dump.n_sites: must be at least model.p")
-    if kind == "convergence" and min(options["convergence.n_grid"]) < options["model.p"]:
-        raise ConfigError("convergence.n_grid: every size must be at least model.p")
     if kind == "validate":
         chosen = options.get("validate.criteria", "all")
         if chosen != "all":
@@ -252,11 +238,22 @@ def build_config(
     )
 
 
+def _realization_sizes(kind, options):
+    """The key that sets the sizes N a kind samples realizations at, and those sizes.
+
+    Kinds that sample no realization give ``(None, [])``.
+    """
+    if kind in ("simulate", "dump"):
+        key = f"{kind}.n_sites"
+        return key, [options[key]]
+    if kind == "convergence":
+        return "convergence.n_grid", options["convergence.n_grid"]
+    return None, []
+
+
 def _largest_poisson_mean(kind, options):
     """Largest clause-count mean a kind draws: alpha*N per realization, alpha*p per RDE draw."""
-    if kind in ("simulate", "dump"):
-        return options["model.alpha"] * options[f"{kind}.n_sites"]
-    sizes = options["convergence.n_grid"] if kind == "convergence" else []
+    _, sizes = _realization_sizes(kind, options)
     return options["model.alpha"] * max([options["model.p"], *sizes])
 
 
@@ -273,15 +270,16 @@ def _check_memory(kind, options, raw):
     Per clause, a realization holds p int64 sites and p float64 weights;
     an RDE generation holds an owner, an outer weight, and p-1 interior
     weights and resampled values: 16*p bytes either way, at the mean
-    clause count.  A generation also holds 32 bytes per output, and one
-    edge term draws p weights, indices and values per sample.
+    clause count.  A generation also holds 32 bytes per output, one
+    edge term draws p weights, indices and values per sample, and the
+    Gauss-Legendre rule on n nodes builds an n x n companion matrix.
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
     needs = []
-    if kind in ("simulate", "dump", "convergence"):
-        key = "convergence.n_grid" if kind == "convergence" else f"{kind}.n_sites"
-        size = max(options[key]) if kind == "convergence" else options[key]
+    key, sizes = _realization_sizes(kind, options)
+    if sizes:
+        size = max(sizes)
         needs.append((f"{key}={size}{at_alpha}", "one realization's clause arrays",
                       16.0 * p * alpha * size))
     if kind in ("rde", "free-energy", "convergence"):
@@ -292,6 +290,9 @@ def _check_memory(kind, options, raw):
     if kind in ("free-energy", "convergence"):
         n_mc = options["free_energy.n_mc"]
         needs.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 24.0 * p * n_mc))
+        nodes = options["quadrature.nodes"]
+        needs.append((f"quadrature.nodes={nodes}",
+                      "the Gauss-Legendre rule's companion-matrix entries", 8.0 * nodes * nodes))
     available = _physical_memory()
     for setting, what, need in needs:
         if need > available:
@@ -318,9 +319,7 @@ def _model_pieces(options):
 
 
 def _quadrature(options):
-    if options["quadrature.kind"] == "gauss":
-        return QuadratureRule.gauss_legendre(options["quadrature.nodes"])
-    return QuadratureRule.midpoint(options["quadrature.nodes"])
+    return QuadratureRule.gauss_legendre(options["quadrature.nodes"])
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +388,10 @@ def _run_simulate(config: ExperimentConfig):
 def _run_rde(config: ExperimentConfig):
     params, spec = _model_pieces(config.options)
     opts = config.options
-    init = delta_population(
-        opts["rde.init"], opts["rde.pop_size"],
-        params.alpha * opts["rde.rate_scale"] * params.p,
-    )
     report = solve_fixed_point(
         params, spec, opts["rde.rate_scale"], stream(config.seed, "rde"),
         pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
-        max_gens=opts["rde.max_gens"], init=init,
+        max_gens=opts["rde.max_gens"],
     )
     _write_csv(
         config.out_dir / "rde_trajectory.csv",
@@ -424,7 +419,6 @@ def _run_free_energy(config: ExperimentConfig):
         params, spec, _quadrature(opts), stream(config.seed, "free-energy"),
         pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
         n_mc=opts["free_energy.n_mc"], max_gens=opts["rde.max_gens"],
-        warm_start=opts["free_energy.warm_start"], workers=config.workers,
     )
     _write_json(
         config.out_dir / "free_energy.json",
@@ -464,7 +458,7 @@ def _run_convergence(config: ExperimentConfig):
         _quadrature(opts), stream(config.seed, "convergence"),
         pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
         n_mc=opts["free_energy.n_mc"], max_gens=opts["rde.max_gens"],
-        warm_start=opts["free_energy.warm_start"], workers=config.workers,
+        workers=config.workers,
     )
     _write_csv(
         config.out_dir / "convergence.csv",

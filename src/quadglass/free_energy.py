@@ -9,7 +9,9 @@ the variance-law map run at the thinned clause rate alpha*x*p, and the
 z_r are disorder draws.  The integrand is smooth in x, so a small
 Gauss-Legendre rule on (0, 1) beats the Monte Carlo noise floor
 immediately; the x = 0 endpoint is never evaluated because the nodes
-are interior.
+are interior.  The nodes are solved in one sequential sweep of
+increasing rate, each fixed point started from the previous node's
+population.
 
 This module also runs finite-size-to-limit convergence studies.
 """
@@ -68,12 +70,6 @@ class QuadratureRule:
         """Gauss-Legendre rule mapped from [-1, 1] to (0, 1)."""
         t, w = np.polynomial.legendre.leggauss(int(n_nodes))
         return cls((t + 1.0) / 2.0, w / w.sum())
-
-    @classmethod
-    def midpoint(cls, n_nodes: int = 64) -> "QuadratureRule":
-        """Composite midpoint rule, kept around as a cross-check."""
-        n = int(n_nodes)
-        return cls((np.arange(n) + 0.5) / n, np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -134,16 +130,15 @@ def limiting_free_energy(
     tol: float = DEFAULT_TOL,
     n_mc: int = 200_000,
     max_gens: int = DEFAULT_MAX_GENS,
-    warm_start: bool = True,
-    workers: int = 1,
 ) -> LimitResult:
     """Evaluate the limiting formula with one fixed point per node.
 
-    Warm starting feeds node i+1 from node i's population (nodes run in
-    increasing rate order, sequentially); cold starting solves every
-    node from the point mass at 1 and may fan out over workers.  Node
-    errors are treated as independent (disjoint streams); a node that
-    fails to converge still contributes, and the result flags it.
+    Nodes run sequentially in increasing rate order, and each fixed
+    point is warm-started from the previous node's population (the
+    first from the point mass at 1); the x = 1 solve starts from the
+    last node's.  Node errors are treated as independent (disjoint
+    streams); a node that fails to converge still contributes, and the
+    result flags it.
     """
     h = params.h
     if params.beta == 0:
@@ -153,32 +148,24 @@ def limiting_free_energy(
     # one stream per node, one for the x=1 solve, one per node for MC
     node_streams = substreams(rng, 2 * n_nodes + 1)
 
-    def run_node(i: int, init: Population | None) -> tuple[RdeReport, Estimate]:
-        x = float(rule.nodes[i])
+    results: list[tuple[RdeReport, Estimate]] = []
+    carry: Population | None = None
+    for i, x in enumerate(rule.nodes):
         report = solve_fixed_point(
             params,
             disorder,
-            x,
+            float(x),
             node_streams[i],
             pop_size=pop_size,
             tol=tol,
             max_gens=max_gens,
-            init=init,
+            init=carry,
         )
         term = edge_term(
             report.population, params, disorder, n_mc, node_streams[n_nodes + 1 + i]
         )
-        return report, term
-
-    results: list[tuple[RdeReport, Estimate]] = []
-    if warm_start:
-        carry: Population | None = None
-        for i in range(n_nodes):
-            report, term = run_node(i, carry)
-            results.append((report, term))
-            carry = report.population
-    else:
-        results = parallel_map(lambda i: run_node(i, None), range(n_nodes), workers)
+        results.append((report, term))
+        carry = report.population
 
     nodes = tuple(
         NodeResult(
@@ -198,7 +185,6 @@ def limiting_free_energy(
     ]
 
     if h != 0.0:
-        init = results[-1][0].population if warm_start else None
         top = solve_fixed_point(
             params,
             disorder,
@@ -207,7 +193,7 @@ def limiting_free_energy(
             pop_size=pop_size,
             tol=tol,
             max_gens=max_gens,
-            init=init,
+            init=carry,
         )
         mean_x1 = top.population.mean()
         h_term = h * h / 2.0 * mean_x1
@@ -254,7 +240,6 @@ def convergence_study(
     tol: float = DEFAULT_TOL,
     n_mc: int = 200_000,
     max_gens: int = DEFAULT_MAX_GENS,
-    warm_start: bool = True,
     workers: int = 1,
 ) -> ConvergenceStudy:
     """Finite-size free energies against the limiting estimate.
@@ -262,8 +247,9 @@ def convergence_study(
     For each N, ``seeds_per_n`` independent realizations give the mean
     and spread of F_N; the gap column is |mean - limit|.  The log-log
     slope of the std column against N is the empirical concentration
-    rate.  ``pop_size``, ``tol``, ``n_mc``, ``max_gens`` and
-    ``warm_start`` go to :func:`limiting_free_energy`.
+    rate.  ``pop_size``, ``tol``, ``n_mc`` and ``max_gens`` go to
+    :func:`limiting_free_energy`; ``workers`` fans the finite-size
+    realizations out.
     """
     n_grid = [int(n) for n in n_grid]
     if not n_grid:
@@ -273,7 +259,7 @@ def convergence_study(
     limit_rng, sim_rng = substreams(rng, 2)
     limit = limiting_free_energy(
         params, disorder, rule, limit_rng, pop_size=pop_size, tol=tol, n_mc=n_mc,
-        max_gens=max_gens, warm_start=warm_start,
+        max_gens=max_gens,
     ).estimate
 
     rows = []

@@ -13,13 +13,12 @@ thermodynamic observables reduce to linear algebra on A:
     F_N = (h^2/2) * (1^T A^{-1} 1)/N + log det A / (2N).
 
 Each realization is factored once by :class:`Factorization`, and every
-observable is a query on that one factor.  ``Factorization`` is the one
-place that chooses the backend: A = I exactly when there are no clauses
-or beta = 0, and no factor is built; otherwise the roughly
-N + alpha*N*p^2 nonzeros of A are assembled as a sparse matrix and
-factored by a fill-reducing symmetric sparse LU, A = P^T L D L^T P.
-A >= I makes the factorization unconditionally well posed, so it needs
-no pivoting off the diagonal.
+observable is a query on that one factor.  The roughly N + alpha*N*p^2
+nonzeros of A are assembled as a sparse matrix and factored by a
+fill-reducing symmetric sparse LU, A = P^T L D L^T P.  A >= I makes the
+factorization unconditionally well posed, so it needs no pivoting off
+the diagonal; when A = I (no clauses or beta = 0) every pivot is
+exactly 1 and every query is exact.
 """
 
 from __future__ import annotations
@@ -187,19 +186,22 @@ def _assemble(model: FactorModel) -> csc_matrix:
     """A = I + 2*beta * sum_k v_k v_k^T as a sparse CSC matrix.
 
     Each clause contributes its p x p block of weight products; entries
-    that land on the same (row, column) are summed.
+    that land on the same (row, column) are summed.  Products that are
+    exactly zero (all of them at beta = 0) are not stored, so they cost
+    the factorization no fill.
     """
     n = model.n_sites
     contrib = (
         2.0 * model.params.beta * model.weights[:, :, None] * model.weights[:, None, :]
     )
-    rows = np.broadcast_to(model.sites[:, :, None], contrib.shape)
-    cols = np.broadcast_to(model.sites[:, None, :], contrib.shape)
+    keep = contrib != 0
+    rows = np.broadcast_to(model.sites[:, :, None], contrib.shape)[keep]
+    cols = np.broadcast_to(model.sites[:, None, :], contrib.shape)[keep]
     diag = np.arange(n)
     return csc_matrix(
         (
-            np.concatenate([np.ones(n), contrib.ravel()]),
-            (np.concatenate([diag, rows.ravel()]), np.concatenate([diag, cols.ravel()])),
+            np.concatenate([np.ones(n), contrib[keep]]),
+            (np.concatenate([diag, rows]), np.concatenate([diag, cols])),
         ),
         shape=(n, n),
     )
@@ -241,33 +243,23 @@ def _factorize(matrix):
 class Factorization:
     """One realization's matrix A, factored once and queried many times.
 
-    When the realization has no clauses or beta = 0, A = I exactly: no
-    factor is built and every query is answered in closed form (solves
-    return their right-hand side).  Otherwise the sparse A is factored
-    once by a symmetric sparse LU, A = C C^T with C = P^T L D^{1/2}: P a
-    fill-reducing permutation, L unit lower triangular, D = diag(U) > 0.
+    The sparse A is factored once by a symmetric sparse LU, A = C C^T
+    with C = P^T L D^{1/2}: P a fill-reducing permutation, L unit lower
+    triangular, D = diag(U) > 0.
     """
 
     def __init__(self, model: FactorModel):
         self.model = model
-        if model.n_clauses == 0 or model.params.beta == 0:
-            self._lu = None
-        else:
-            self._lu, self._pivots = _factorize(_assemble(model))
+        self._lu, self._pivots = _factorize(_assemble(model))
 
     @cached_property
     def log_det(self) -> float:
         """log det A = sum of log pivots; always >= 0 since A >= I."""
-        if self._lu is None:
-            return 0.0
         return float(np.sum(np.log(self._pivots)))
 
     def solve(self, rhs) -> np.ndarray:
         """A^{-1} rhs for a vector or a matrix of right-hand-side columns."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self._lu is None:
-            return rhs.copy()
-        return self._lu.solve(rhs)
+        return self._lu.solve(np.asarray(rhs, dtype=float))
 
     def solve_transposed_factor(self, rhs) -> np.ndarray:
         """C^{-T} rhs; standard normal columns map to N(0, A^{-1}) draws.
@@ -276,8 +268,6 @@ class Factorization:
         (C C^T)^{-1} = A^{-1}.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if self._lu is None:
-            return rhs.copy()
         scale = np.sqrt(self._pivots).reshape((-1,) + (1,) * (rhs.ndim - 1))
         x = spsolve_triangular(
             self._lu.L.T, rhs / scale, lower=False, unit_diagonal=True

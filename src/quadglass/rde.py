@@ -139,7 +139,7 @@ def wasserstein(a: Population, b: Population, q: float = 1.0) -> float:
 
     Equal sizes use the exact sorted-pair coupling, which is optimal in
     one dimension.  Unequal sizes evaluate both linearly interpolated
-    empirical quantile functions (knots at midpoint probabilities) on a
+    empirical quantile functions (knots at probabilities (i + 1/2)/n) on a
     common grid; this reduces to the exact coupling when sizes agree and
     is consistent as sizes grow.
     """

@@ -35,16 +35,6 @@ class CorrelationReport:
     degenerate: bool
     n_replicates: int
 
-    def as_dict(self) -> dict:
-        return {
-            "correlations": None
-            if self.correlations is None
-            else self.correlations.tolist(),
-            "std_error": self.std_error,
-            "degenerate": self.degenerate,
-            "n_replicates": self.n_replicates,
-        }
-
 
 def pooled_inverse_diagonals(
     params: ModelParams,
@@ -108,16 +98,6 @@ class PoissonUniformReport:
     pmf_poisson_at_uniform_rate: np.ndarray  # L' | U ~ Poisson(lam*U), U ~ Unif[0,1]
     p_zero: Estimate
     n_samples: int
-
-    def as_dict(self) -> dict:
-        return {
-            "tv_distance": self.tv_distance,
-            "pmf_uniform_given_poisson": self.pmf_uniform_given_poisson.tolist(),
-            "pmf_poisson_at_uniform_rate": self.pmf_poisson_at_uniform_rate.tolist(),
-            "p_zero": self.p_zero.value,
-            "p_zero_std_error": self.p_zero.std_error,
-            "n_samples": self.n_samples,
-        }
 
 
 def poisson_uniform_check(

@@ -126,10 +126,19 @@ def test_non_finite_model_input_names_offending_key(tmp_path, capsys, key, old, 
     assert key in capsys.readouterr().err
 
 
-def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE_SIM + "model.gamma=1\n")
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "model.gamma=1",
+        "free_energy.warm_start=false",
+        "rde.init=0.5",
+        "quadrature.kind=midpoint",
+    ],
+)
+def test_unknown_key_rejected(tmp_path, capsys, setting):
+    cfg = write_cfg(tmp_path, BASE_SIM + setting + "\n")
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
-    assert "model.gamma" in capsys.readouterr().err
+    assert_one_config_error(capsys.readouterr().err, setting.split("=")[0])
 
 
 def test_malformed_line_reports_line_number(tmp_path, capsys):
@@ -197,13 +206,9 @@ class StopAfterLimitCall(Exception):
 
 
 @pytest.mark.parametrize(
-    "extra, max_gens, warm_start",
-    [("", 500, True), ("rde.max_gens=7\nfree_energy.warm_start=false\n", 7, False)],
-    ids=["defaults", "set"],
+    "extra, max_gens", [("", 500), ("rde.max_gens=7\n", 7)], ids=["defaults", "set"]
 )
-def test_convergence_passes_max_gens_and_warm_start(
-    tmp_path, monkeypatch, extra, max_gens, warm_start
-):
+def test_convergence_passes_max_gens_and_warm_start(tmp_path, monkeypatch, extra, max_gens):
     seen = {}
 
     def spy(*args, **kwargs):
@@ -215,7 +220,6 @@ def test_convergence_passes_max_gens_and_warm_start(
     with pytest.raises(StopAfterLimitCall):
         run_cli(["convergence", "--config", cfg, "--out", tmp_path / "o"])
     assert seen["max_gens"] == max_gens
-    assert seen["warm_start"] is warm_start
 
 
 VALID_MODEL_FILE = "10 2 0.5 0.5 1 2 rademacher 1 inf\n1 2 1 -1\n3 4 1 1\n"
@@ -251,8 +255,11 @@ def test_bad_load_file_exits_2_without_traceback(tmp_path, capsys, text, fault):
         ("free-energy", BASE_CONV.replace("free_energy.n_mc=1000",
                                           "free_energy.n_mc=100000000000000"),
          ("free_energy.n_mc",)),
+        ("free-energy", BASE_CONV.replace("quadrature.nodes=2",
+                                          "quadrature.nodes=100000000000"),
+         ("quadrature.nodes",)),
     ],
-    ids=["simulate", "rde", "free-energy-n_mc"],
+    ids=["simulate", "rde", "free-energy-n_mc", "free-energy-nodes"],
 )
 def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, keys):
     cfg = write_cfg(tmp_path, text)

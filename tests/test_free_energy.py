@@ -39,12 +39,6 @@ def test_gauss_legendre_integrates_polynomials_exactly():
     assert float(rule.weights @ rule.nodes**15) == pytest.approx(1.0 / 16, rel=1e-13)
 
 
-def test_midpoint_rule_is_valid():
-    rule = QuadratureRule.midpoint(10)
-    assert abs(rule.weights.sum() - 1.0) <= 1e-12
-    assert rule.nodes[0] == pytest.approx(0.05)
-
-
 def test_invalid_rules_rejected():
     with pytest.raises(ValueError):
         QuadratureRule(np.array([0.0, 0.5]), np.array([0.5, 0.5]))
@@ -153,17 +147,6 @@ def test_quadrature_refinement_is_stable():
     )
     tol = 3 * combined_se(res16.estimate.std_error, res32.estimate.std_error)
     assert abs(res16.estimate.value - res32.estimate.value) < tol
-
-
-def test_cold_start_agrees_with_warm_start():
-    kw = dict(pop_size=10**5, n_mc=10**5, max_gens=200)
-    rule = QuadratureRule.gauss_legendre(8)
-    warm = limiting_free_energy(A3ISH, RAD, rule, stream(17, "lw"), **kw)
-    cold = limiting_free_energy(
-        A3ISH, RAD, rule, stream(17, "lw"), warm_start=False, workers=2, **kw
-    )
-    tol = 3 * combined_se(warm.estimate.std_error, cold.estimate.std_error)
-    assert abs(warm.estimate.value - cold.estimate.value) < tol
 
 
 def test_thinned_rates_stochastically_dominate():

@@ -170,18 +170,6 @@ def test_slope_fit_rejects_bad_input():
         slope_fit([1.0, 2.0, 3.0], [1.0, 0.0, 3.0])
 
 
-def test_reports_serialize_to_json():
-    import json
-
-    par = ModelParams(1.0, 0.5, 0.0, 2)
-    report = independence_check(par, RAD, 50, 3, 30, stream(50, "ser"))
-    pu = poisson_uniform_check(2.0, 10**4, stream(51, "ser2"))
-    blob = json.dumps({"corr": report.as_dict(), "pu": pu.as_dict()})
-    parsed = json.loads(blob)
-    assert parsed["pu"]["n_samples"] == 10**4
-    assert len(parsed["corr"]["correlations"]) == 3
-
-
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov distance (oracle in tests/oracles.py)
 
