@@ -1,24 +1,20 @@
 """Tour of one finite-size realization.
 
-Samples a sparse rank-one ensemble, inspects the interaction matrix, and
-computes every observable the package derives from it: log-determinant
-(two independent routes), spin variances, the ones quadratic form, the
-free energy, and Gibbs samples checked against their exact moments.
+Samples a sparse rank-one ensemble, inspects the interaction matrix,
+factors it once, and reads every observable the package derives from
+it off that one factor: the log-determinant (checked against numpy),
+spin variances, the ones quadratic form, the free energy, and Gibbs
+samples checked against their exact moments.
 """
 
 import numpy as np
 
 from quadglass import (
     DisorderSpec,
+    Factorization,
     ModelParams,
     coupling_matrix,
-    finite_free_energy,
-    inverse_diagonal,
-    log_det,
-    log_det_incremental,
-    ones_quadratic_form,
     sample_model,
-    sample_spins,
     stream,
 )
 
@@ -35,25 +31,23 @@ eigs = np.linalg.eigvalsh(a)
 print(f"matrix is exactly symmetric: {np.array_equal(a, a.T)}")
 print(f"spectrum floor {eigs.min():.6f} (never below 1: the identity part)")
 
-# two independent log-determinant routes
-ld_chol = log_det(model)
-ld_incr = log_det_incremental(model)
-print(f"\nlog det via factorization      {ld_chol:.12f}")
-print(f"log det via rank-one updates   {ld_incr:.12f}")
-print(f"relative disagreement          {abs(ld_chol - ld_incr) / ld_chol:.2e}")
+# one factorization answers every query below
+fac = Factorization(model)
+ld_numpy = np.linalg.slogdet(a)[1]
+print(f"\nlog det via the sparse factor  {fac.log_det:.12f}")
+print(f"log det via numpy slogdet      {ld_numpy:.12f}")
+print(f"relative disagreement          {abs(fac.log_det - ld_numpy) / ld_numpy:.2e}")
 
 # spin variances are the diagonal of the inverse
-variances = inverse_diagonal(model)
+variances = fac.inverse_diagonal()
 print(f"\nspin variances: min {variances.min():.4f}, "
       f"mean {variances.mean():.4f}, max {variances.max():.4f} (all in (0, 1])")
 
-quad = ones_quadratic_form(model)
-f_n = finite_free_energy(model)
-print(f"ones quadratic form (1'A^-1 1)/N = {quad:.6f}")
-print(f"free energy F_N = h^2/2 * quad + logdet/(2N) = {f_n:.6f}")
+print(f"ones quadratic form (1'A^-1 1)/N = {fac.ones_quadratic_form:.6f}")
+print(f"free energy F_N = h^2/2 * quad + logdet/(2N) = {fac.free_energy:.6f}")
 
 # Gibbs samples: mean h*A^-1*1, covariance A^-1
-draws = sample_spins(model, 50_000, stream(2024, "demo-spins"))
+draws = fac.sample_spins(50_000, stream(2024, "demo-spins"))
 emp_var = draws[:, 0].var(ddof=1)
 print(f"\nGibbs sampling, coordinate 0: empirical variance {emp_var:.4f} "
       f"vs exact {variances[0]:.4f}")

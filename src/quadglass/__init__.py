@@ -10,18 +10,13 @@ checks every structural identity the two are built on.
 from .disorder import DisorderSpec, truncate_spec
 from .free_energy import QuadratureRule, convergence_study, limiting_free_energy
 from .model import (
+    Factorization,
     ModelParams,
     cavity_split,
     coupling_matrix,
-    finite_free_energy,
-    inverse_diagonal,
-    log_det,
-    log_det_incremental,
     offdiag_moments,
-    ones_quadratic_form,
     reassemble,
     sample_model,
-    sample_spins,
     woodbury_residual,
 )
 from .rde import (
@@ -40,6 +35,7 @@ __version__ = "0.1.0"
 # exactly the names the demos import; everything else lives in its submodule
 __all__ = [
     "DisorderSpec",
+    "Factorization",
     "ModelParams",
     "Population",
     "QuadratureRule",
@@ -48,18 +44,12 @@ __all__ = [
     "coupling_matrix",
     "delta_population",
     "find_contractive_q",
-    "finite_free_energy",
-    "inverse_diagonal",
     "iterate_pair",
     "limiting_free_energy",
-    "log_det",
-    "log_det_incremental",
     "offdiag_moments",
-    "ones_quadratic_form",
     "poisson_uniform_check",
     "reassemble",
     "sample_model",
-    "sample_spins",
     "solve_fixed_point",
     "stream",
     "substreams",

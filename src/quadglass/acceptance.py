@@ -23,7 +23,9 @@ from .model import (
     ModelParams,
     cavity_split,
     finite_free_energy,
+    inverse_diagonal,
     offdiag_moments,
+    over_realizations,
     sample_model,
     woodbury_residual,
 )
@@ -113,12 +115,10 @@ def a3(seed, scale=1.0, workers=1):
         pop_size=_count(100_000, scale, floor=5000),
         n_mc=_count(200_000, scale, floor=10_000),
     )
-    children = substreams(stream(seed, "A3", "finite"), n_seeds)
-
-    def one(child):
-        return finite_free_energy(sample_model(BASE_PARAMS, RADEMACHER, n_sites, child))
-
-    values = np.array(parallel_map(one, children, workers))
+    values = np.array(over_realizations(
+        finite_free_energy, BASE_PARAMS, RADEMACHER, n_sites, n_seeds,
+        stream(seed, "A3", "finite"), workers,
+    ))
     se = combined_se(values.std(ddof=1) / math.sqrt(n_seeds), limit.estimate.std_error)
     gap = abs(values.mean() - limit.estimate.value)
     threshold = max(0.01, 3 * se)
@@ -131,8 +131,6 @@ def a3(seed, scale=1.0, workers=1):
 
 def a4(seed, scale=1.0, workers=1):
     """Pooled inverse diagonals converge to the fixed-point law in W1."""
-    from .model import inverse_diagonal
-
     grid = [250, 500, 1000, 2000]
     fixed = solve_fixed_point(
         BASE_PARAMS, RADEMACHER, 1.0, stream(seed, "A4", "fp"),
@@ -141,15 +139,11 @@ def a4(seed, scale=1.0, workers=1):
     distances, slacks = [], []
     for n_sites in grid:
         reps = _count(20_000 // n_sites, scale)
-        children = substreams(stream(seed, "A4", "pool", n_sites), reps)
-
-        def one(child, n_sites=n_sites):
-            diag = inverse_diagonal(
-                sample_model(BASE_PARAMS, RADEMACHER, n_sites, child)
-            )
-            return np.minimum(diag, 1.0)
-
-        per_rep = parallel_map(one, children, workers)
+        per_rep = over_realizations(
+            lambda model: np.minimum(inverse_diagonal(model), 1.0),
+            BASE_PARAMS, RADEMACHER, n_sites, reps,
+            stream(seed, "A4", "pool", n_sites), workers,
+        )
         pooled = np.concatenate(per_rep)
         dist = wasserstein(Population(pooled), fixed)
         # leave-one-replicate-out jackknife for the W1 standard error
@@ -201,14 +195,10 @@ def a6(seed, scale=1.0, workers=1):
     seeds_per_n = _count(50, scale, floor=8)
     stds = []
     for n_sites in grid:
-        children = substreams(stream(seed, "A6", n_sites), seeds_per_n)
-
-        def one(child, n_sites=n_sites):
-            return finite_free_energy(
-                sample_model(BASE_PARAMS, RADEMACHER, n_sites, child)
-            )
-
-        values = np.array(parallel_map(one, children, workers))
+        values = np.array(over_realizations(
+            finite_free_energy, BASE_PARAMS, RADEMACHER, n_sites, seeds_per_n,
+            stream(seed, "A6", n_sites), workers,
+        ))
         stds.append(values.std(ddof=1))
     slope = slope_fit(np.array(grid, dtype=float), np.array(stds)).slope
     passed = -0.65 <= slope <= -0.35

@@ -57,14 +57,18 @@ def _float(raw):
     try:
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"not a number: {raw!r}") from exc
+        raise ConfigError("not a number") from exc
 
 
 def _int(raw):
+    """An integer that fits in 64 bits, signed or unsigned."""
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
-        raise ConfigError(f"not an integer: {raw!r}") from exc
+        raise ConfigError("not an integer") from exc
+    if not -(2**63) <= value < 2**64:
+        raise ConfigError("integer does not fit in 64 bits")
+    return value
 
 
 def _int_list(raw):
@@ -191,7 +195,10 @@ def build_config(
         if key == "experiment.kind":
             continue
         if key in raw:
-            value = parser(raw[key]) if parser is not str else raw[key]
+            try:
+                value = parser(raw[key])
+            except ConfigError as exc:
+                raise ConfigError(f"{key}={raw[key]!r}: {exc}") from exc
             if not check(value):
                 raise ConfigError(f"{key}={raw[key]!r}: must be {description}")
             options[key] = value
@@ -498,7 +505,7 @@ def _run_validate(config: ExperimentConfig):
                     "description": r.description,
                     "measured": r.measured if math.isfinite(r.measured) else None,
                     "threshold": r.threshold if math.isfinite(r.threshold) else None,
-                    "passed": r.passed,
+                    "passed": bool(r.passed),  # criteria may compare numpy scalars
                     "detail": r.detail,
                 }
                 for r in results

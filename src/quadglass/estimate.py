@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+JACKKNIFE_N_BLOCKS = 20  # contiguous blocks of the delete-one-block jackknife
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -32,7 +34,7 @@ def mc_estimate(samples: np.ndarray) -> Estimate:
     return Estimate(float(samples.mean()), se, n)
 
 
-def jackknife_se(values: np.ndarray, n_blocks: int = 20) -> float:
+def jackknife_se(values: np.ndarray) -> float:
     """Delete-one-block jackknife standard error of the mean.
 
     Used where samples carry weak internal correlation (population
@@ -40,7 +42,7 @@ def jackknife_se(values: np.ndarray, n_blocks: int = 20) -> float:
     optimistic.
     """
     values = np.asarray(values, dtype=float)
-    n_blocks = int(min(n_blocks, values.size))
+    n_blocks = min(JACKKNIFE_N_BLOCKS, values.size)
     if n_blocks < 2:
         return 0.0
     blocks = np.array_split(values, n_blocks)

@@ -24,8 +24,7 @@ import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, combined_se, jackknife_se, mc_estimate
-from .model import ModelParams, finite_free_energy, sample_model
-from .parallel import parallel_map
+from .model import ModelParams, finite_free_energy, over_realizations
 from .rde import (
     DEFAULT_MAX_GENS,
     DEFAULT_POP_SIZE,
@@ -37,7 +36,6 @@ from .rde import (
 from .streams import substreams
 
 WEIGHT_SUM_SLACK = 1e-12
-JACKKNIFE_BLOCKS = 20
 
 
 @dataclass(frozen=True)
@@ -197,9 +195,7 @@ def limiting_free_energy(
         )
         mean_x1 = top.population.mean()
         h_term = h * h / 2.0 * mean_x1
-        h_term_se = (
-            h * h / 2.0 * jackknife_se(top.population.values, JACKKNIFE_BLOCKS)
-        )
+        h_term_se = h * h / 2.0 * jackknife_se(top.population.values)
         top_converged = top.converged
     else:
         h_term, h_term_se, top_converged = 0.0, 0.0, True
@@ -265,12 +261,9 @@ def convergence_study(
     rows = []
     per_size_streams = substreams(sim_rng, len(n_grid))
     for n_sites, size_rng in zip(n_grid, per_size_streams):
-        children = substreams(size_rng, seeds_per_n)
-
-        def one(child, n_sites=n_sites):
-            return finite_free_energy(sample_model(params, disorder, n_sites, child))
-
-        values = np.array(parallel_map(one, children, workers))
+        values = np.array(over_realizations(
+            finite_free_energy, params, disorder, n_sites, seeds_per_n, size_rng, workers
+        ))
         mean_f = float(values.mean())
         std_f = float(values.std(ddof=1))
         rows.append(

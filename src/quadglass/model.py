@@ -12,13 +12,14 @@ thermodynamic observables reduce to linear algebra on A:
 
     F_N = (h^2/2) * (1^T A^{-1} 1)/N + log det A / (2N).
 
-Each realization is factored once by :class:`Factorization`, and every
-observable is a query on that one factor.  The roughly N + alpha*N*p^2
-nonzeros of A are assembled as a sparse matrix and factored by a
-fill-reducing symmetric sparse LU, A = P^T L D L^T P.  A >= I makes the
-factorization unconditionally well posed, so it needs no pivoting off
-the diagonal; when A = I (no clauses or beta = 0) every pivot is
-exactly 1 and every query is exact.
+Each realization is factored once by :class:`Factorization`, every
+observable is a query on that one factor, and :func:`over_realizations`
+fans a query out over independent realizations.  The roughly
+N + alpha*N*p^2 nonzeros of A are assembled as a sparse matrix and
+factored by a fill-reducing symmetric sparse LU, A = P^T L D L^T P.
+A >= I makes the factorization unconditionally well posed, so it needs
+no pivoting off the diagonal; when A = I (no clauses or beta = 0) every
+pivot is exactly 1 and every query is exact.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
+from .parallel import parallel_map
 from .streams import substreams
 
-INCREMENTAL_SIZE_CAP = 200
 # unit right-hand sides solved together by Factorization.inverse_diagonal
 INVERSE_DIAGONAL_BLOCK = 64
 
@@ -161,6 +162,13 @@ def _rows_with_duplicates(rows):
     return np.nonzero(dup)[0]
 
 
+def _clauses(disorder, mean, n_sites, width, rng):
+    """Poisson(mean) clauses: the count m, then (m, width) distinct sites, then weights."""
+    m = int(rng.poisson(mean))
+    sites = _distinct_tuples(rng, n_sites, m, width)
+    return sites, _sample_shape(disorder, (m, width), rng)
+
+
 def sample_model(
     params: ModelParams,
     disorder: DisorderSpec,
@@ -172,10 +180,31 @@ def sample_model(
         raise ValueError(
             f"n_sites={n_sites} is smaller than the clause arity p={params.p}"
         )
-    m = int(rng.poisson(params.alpha * n_sites))
-    sites = _distinct_tuples(rng, n_sites, m, params.p)
-    weights = _sample_shape(disorder, (m, params.p), rng)
+    sites, weights = _clauses(
+        disorder, params.alpha * n_sites, n_sites, params.p, rng
+    )
     return FactorModel(n_sites, sites, weights, params, disorder)
+
+
+def over_realizations(
+    query,
+    params: ModelParams,
+    disorder: DisorderSpec,
+    n_sites: int,
+    n_replicates: int,
+    rng: np.random.Generator,
+    workers: int = 1,
+) -> list:
+    """``query`` of each of ``n_replicates`` independent realizations, in order.
+
+    The child streams are split off ``rng`` up front and child i draws
+    replicate i, so the result does not depend on ``workers``.
+    """
+    return parallel_map(
+        lambda child: query(sample_model(params, disorder, n_sites, child)),
+        substreams(rng, n_replicates),
+        workers,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +303,22 @@ class Factorization:
         )
         return x[self._lu.perm_c]
 
-    def inverse_diagonal(self, sites) -> np.ndarray:
-        """A^{-1}_{ii} at the given 0-based sites.
+    def inverse_diagonal(self, sites=None) -> np.ndarray:
+        """A^{-1}_{ii} at the given 0-based sites (default: every site).
 
-        Unit right-hand sides are solved INVERSE_DIAGONAL_BLOCK at a
-        time, so no N x N array is formed.
+        All values lie in (0, 1] because A >= I.  Unit right-hand sides
+        are solved INVERSE_DIAGONAL_BLOCK at a time, so no N x N array
+        is formed.
         """
-        sites = np.asarray(sites, dtype=np.int64)
+        n = self.model.n_sites
+        sites = np.arange(n) if sites is None else np.asarray(sites, dtype=np.int64)
+        if sites.size and (sites.min() < 0 or sites.max() >= n):
+            raise ValueError("site index out of range")
         out = np.empty(sites.size)
         for start in range(0, sites.size, INVERSE_DIAGONAL_BLOCK):
             block = sites[start : start + INVERSE_DIAGONAL_BLOCK]
             cols = np.arange(block.size)
-            rhs = np.zeros((self.model.n_sites, block.size))
+            rhs = np.zeros((n, block.size))
             rhs[block, cols] = 1.0
             out[start : start + block.size] = self.solve(rhs)[block, cols]
         return out
@@ -304,49 +337,27 @@ class Factorization:
             2.0 * self.model.n_sites
         )
 
+    def sample_spins(self, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+        """(n_samples, N) i.i.d. Gibbs draws: mean h*A^{-1}*1, covariance A^{-1}.
+
+        The noise is z = C^{-T} g, whose covariance is (C C^T)^{-1} = A^{-1}.
+        """
+        if n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+        n = self.model.n_sites
+        mean = self.solve(np.full(n, self.model.params.h))
+        noise = self.solve_transposed_factor(rng.standard_normal((n, n_samples)))
+        return mean[None, :] + noise.T
+
 
 def log_det(model: FactorModel) -> float:
     """log det A via symmetric factorization; always >= 0 since A >= I."""
     return Factorization(model).log_det
 
 
-def log_det_incremental(model: FactorModel) -> float:
-    """log det A by successive rank-one determinant updates (test path).
-
-    Maintains a dense running inverse through rank-one corrections and
-    accumulates log(1 + 2*beta * v^T S^{-1} v) clause by clause.  Costs
-    O(N^2) per clause, so it is capped at small sizes; the factorization
-    route is the production default.
-    """
-    n = model.n_sites
-    if n > INCREMENTAL_SIZE_CAP:
-        raise ValueError(
-            f"incremental path is capped at n_sites <= {INCREMENTAL_SIZE_CAP}"
-        )
-    two_beta = 2.0 * model.params.beta
-    if model.n_clauses == 0 or two_beta == 0:
-        return 0.0
-    inv = np.eye(n)
-    total = 0.0
-    for row, wrow in zip(model.sites, model.weights):
-        u = inv[:, row] @ wrow
-        s = 1.0 + two_beta * float(wrow @ u[row])
-        total += math.log(s)
-        inv -= (two_beta / s) * np.outer(u, u)
-    return total
-
-
 def inverse_diagonal(model: FactorModel, sites=None) -> np.ndarray:
-    """Exact diagonal entries of A^{-1} at the requested sites.
-
-    All values lie in (0, 1] because A >= I.  ``sites`` defaults to every
-    site; indices are 0-based.
-    """
-    n = model.n_sites
-    idx = np.arange(n) if sites is None else np.asarray(sites, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError("site index out of range")
-    return Factorization(model).inverse_diagonal(idx)
+    """Exact diagonal entries of A^{-1} at ``sites`` (default: every site)."""
+    return Factorization(model).inverse_diagonal(sites)
 
 
 def ones_quadratic_form(model: FactorModel) -> float:
@@ -357,24 +368,6 @@ def ones_quadratic_form(model: FactorModel) -> float:
 def finite_free_energy(model: FactorModel) -> float:
     """F_N = (h^2/2) * (1^T A^{-1} 1)/N + log det A / (2N)."""
     return Factorization(model).free_energy
-
-
-def sample_spins(
-    model: FactorModel, n_samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw spin configurations from the Gaussian Gibbs measure.
-
-    Returns an (n_samples, N) array of i.i.d. draws with mean h*A^{-1}*1
-    and covariance A^{-1}, generated by back-substitution against the
-    factor A = C C^T (z = C^{-T} g has covariance (C C^T)^{-1} = A^{-1}).
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    n = model.n_sites
-    fac = Factorization(model)
-    mean = fac.solve(np.full(n, model.params.h))
-    noise = fac.solve_transposed_factor(rng.standard_normal((n, n_samples)))
-    return mean[None, :] + noise.T
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +397,16 @@ def offdiag_moments(
         raise ValueError("n_sites must be at least 4 for the (1,2)(3,4) moment")
     if n_replicates < 1:
         raise ValueError("n_replicates must be at least 1")
-    a12 = np.empty(n_replicates)
-    a13 = np.empty(n_replicates)
-    a34 = np.empty(n_replicates)
-    for i, child in enumerate(substreams(rng, n_replicates)):
-        model = sample_model(params, disorder, n_sites, child)
-        rhs = np.zeros((n_sites, 3))
-        rhs[[1, 2, 3], [0, 1, 2]] = 1.0
+    rhs = np.zeros((n_sites, 3))
+    rhs[[1, 2, 3], [0, 1, 2]] = 1.0
+
+    def entries(model):
         sol = Factorization(model).solve(rhs)
-        a12[i] = sol[0, 0]
-        a13[i] = sol[0, 1]
-        a34[i] = sol[2, 2]
+        return sol[0, 0], sol[0, 1], sol[2, 2]
+
+    a12, a13, a34 = np.array(
+        over_realizations(entries, params, disorder, n_sites, n_replicates, rng)
+    ).T
     return OffDiagReport(
         entry_12=mc_estimate(a12),
         product_12_13=mc_estimate(a12 * a13),
@@ -444,14 +436,14 @@ def cavity_split(
     if n_sites <= params.p:
         raise ValueError("n_sites must exceed p to split off one site")
     p = params.p
-    bulk_m = int(rng.poisson(params.alpha * (n_sites - p)))
-    bulk_sites = _distinct_tuples(rng, n_sites - 1, bulk_m, p)
-    bulk_weights = _sample_shape(disorder, (bulk_m, p), rng)
+    bulk_sites, bulk_weights = _clauses(
+        disorder, params.alpha * (n_sites - p), n_sites - 1, p, rng
+    )
     bulk = FactorModel(n_sites - 1, bulk_sites, bulk_weights, params, disorder)
-    r = int(rng.poisson(params.alpha * p))
-    interior_sites = _distinct_tuples(rng, n_sites - 1, r, p - 1)
-    interior_weights = _sample_shape(disorder, (r, p - 1), rng)
-    site_weights = _sample_shape(disorder, (r,), rng)
+    interior_sites, interior_weights = _clauses(
+        disorder, params.alpha * p, n_sites - 1, p - 1, rng
+    )
+    site_weights = _sample_shape(disorder, (interior_sites.shape[0],), rng)
     return CavitySplit(n_sites, bulk, interior_sites, interior_weights, site_weights)
 
 

@@ -134,8 +134,8 @@ def step(
 # Wasserstein distance
 
 
-def wasserstein(a: Population, b: Population, q: float = 1.0) -> float:
-    """Wasserstein-q distance between two populations.
+def wasserstein(a: Population, b: Population) -> float:
+    """Wasserstein-1 distance between two populations.
 
     Equal sizes use the exact sorted-pair coupling, which is optimal in
     one dimension.  Unequal sizes evaluate both linearly interpolated
@@ -143,12 +143,10 @@ def wasserstein(a: Population, b: Population, q: float = 1.0) -> float:
     common grid; this reduces to the exact coupling when sizes agree and
     is consistent as sizes grow.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    return _quantile_distance(a.values, b.values, q)
+    return _quantile_distance(a.values, b.values)
 
 
-def _quantile_distance(x, y, q):
+def _quantile_distance(x, y):
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
     if x.size == y.size:
@@ -159,17 +157,7 @@ def _quantile_distance(x, y, q):
         qx = np.interp(probs, (np.arange(x.size) + 0.5) / x.size, x)
         qy = np.interp(probs, (np.arange(y.size) + 0.5) / y.size, y)
         diffs = np.abs(qx - qy)
-    return _power_mean(diffs, q)
-
-
-def _power_mean(diffs, q):
-    top = diffs.max(initial=0.0)
-    if top == 0.0:
-        return 0.0
-    if q == 1:
-        return float(diffs.mean())
-    # scale by the max so large q cannot underflow everything at once
-    return float(top * np.mean((diffs / top) ** q) ** (1.0 / q))
+    return float(diffs.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +194,7 @@ def solve_fixed_point(
     generations = 0
     for _ in range(max_gens):
         new = step(current, params, disorder, rate_scale, pop_size, rng)
-        gaps.append(wasserstein(current, new, 1.0))
+        gaps.append(wasserstein(current, new))
         current = new
         generations += 1
         if len(gaps) >= CONVERGENCE_WINDOW and all(

@@ -14,9 +14,7 @@ import numpy as np
 
 from .disorder import DisorderSpec
 from .estimate import Estimate
-from .model import ModelParams, inverse_diagonal, sample_model
-from .parallel import parallel_map
-from .streams import substreams
+from .model import ModelParams, inverse_diagonal, over_realizations
 
 DEGENERATE_VARIANCE = 1e-14
 
@@ -45,12 +43,9 @@ def pooled_inverse_diagonals(
     workers: int = 1,
 ) -> np.ndarray:
     """All diagonal entries of A^{-1}, pooled over independent replicates."""
-    children = substreams(rng, n_replicates)
-
-    def one(child):
-        return inverse_diagonal(sample_model(params, disorder, n_sites, child))
-
-    return np.concatenate(parallel_map(one, children, workers))
+    return np.concatenate(over_realizations(
+        inverse_diagonal, params, disorder, n_sites, n_replicates, rng, workers
+    ))
 
 
 def independence_check(
@@ -71,13 +66,11 @@ def independence_check(
         raise ValueError("n_entries must be at least 2")
     if n_sites < n_entries:
         raise ValueError("n_sites must be at least n_entries")
-    children = substreams(rng, n_replicates)
     idx = np.arange(n_entries)
-
-    def one(child):
-        return inverse_diagonal(sample_model(params, disorder, n_sites, child), idx)
-
-    data = np.array(parallel_map(one, children, workers))  # (reps, entries)
+    data = np.array(over_realizations(  # (reps, entries)
+        lambda model: inverse_diagonal(model, idx),
+        params, disorder, n_sites, n_replicates, rng, workers,
+    ))
     variances = data.var(axis=0, ddof=1)
     if np.any(variances < DEGENERATE_VARIANCE):
         return CorrelationReport(None, 1.0 / np.sqrt(n_replicates), True, n_replicates)

@@ -6,6 +6,7 @@ hand-rolled conjugate gradients instead of library solves, direct
 samplers instead of population dynamics.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +64,27 @@ def dense_coupling_matrix(model):
 def logdet_via_eigenvalues(matrix):
     """log det through a dense eigen-decomposition."""
     return float(np.sum(np.log(np.linalg.eigvalsh(matrix))))
+
+
+def log_det_incremental(model):
+    """log det A by successive rank-one determinant updates.
+
+    Keeps a dense running inverse through rank-one corrections and
+    accumulates log(1 + 2*beta * v^T S^{-1} v) clause by clause, at
+    O(N^2) per clause.
+    """
+    n = model.n_sites
+    two_beta = 2.0 * model.params.beta
+    if model.n_clauses == 0 or two_beta == 0:
+        return 0.0
+    inv = np.eye(n)
+    total = 0.0
+    for row, wrow in zip(model.sites, model.weights):
+        u = inv[:, row] @ wrow
+        s = 1.0 + two_beta * float(wrow @ u[row])
+        total += math.log(s)
+        inv -= (two_beta / s) * np.outer(u, u)
+    return total
 
 
 def conjugate_gradient_solve(matrix, rhs, tol=1e-14, max_iter=10_000):
@@ -220,6 +242,19 @@ def w1_via_cdf_area(x, y):
     fx = np.searchsorted(x, grid, side="right") / x.size
     fy = np.searchsorted(y, grid, side="right") / y.size
     return float(np.sum(np.abs(fx - fy)[:-1] * np.diff(grid)))
+
+
+def wq_distance(x, y, q):
+    """Wasserstein-q between two equal-size samples by the sorted-pair coupling.
+
+    The differences are scaled by their maximum so that a large q cannot
+    underflow them all at once.
+    """
+    diffs = np.abs(np.sort(np.asarray(x, float)) - np.sort(np.asarray(y, float)))
+    top = diffs.max(initial=0.0)
+    if top == 0.0:
+        return 0.0
+    return float(top * np.mean((diffs / top) ** q) ** (1.0 / q))
 
 
 def ks_distance(a, b):

@@ -118,12 +118,15 @@ def test_invalid_p_names_offending_key(tmp_path, capsys):
         ("model.beta", "model.beta=0.5", "model.beta=1e308"),
         ("disorder.param", "disorder.family=rademacher",
          "disorder.family=gaussian\ndisorder.param=inf"),
+        ("model.p='abc'", "model.p=2", "model.p=abc"),
+        pytest.param("simulate.n_sites", "simulate.n_sites=100",
+                     "simulate.n_sites=" + "9" * 400, id="simulate.n_sites-400-digits"),
     ],
 )
 def test_non_finite_model_input_names_offending_key(tmp_path, capsys, key, old, new):
     cfg = write_cfg(tmp_path, BASE_SIM.replace(old, new))
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
-    assert key in capsys.readouterr().err
+    assert_one_config_error(capsys.readouterr().err, key)
 
 
 @pytest.mark.parametrize(
@@ -208,7 +211,7 @@ class StopAfterLimitCall(Exception):
 @pytest.mark.parametrize(
     "extra, max_gens", [("", 500), ("rde.max_gens=7\n", 7)], ids=["defaults", "set"]
 )
-def test_convergence_passes_max_gens_and_warm_start(tmp_path, monkeypatch, extra, max_gens):
+def test_convergence_passes_max_gens(tmp_path, monkeypatch, extra, max_gens):
     seen = {}
 
     def spy(*args, **kwargs):
@@ -258,8 +261,12 @@ def test_bad_load_file_exits_2_without_traceback(tmp_path, capsys, text, fault):
         ("free-energy", BASE_CONV.replace("quadrature.nodes=2",
                                           "quadrature.nodes=100000000000"),
          ("quadrature.nodes",)),
+        ("free-energy", BASE_CONV.replace("free_energy.n_mc=1000",
+                                          "free_energy.n_mc=" + "9" * 400),
+         ("free_energy.n_mc", "64 bits")),
     ],
-    ids=["simulate", "rde", "free-energy-n_mc", "free-energy-nodes"],
+    ids=["simulate", "rde", "free-energy-n_mc", "free-energy-nodes",
+         "free-energy-n_mc-400-digits"],
 )
 def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, keys):
     cfg = write_cfg(tmp_path, text)
@@ -423,6 +430,23 @@ def test_validate_subset_passes_and_writes_table(tmp_path, capsys):
     assert payload["config_digest"]
     assert [c["criterion"] for c in payload["criteria"]] == ["A1", "A8", "A11"]
     assert all(c["passed"] for c in payload["criteria"])
+
+
+def test_validate_json_holds_numpy_comparisons(tmp_path):
+    # A10 compares against a numpy float, so its pass flag is a numpy bool
+    cfg = write_cfg(
+        tmp_path,
+        """
+        experiment.seed=20260808
+        validate.criteria=A10
+        validate.scale=0.1
+        """,
+        name="val.txt",
+    )
+    out = tmp_path / "val"
+    assert run_cli(["validate", "--config", cfg, "--out", out]) in (0, 3)
+    payload = json.loads((out / "validate.json").read_text())
+    assert [type(c["passed"]) for c in payload["criteria"]] == [bool]
 
 
 def test_validate_reports_failure_with_exit_3(tmp_path):

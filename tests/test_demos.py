@@ -1,0 +1,28 @@
+"""The demos run end to end against the public API."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_demo(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_finite_size_demo_log_det_matches_numpy():
+    done = run_demo("01_finite_size_ensemble.py")
+    assert done.returncode == 0, done.stderr
+    match = re.search(r"relative disagreement\s+(\S+)", done.stdout)
+    assert match is not None, done.stdout
+    assert float(match.group(1)) < 1e-12

@@ -25,7 +25,6 @@ from quadglass.model import (
     offdiag_moments,
     ones_quadratic_form,
     sample_model,
-    sample_spins,
 )
 from quadglass.streams import stream
 
@@ -103,7 +102,7 @@ def test_identity_realization_queries_are_exact(make):
     assert ones_quadratic_form(model) == 1.0
     assert finite_free_energy(model) == 0.7 * 0.7 / 2.0
     assert np.array_equal(inverse_diagonal(model), np.ones(30))
-    spins = sample_spins(model, 4, stream(3, "spins"))
+    spins = Factorization(model).sample_spins(4, stream(3, "spins"))
     assert spins.shape == (4, 30)
     if model.params.beta == 0:
         report = offdiag_moments(model.params, RAD, 30, 3, stream(4, "od"))
@@ -145,9 +144,16 @@ def test_sparse_factor_matches_dense_oracle(p, family, alpha):
     fac = Factorization(model)
     assert fac.log_det == pytest.approx(logdet_via_eigenvalues(a), rel=1e-12)
     assert fac.solve(rhs) == pytest.approx(np.linalg.solve(a, rhs), abs=1e-12)
-    assert inverse_diagonal(model) == pytest.approx(np.diag(inv), abs=1e-12)
+    assert fac.inverse_diagonal() == pytest.approx(np.diag(inv), abs=1e-12)
     whiten = fac.solve_transposed_factor(np.eye(n))
     assert whiten @ whiten.T == pytest.approx(inv, abs=1e-12)
+
+
+@pytest.mark.parametrize("sites", [[-1], [40], [3, 40]], ids=["negative", "N", "mixed"])
+def test_factor_inverse_diagonal_rejects_sites_out_of_range(sites):
+    model = sample_model(ModelParams(1.0, 0.5, 0.3, 2), RAD, 40, stream(8, "range"))
+    with pytest.raises(ValueError, match="site index out of range"):
+        Factorization(model).inverse_diagonal(sites)
 
 
 def test_failed_factorization_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
