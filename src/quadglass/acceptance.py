@@ -32,11 +32,11 @@ from .model import (
 from .parallel import parallel_map
 from .rde import (
     Population,
-    _clause_draws,
     delta_population,
     find_contractive_q,
     iterate_pair,
     solve_fixed_point,
+    step,
     wasserstein,
 )
 from .stats import independence_check, poisson_uniform_check, slope_fit
@@ -91,14 +91,14 @@ def a2(seed, scale=1.0, workers=1):
     pooled = pooled_inverse_diagonals(
         params, RADEMACHER, n_sites, n_seeds, stream(seed, "A2", "pool"), workers
     )
-    # direct sampler of the exact per-site law (matrix-free route)
+    # at p = 1 one push of any population draws the exact per-site law
+    # (matrix-free route)
     n_draws = _count(10**6, scale, floor=10**5)
-    _, owner, zeta, _ = _clause_draws(
-        RADEMACHER, params.alpha, 0, n_draws, stream(seed, "A2", "direct")
+    direct = step(
+        delta_population(1.0, 1), params, RADEMACHER, 1.0, n_draws,
+        stream(seed, "A2", "direct"),
     )
-    sums = np.bincount(owner, weights=zeta**2, minlength=n_draws)
-    direct = 1.0 / (1.0 + 2.0 * params.beta * sums)
-    dist = wasserstein(Population(np.minimum(pooled, 1.0)), Population(direct))
+    dist = wasserstein(Population(np.minimum(pooled, 1.0)), direct)
     return CriterionResult(
         "A2", "arity-1 pooled diagonals match the direct sampler in W1",
         dist, 0.01, dist < 0.01, f"{pooled.size} pooled vs {n_draws} direct",

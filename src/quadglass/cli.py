@@ -105,7 +105,8 @@ KEY_SPECS = {
     "free_energy.n_mc": (_int, 200_000, lambda v: v >= 1, "at least 1"),
     "convergence.n_grid": (_int_list, [250, 500, 1000], lambda v: len(v) >= 1 and all(n >= 1 for n in v), "comma list of sizes"),
     "convergence.seeds_per_n": (_int, 10, lambda v: v >= 2, "at least 2"),
-    "validate.criteria": (str, "all", lambda v: True, "all or comma list like A1,A8"),
+    "validate.criteria": (str, "all", lambda v: v == "all" or bool(_criteria_list(v)),
+                          "all or comma list like A1,A8"),
     "validate.scale": (_float, 1.0, _unit, "in (0, 1]"),
     "dump.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "load.path": (str, None, lambda v: bool(v), "nonempty path"),
@@ -188,6 +189,11 @@ def build_config(
         raise ConfigError(
             f"config says experiment.kind={raw['experiment.kind']!r} "
             f"but the {kind!r} subcommand was invoked"
+        )
+    if "rde.rate_scale" in raw and kind != "rde":
+        raise ConfigError(
+            f"rde.rate_scale={raw['rde.rate_scale']!r}: only the 'rde' kind reads it, "
+            f"and {kind!r} would ignore it"
         )
 
     options = {}
@@ -560,7 +566,11 @@ _RUNNERS = {
 def run(config: ExperimentConfig) -> int:
     """Execute one validated experiment; returns the process exit code."""
     started = time.perf_counter()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out {config.out_dir}: {exc}", file=sys.stderr)
+        return 2
     try:
         produced = _RUNNERS[config.kind](config)
     except ConfigError as exc:
@@ -585,7 +595,7 @@ def run_command(kind, config_path=None, out_dir=None, seed=None, workers=None) -
             path = Path(config_path)
             try:
                 text = path.read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
             raw = parse_config_text(text)
         else:

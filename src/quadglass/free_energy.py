@@ -9,9 +9,10 @@ the variance-law map run at the thinned clause rate alpha*x*p, and the
 z_r are disorder draws.  The integrand is smooth in x, so a small
 Gauss-Legendre rule on (0, 1) beats the Monte Carlo noise floor
 immediately; the x = 0 endpoint is never evaluated because the nodes
-are interior.  The nodes are solved in one sequential sweep of
-increasing rate, each fixed point started from the previous node's
-population.
+are interior.  The fixed points are solved in one sequential sweep of
+increasing rate, each started from the previous point's population.
+When h != 0 the field term needs X(1), so x = 1 is the sweep's last
+point, solved on stream ``n_nodes`` right after the last node.
 
 This module also runs finite-size-to-limit convergence studies.
 """
@@ -79,7 +80,6 @@ class NodeResult:
     edge_term: float
     std_error: float
     converged: bool
-    generations: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ class LimitResult:
     estimate: Estimate
     nodes: tuple[NodeResult, ...]
     h_term: float
-    h_term_se: float
     converged: bool
 
     @property
@@ -111,8 +110,6 @@ def edge_term(
     """
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
-    if params.beta == 0:
-        return Estimate(0.0, 0.0, n_mc)
     zeta = _sample_shape(disorder, (n_mc, params.p), rng)
     picks = pop.values[rng.integers(0, pop.size, size=(n_mc, params.p))]
     samples = np.log1p(2.0 * params.beta * np.sum(zeta**2 * picks, axis=1))
@@ -131,80 +128,53 @@ def limiting_free_energy(
 ) -> LimitResult:
     """Evaluate the limiting formula with one fixed point per node.
 
-    Nodes run sequentially in increasing rate order, and each fixed
-    point is warm-started from the previous node's population (the
-    first from the point mass at 1); the x = 1 solve starts from the
-    last node's.  Node errors are treated as independent (disjoint
-    streams); a node that fails to converge still contributes, and the
-    result flags it.
+    The sweep runs the nodes in increasing rate order and then, when
+    h != 0, x = 1 for the field term.  Sweep point j is solved on
+    substream j (so x = 1 is on substream ``n_nodes``) and warm-started
+    from point j-1's population (the first from the point mass at 1);
+    node i's edge term draws from substream ``n_nodes + 1 + i``.  Errors
+    are treated as independent (disjoint streams); a point that fails to
+    converge still contributes, and the result flags it.
     """
     h = params.h
     if params.beta == 0:
-        return LimitResult(Estimate(h * h / 2.0, 0.0, 1), (), h * h / 2.0, 0.0, True)
+        return LimitResult(Estimate(h * h / 2.0, 0.0, 1), (), h * h / 2.0, True)
 
     n_nodes = rule.nodes.size
-    # one stream per node, one for the x=1 solve, one per node for MC
-    node_streams = substreams(rng, 2 * n_nodes + 1)
+    # one stream per sweep point (the nodes, then x=1), one per node for MC
+    streams = substreams(rng, 2 * n_nodes + 1)
+    sweep = list(rule.nodes) + ([1.0] if h != 0.0 else [])
 
-    results: list[tuple[RdeReport, Estimate]] = []
-    carry: Population | None = None
-    for i, x in enumerate(rule.nodes):
+    reports: list[RdeReport] = []
+    nodes = []
+    se_parts = []
+    for j, x in enumerate(sweep):
         report = solve_fixed_point(
-            params,
-            disorder,
-            float(x),
-            node_streams[i],
-            pop_size=pop_size,
-            tol=tol,
-            max_gens=max_gens,
-            init=carry,
+            params, disorder, float(x), streams[j], pop_size=pop_size, tol=tol,
+            max_gens=max_gens, init=reports[-1].population if reports else None,
         )
-        term = edge_term(
-            report.population, params, disorder, n_mc, node_streams[n_nodes + 1 + i]
-        )
-        results.append((report, term))
-        carry = report.population
-
-    nodes = tuple(
-        NodeResult(
-            float(x),
-            float(params.alpha * x * params.p),
-            term.value,
-            term.std_error,
-            report.converged,
-            report.generations,
-        )
-        for x, (report, term) in zip(rule.nodes, results)
-    )
+        reports.append(report)
+        if j < n_nodes:  # x = 1 enters the field term only
+            term = edge_term(
+                report.population, params, disorder, n_mc, streams[n_nodes + 1 + j]
+            )
+            nodes.append(NodeResult(
+                float(x), float(params.alpha * x * params.p), term.value,
+                term.std_error, report.converged,
+            ))
+            se_parts.append(float(rule.weights[j]) * params.alpha / 2.0 * term.std_error)
     integral = float(np.sum(rule.weights * np.array([n.edge_term for n in nodes])))
-    integral_se_parts = [
-        float(w) * params.alpha / 2.0 * n.std_error
-        for w, n in zip(rule.weights, nodes)
-    ]
 
+    h_term = 0.0
     if h != 0.0:
-        top = solve_fixed_point(
-            params,
-            disorder,
-            1.0,
-            node_streams[n_nodes],
-            pop_size=pop_size,
-            tol=tol,
-            max_gens=max_gens,
-            init=carry,
-        )
-        mean_x1 = top.population.mean()
-        h_term = h * h / 2.0 * mean_x1
-        h_term_se = h * h / 2.0 * jackknife_se(top.population.values)
-        top_converged = top.converged
-    else:
-        h_term, h_term_se, top_converged = 0.0, 0.0, True
+        top = reports[-1].population
+        h_term = h * h / 2.0 * top.mean()
+        se_parts.append(h * h / 2.0 * jackknife_se(top.values))
 
     value = h_term + params.alpha / 2.0 * integral
-    se = combined_se(*integral_se_parts, h_term_se)
-    converged = top_converged and all(n.converged for n in nodes)
-    estimate = Estimate(value, se, n_mc * n_nodes)
-    return LimitResult(estimate, nodes, h_term, h_term_se, converged)
+    estimate = Estimate(value, combined_se(*se_parts), n_mc * n_nodes)
+    converged = all(r.converged for r in reports)
+    return LimitResult(estimate, tuple(nodes), h_term, converged)
 
 
 @dataclass(frozen=True)

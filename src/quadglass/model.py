@@ -565,8 +565,12 @@ def load_model(path) -> FactorModel:
     if len(head) != 9:
         raise ValueError(f"{path}: malformed header (expected 9 fields)")
     n_sites, m = int(head[0]), int(head[1])
-    params = ModelParams(float(head[2]), float(head[3]), float(head[4]), int(head[5]))
-    spec = DisorderSpec(head[6], float(head[7]), float(head[8]))
+    alpha, beta, h, param = (float(head[i]) for i in (2, 3, 4, 7))
+    for name, value in (("alpha", alpha), ("2*beta", 2.0 * beta), ("h", h), ("param", param)):
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: header {name} must be finite, got {value!r}")
+    params = ModelParams(alpha, beta, h, int(head[5]))
+    spec = DisorderSpec(head[6], param, float(head[8]))
     if len(raw) - 1 != m:
         raise ValueError(f"{path}: header promises {m} clauses, found {len(raw) - 1}")
     p = params.p
@@ -578,6 +582,9 @@ def load_model(path) -> FactorModel:
             raise ValueError(f"{path}: clause line {i + 2} has {len(fields)} fields")
         sites[i] = [int(f) - 1 for f in fields[:p]]
         weights[i] = [float(f) for f in fields[p:]]
+    bad = np.flatnonzero(~np.isfinite(weights).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: clause line {bad[0] + 2} has a non-finite weight")
     return FactorModel(n_sites, sites, weights, params, spec)
 
 

@@ -120,11 +120,9 @@ def step(
     two_beta = 2.0 * params.beta
     rate = params.alpha * rate_scale * params.p
     _, owner, zeta, xi = _clause_draws(disorder, rate, params.p - 1, out_size, rng)
-    if params.p > 1:
-        picks = pop.values[rng.integers(0, pop.size, size=xi.shape)]
-        denom = 1.0 + two_beta * np.sum(picks * xi**2, axis=1)
-    else:
-        denom = np.ones(zeta.shape[0])
+    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
+    picks = pop.values[rng.integers(0, pop.size, size=xi.shape)]
+    denom = 1.0 + two_beta * np.sum(picks * xi**2, axis=1)
     contrib = two_beta * zeta**2 / denom
     totals = np.bincount(owner, weights=contrib, minlength=out_size)
     return Population(1.0 / (1.0 + totals), rate, pop.generation + 1)
@@ -191,18 +189,16 @@ def solve_fixed_point(
     )
     gaps: list[float] = []
     converged = False
-    generations = 0
     for _ in range(max_gens):
         new = step(current, params, disorder, rate_scale, pop_size, rng)
         gaps.append(wasserstein(current, new))
         current = new
-        generations += 1
         if len(gaps) >= CONVERGENCE_WINDOW and all(
             g < tol for g in gaps[-CONVERGENCE_WINDOW:]
         ):
             converged = True
             break
-    return RdeReport(current, generations, tuple(gaps), converged, tol)
+    return RdeReport(current, len(gaps), tuple(gaps), converged, tol)
 
 
 # ---------------------------------------------------------------------------

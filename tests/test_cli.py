@@ -234,8 +234,15 @@ VALID_MODEL_FILE = "10 2 0.5 0.5 1 2 rademacher 1 inf\n1 2 1 -1\n3 4 1 1\n"
         (None, "No such file"),
         (VALID_MODEL_FILE.replace("10 2 ", "10 3 ", 1), "promises 3 clauses, found 2"),
         (VALID_MODEL_FILE.replace("3 4 1 1", "99 4 1 1"), "site index out of range"),
+        (VALID_MODEL_FILE.replace("0.5 0.5 1 2", "0.5 0.5 nan 2"), "h must be finite"),
+        (VALID_MODEL_FILE.replace("0.5 0.5 1 2", "inf 0.5 1 2"), "alpha must be finite"),
+        (VALID_MODEL_FILE.replace("0.5 0.5 1 2", "0.5 1e308 1 2"),
+         "2*beta must be finite"),
+        (VALID_MODEL_FILE.replace("1 2 1 -1", "1 2 nan -1"),
+         "clause line 2 has a non-finite weight"),
     ],
-    ids=["missing", "clause-count-mismatch", "site-out-of-range"],
+    ids=["missing", "clause-count-mismatch", "site-out-of-range", "h-nan",
+         "alpha-inf", "beta-overflows", "weight-nan"],
 )
 def test_bad_load_file_exits_2_without_traceback(tmp_path, capsys, text, fault):
     model_path = tmp_path / "model.txt"
@@ -272,6 +279,35 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
     cfg = write_cfg(tmp_path, text)
     assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert_one_config_error(capsys.readouterr().err, *keys)
+
+
+@pytest.mark.parametrize(
+    "kind, config, out, keys",
+    [
+        ("validate", b"validate.criteria=\n", "o", ("validate.criteria",)),
+        ("validate", b"validate.criteria= , \n", "o", ("validate.criteria",)),
+        ("free-energy", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o",
+         ("rde.rate_scale",)),
+        ("convergence", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o",
+         ("rde.rate_scale",)),
+        ("simulate", BASE_SIM.encode() + b"# caf\xe9\n", "o", ("config.txt",)),
+        ("simulate", BASE_SIM.encode(), "blocker", ("--out", "blocker")),
+        ("simulate", BASE_SIM.encode(), "blocker/sub", ("--out", "blocker/sub")),
+    ],
+    ids=["criteria-empty", "criteria-only-commas", "free-energy-rate-scale",
+         "convergence-rate-scale", "config-not-utf8", "out-is-a-file", "out-under-a-file"],
+)
+def test_unusable_cli_input_exits_2_naming_it(tmp_path, capsys, kind, config, out, keys):
+    cfg = tmp_path / "config.txt"
+    cfg.write_bytes(config)
+    (tmp_path / "blocker").write_text("a file, not a directory\n", encoding="utf-8")
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / out]) == 2
+    assert_one_config_error(capsys.readouterr().err, *keys)
+
+
+def test_rde_kind_reads_rate_scale():
+    raw = cli.parse_config_text(BASE_CONV + "rde.rate_scale=0.3")
+    assert cli.build_config("rde", raw).options["rde.rate_scale"] == 0.3
 
 
 def test_readme_model_passes_memory_guard():

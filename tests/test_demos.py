@@ -26,3 +26,12 @@ def test_finite_size_demo_log_det_matches_numpy():
     match = re.search(r"relative disagreement\s+(\S+)", done.stdout)
     assert match is not None, done.stdout
     assert float(match.group(1)) < 1e-12
+
+
+def test_limit_demo_reproduces_the_base_limit():
+    # 0.5494 is the 16-node limit of this model at population 10^5
+    done = run_demo("03_limiting_free_energy.py")
+    assert done.returncode == 0, done.stderr
+    match = re.search(r"limiting free energy:\s+(\S+)", done.stdout)
+    assert match is not None, done.stdout
+    assert abs(float(match.group(1)) - 0.5494) < 0.002

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quadglass import free_energy
 from quadglass.disorder import DisorderSpec, _sample_shape
 from quadglass.estimate import combined_se, jackknife_se
 from quadglass.free_energy import (
@@ -169,6 +170,33 @@ def test_unconverged_nodes_are_flagged_not_fatal():
     assert not res.converged
     assert len(res.failed_nodes) > 0
     assert math.isfinite(res.estimate.value)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.0], ids=["field", "no-field"])
+def test_sweep_solves_nodes_then_x1_each_warm_started(monkeypatch, h):
+    calls = []
+    real = free_energy.solve_fixed_point
+
+    def spy(*args, **kwargs):
+        report = real(*args, **kwargs)
+        calls.append((args[2], kwargs["init"], report))
+        return report
+
+    monkeypatch.setattr(free_energy, "solve_fixed_point", spy)
+    rule = QuadratureRule.gauss_legendre(3)
+    res = limiting_free_energy(
+        ModelParams(0.5, 0.25, h, 2), RAD, rule, stream(21, "sweep"),
+        pop_size=500, n_mc=500, max_gens=5,
+    )
+    assert [rate for rate, _, _ in calls] == list(rule.nodes) + ([1.0] if h else [])
+    assert calls[0][1] is None
+    for (_, _, previous), (_, init, _) in zip(calls, calls[1:]):
+        assert init is previous.population
+    # the field term reads the last sweep point, the x = 1 fixed point
+    if h:
+        assert res.h_term == h * h / 2 * calls[-1][2].population.mean()
+    else:
+        assert res.h_term == 0.0
 
 
 # ---------------------------------------------------------------------------
