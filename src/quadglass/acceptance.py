@@ -77,7 +77,9 @@ def a1(seed, scale=1.0, workers=1):
     passed = diff < 1e-12 and elapsed < 1.0
     return CriterionResult(
         "A1", "zero-temperature free energy equals h^2/2 exactly",
-        diff, 1e-12, passed, f"runtime {elapsed:.3f}s",
+        diff, 1e-12, passed,
+        # the wall time itself would make validate outputs differ run to run
+        "runtime under 1s" if elapsed < 1.0 else "runtime 1s or more",
     )
 
 

@@ -283,7 +283,8 @@ def _check_memory(kind, options, raw):
     Per clause, a realization holds p int64 sites and p float64 weights;
     an RDE generation holds an owner, an outer weight, and p-1 interior
     weights and resampled values: 16*p bytes either way, at the mean
-    clause count.  A generation also holds 32 bytes per output, one
+    clause count.  A fixed-point solve holds two generations' draws at
+    once (it draws one generation ahead) and 32 bytes per output, one
     edge term draws p weights, indices and values per sample, and the
     Gauss-Legendre rule on n nodes builds an n x n companion matrix.
     """
@@ -298,8 +299,8 @@ def _check_memory(kind, options, raw):
     if kind in ("rde", "free-energy", "convergence"):
         pop = options["rde.pop_size"]
         rate = alpha * p * (options["rde.rate_scale"] if kind == "rde" else 1.0)
-        needs.append((f"rde.pop_size={pop}{at_alpha}", "one RDE generation's draws",
-                      (16.0 * p * rate + 32.0) * pop))
+        needs.append((f"rde.pop_size={pop}{at_alpha}", "two RDE generations' draws",
+                      (2 * 16.0 * p * rate + 32.0) * pop))
     if kind in ("free-energy", "convergence"):
         n_mc = options["free_energy.n_mc"]
         needs.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 24.0 * p * n_mc))
@@ -449,15 +450,17 @@ def _run_free_energy(config: ExperimentConfig):
                 for node in result.nodes
             ],
             "h_term": result.h_term,
+            "x1_converged": result.x1_converged,
             "converged": result.converged,
             "config_digest": config.digest(),
         },
     )
     if not result.converged:
+        x1 = {True: "; x=1 solve converged", False: "; x=1 solve unconverged", None: ""}
         print(
             "warning: free-energy did not converge (unconverged quadrature nodes: "
-            f"{len(result.failed_nodes)} of {len(result.nodes)}; the x=1 solve "
-            "counts as well); free_energy.json has converged=false",
+            f"{len(result.failed_nodes)} of {len(result.nodes)}"
+            f"{x1[result.x1_converged]}); free_energy.json has converged=false",
             file=sys.stderr,
         )
     return ["free_energy.json"]

@@ -84,11 +84,17 @@ class NodeResult:
 
 @dataclass(frozen=True)
 class LimitResult:
-    """Limiting free-energy estimate with its per-node breakdown."""
+    """Limiting free-energy estimate with its per-node breakdown.
+
+    ``x1_converged`` is the flag of the x = 1 solve behind ``h_term``,
+    or None when no such solve runs (h = 0, or beta = 0 where X(1) = 1
+    exactly); ``converged`` covers the nodes and that solve.
+    """
 
     estimate: Estimate
     nodes: tuple[NodeResult, ...]
     h_term: float
+    x1_converged: bool | None
     converged: bool
 
     @property
@@ -138,7 +144,7 @@ def limiting_free_energy(
     """
     h = params.h
     if params.beta == 0:
-        return LimitResult(Estimate(h * h / 2.0, 0.0, 1), (), h * h / 2.0, True)
+        return LimitResult(Estimate(h * h / 2.0, 0.0, 1), (), h * h / 2.0, None, True)
 
     n_nodes = rule.nodes.size
     # one stream per sweep point (the nodes, then x=1), one per node for MC
@@ -165,16 +171,17 @@ def limiting_free_energy(
             se_parts.append(float(rule.weights[j]) * params.alpha / 2.0 * term.std_error)
     integral = float(np.sum(rule.weights * np.array([n.edge_term for n in nodes])))
 
-    h_term = 0.0
+    h_term, x1_converged = 0.0, None
     if h != 0.0:
         top = reports[-1].population
+        x1_converged = reports[-1].converged
         h_term = h * h / 2.0 * top.mean()
         se_parts.append(h * h / 2.0 * jackknife_se(top.values))
 
     value = h_term + params.alpha / 2.0 * integral
     estimate = Estimate(value, combined_se(*se_parts), n_mc * n_nodes)
     converged = all(r.converged for r in reports)
-    return LimitResult(estimate, tuple(nodes), h_term, converged)
+    return LimitResult(estimate, tuple(nodes), h_term, x1_converged, converged)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ samples) represent laws; one generation resamples the whole population
 synchronously from the previous snapshot, so the update is a pure
 push-forward with clean fixed-point semantics.
 
+No random draw of a generation reads the population's values, so
+:func:`solve_fixed_point` draws generation g+1 on one helper thread
+while it pushes generation g and measures its W1 gap.  The generator is
+called in the serial order with the serial sizes, never for a
+generation the loop will not run (a look-ahead left by a failed push is
+undone), so the report and the generator's final state equal those of
+the serial loop (:func:`step` then :func:`wasserstein` per generation).
+
 Under y = -log x the map is conjugate to one that contracts in the
 Wasserstein-q metric for q large enough, which is what makes the fixed
 point unique; :func:`contraction_factor` estimates that modulus and
@@ -19,7 +27,9 @@ point unique; :func:`contraction_factor` estimates that modulus and
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,7 +94,7 @@ def delta_population(value: float, size: int, rate: float = 0.0) -> Population:
 
 
 def _clause_draws(disorder, lam, width, out_size, rng):
-    """Common sampling step: clause counts, owners, weights.
+    """Common sampling step: clause counts and weights.
 
     Each of ``out_size`` outputs owns Poisson(``lam``) clauses; each
     clause gets one weight at the output site (``zeta``, shape (total,))
@@ -92,10 +102,65 @@ def _clause_draws(disorder, lam, width, out_size, rng):
     """
     counts = rng.poisson(lam, size=out_size)
     total = int(counts.sum())
-    owner = np.repeat(np.arange(out_size), counts)
     zeta = _sample_shape(disorder, (total,), rng)
     xi = _sample_shape(disorder, (total, width), rng)
-    return counts, owner, zeta, xi
+    return counts, zeta, xi
+
+
+def _owners(counts):
+    """Output index of each clause, in clause order."""
+    return np.repeat(np.arange(counts.size), counts)
+
+
+class _Draws(NamedTuple):
+    """Every random input of one generation, drawn before its push."""
+
+    rate: float
+    counts: np.ndarray  # (out_size,) clauses owned by each output
+    zeta: np.ndarray  # (total,) weight at the output site
+    xi: np.ndarray  # (total, p-1) interior weights
+    picks: np.ndarray  # (total, p-1) resample indices into the input population
+
+
+def _draws(params, disorder, rate_scale, out_size, pop_size, rng) -> _Draws:
+    """Every RNG call of one generation that resamples a ``pop_size`` population.
+
+    None of them reads the population's values, so a generation can be
+    drawn while the one before it is still being pushed.
+    """
+    if not 0 < rate_scale <= 1:
+        raise ValueError("rate_scale must lie in (0, 1]")
+    if out_size < 1:
+        raise ValueError("out_size must be at least 1")
+    rate = params.alpha * rate_scale * params.p
+    counts, zeta, xi = _clause_draws(disorder, rate, params.p - 1, out_size, rng)
+    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
+    picks = rng.integers(0, pop_size, size=xi.shape)
+    return _Draws(rate, counts, zeta, xi, picks)
+
+
+def _push(pop: Population, params: ModelParams, draws: _Draws) -> Population:
+    """Push ``pop`` through one generation's draws, overwriting their buffers.
+
+    In place, but with the IEEE operations of the one-line expression
+    ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.
+    """
+    two_beta = 2.0 * params.beta
+    xi, zeta = draws.xi, draws.zeta
+    np.square(xi, out=xi)
+    xi *= pop.values[draws.picks]
+    denom = np.sum(xi, axis=1)
+    denom *= two_beta
+    denom += 1.0
+    np.square(zeta, out=zeta)
+    zeta *= two_beta
+    zeta /= denom
+    totals = np.bincount(
+        _owners(draws.counts), weights=zeta, minlength=draws.counts.size
+    )
+    totals += 1.0
+    np.divide(1.0, totals, out=totals)
+    return Population(totals, draws.rate, pop.generation + 1)
 
 
 def step(
@@ -113,19 +178,8 @@ def step(
     ``pop``.  Outputs always lie in (0, 1]; entries whose clause count
     is zero come out exactly 1.
     """
-    if not 0 < rate_scale <= 1:
-        raise ValueError("rate_scale must lie in (0, 1]")
-    if out_size < 1:
-        raise ValueError("out_size must be at least 1")
-    two_beta = 2.0 * params.beta
-    rate = params.alpha * rate_scale * params.p
-    _, owner, zeta, xi = _clause_draws(disorder, rate, params.p - 1, out_size, rng)
-    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
-    picks = pop.values[rng.integers(0, pop.size, size=xi.shape)]
-    denom = 1.0 + two_beta * np.sum(picks * xi**2, axis=1)
-    contrib = two_beta * zeta**2 / denom
-    totals = np.bincount(owner, weights=contrib, minlength=out_size)
-    return Population(1.0 / (1.0 + totals), rate, pop.generation + 1)
+    draws = _draws(params, disorder, rate_scale, out_size, pop.size, rng)
+    return _push(pop, params, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +216,16 @@ def _quantile_distance(x, y):
 # fixed-point iteration
 
 
+def _stops(gaps, tol, spare=0):
+    """The stopping rule: the last ``CONVERGENCE_WINDOW`` gaps lie below ``tol``.
+
+    With ``spare=1`` it asks whether one more gap below ``tol`` would
+    complete the window.
+    """
+    k = CONVERGENCE_WINDOW - spare
+    return len(gaps) >= k and all(g < tol for g in gaps[len(gaps) - k:])
+
+
 def solve_fixed_point(
     params: ModelParams,
     disorder: DisorderSpec,
@@ -180,6 +244,15 @@ def solve_fixed_point(
     raising.  Note the gap has a sampling floor of order
     pop_size**-0.5, so a tight tol with a small population can be
     unattainable by design.
+
+    One helper thread draws generation g+1 while this thread pushes
+    generation g and measures its gap, whenever generation g+1 is sure
+    to run: below ``max_gens`` and with no gap g able to complete the
+    window.  Otherwise it is drawn after gap g, if at all.  The draws are
+    the serial loop's calls in its order, and a look-ahead that a failed
+    push leaves unused is undone, so the report and the final state of
+    ``rng`` equal those of :func:`step` plus :func:`wasserstein` per
+    generation.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -189,15 +262,35 @@ def solve_fixed_point(
     )
     gaps: list[float] = []
     converged = False
-    for _ in range(max_gens):
-        new = step(current, params, disorder, rate_scale, pop_size, rng)
-        gaps.append(wasserstein(current, new))
-        current = new
-        if len(gaps) >= CONVERGENCE_WINDOW and all(
-            g < tol for g in gaps[-CONVERGENCE_WINDOW:]
-        ):
-            converged = True
-            break
+    with ThreadPoolExecutor(max_workers=1) as helper:
+
+        def draw(in_size):
+            # rng's state before the draw, to undo it if a push fails first;
+            # the helper is the only user of rng while a draw runs
+            return rng.bit_generator.state, helper.submit(
+                _draws, params, disorder, rate_scale, pop_size, in_size, rng
+            )
+
+        ahead = draw(current.size) if max_gens > 0 else None
+        try:
+            while ahead is not None:
+                job, ahead = ahead[1], None
+                draws = job.result()
+                if len(gaps) + 1 < max_gens and not _stops(gaps, tol, spare=1):
+                    ahead = draw(pop_size)
+                new = _push(current, params, draws)
+                gaps.append(wasserstein(current, new))
+                current = new
+                if _stops(gaps, tol):
+                    converged = True
+                    break
+                if ahead is None and len(gaps) < max_gens:
+                    ahead = draw(pop_size)
+        finally:
+            if ahead is not None:  # a push failed: undo the unused draws
+                state, job = ahead
+                wait([job])
+                rng.bit_generator.state = state
     return RdeReport(current, len(gaps), tuple(gaps), converged, tol)
 
 
@@ -225,10 +318,8 @@ def contraction_factor(
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
     gamma = 1.0 / (2.0 * params.beta)
-    counts, owner, zeta, _ = _clause_draws(
-        disorder, params.alpha * params.p, 0, n_mc, rng
-    )
-    chi = np.bincount(owner, weights=zeta**2, minlength=n_mc)
+    counts, zeta, _ = _clause_draws(disorder, params.alpha * params.p, 0, n_mc, rng)
+    chi = np.bincount(_owners(counts), weights=zeta**2, minlength=n_mc)
     samples = (chi / (gamma + chi)) ** q * counts * (params.p - 1)
     return mc_estimate(samples)
 
@@ -289,7 +380,8 @@ def pair_step(
     if out_size < 1:
         raise ValueError("out_size must be at least 1")
     two_beta = 2.0 * params.beta
-    _, owner, zeta, xi = _clause_draws(disorder, 2.0 * params.alpha, 1, out_size, rng)
+    counts, zeta, xi = _clause_draws(disorder, 2.0 * params.alpha, 1, out_size, rng)
+    owner = _owners(counts)
     xi = xi[:, 0]
     picks = pairs[rng.integers(0, pairs.shape[0], size=zeta.size)]
     u_k, x_k = picks[:, 0], picks[:, 1]

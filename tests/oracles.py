@@ -282,3 +282,49 @@ def poisson_uniform_p_zero(lam):
         term *= lam / k
         total += term
     return exp(-lam) / lam * total
+
+
+def out_of_place_step(values, params, spec, rate_scale, out_size, rng):
+    """One generation of the variance map as one expression per array.
+
+    Draws in ``rde.step``'s order and evaluates its arithmetic on fresh
+    arrays, so the two agree bit for bit.
+    """
+    from quadglass.disorder import _sample_shape
+
+    counts = rng.poisson(params.alpha * rate_scale * params.p, size=out_size)
+    total = int(counts.sum())
+    owner = np.repeat(np.arange(out_size), counts)
+    zeta = _sample_shape(spec, (total,), rng)
+    xi = _sample_shape(spec, (total, params.p - 1), rng)
+    picks = values[rng.integers(0, values.size, size=xi.shape)]
+    two_beta = 2.0 * params.beta
+    denom = 1.0 + two_beta * np.sum(picks * xi**2, axis=1)
+    contrib = two_beta * zeta**2 / denom
+    return 1.0 / (1.0 + np.bincount(owner, weights=contrib, minlength=out_size))
+
+
+def serial_fixed_point(
+    params, disorder, rate_scale, rng, pop_size, tol, max_gens, init=None
+):
+    """The fixed-point loop without look-ahead: ``step`` then W1 per generation."""
+    from quadglass.rde import (
+        CONVERGENCE_WINDOW,
+        RdeReport,
+        delta_population,
+        step,
+        wasserstein,
+    )
+
+    rate = params.alpha * rate_scale * params.p
+    current = delta_population(1.0, pop_size, rate) if init is None else init
+    gaps = []
+    for _ in range(max_gens):
+        new = step(current, params, disorder, rate_scale, pop_size, rng)
+        gaps.append(wasserstein(current, new))
+        current = new
+        if len(gaps) >= CONVERGENCE_WINDOW and all(
+            g < tol for g in gaps[-CONVERGENCE_WINDOW:]
+        ):
+            return RdeReport(current, len(gaps), tuple(gaps), True, tol)
+    return RdeReport(current, len(gaps), tuple(gaps), False, tol)

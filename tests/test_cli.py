@@ -49,6 +49,36 @@ def test_outputs_byte_identical_across_worker_counts(tmp_path):
     assert ma == mb
 
 
+RDE_SMALL = """
+experiment.seed=12
+model.alpha=0.5
+model.beta=0.5
+model.h=1.0
+model.p=2
+disorder.family=gaussian
+disorder.truncation=2.0
+rde.pop_size=2000
+rde.max_gens=40
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [("rde", ""), ("free-energy", "quadrature.nodes=2\nfree_energy.n_mc=2000\n")],
+)
+def test_fixed_point_outputs_byte_identical_across_worker_counts(tmp_path, kind, extra):
+    # these kinds solve fixed points with a draw look-ahead thread of their own
+    cfg = write_cfg(tmp_path, RDE_SMALL + extra)
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert run_cli([kind, "--config", cfg, "--out", out, "--workers", workers]) == 0
+        outputs.append({
+            f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"
+        })
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_manifest_lists_every_output_with_correct_hash(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -281,6 +311,15 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
     assert_one_config_error(capsys.readouterr().err, *keys)
 
 
+def test_memory_guard_counts_the_draw_look_ahead(tmp_path, capsys, monkeypatch):
+    # one generation's draws and outputs need 64 kB here, two generations' 96 kB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 80_000)
+    cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")
+                    .replace("rde.pop_size=2000", "rde.pop_size=1000"))
+    assert run_cli(["rde", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "two RDE generations")
+
+
 @pytest.mark.parametrize(
     "kind, config, out, keys",
     [
@@ -412,11 +451,32 @@ def test_free_energy_json_schema(tmp_path):
     assert run_cli(["free-energy", "--config", cfg, "--out", out]) == 0
     payload = json.loads((out / "free_energy.json").read_text())
     assert set(payload) == {
-        "value", "std_error", "nodes", "h_term", "converged", "config_digest"
+        "value", "std_error", "nodes", "h_term", "x1_converged", "converged",
+        "config_digest",
     }
+    assert isinstance(payload["x1_converged"], bool)
     assert len(payload["nodes"]) == 4
     assert set(payload["nodes"][0]) == {"x", "rate", "edge_term", "se", "converged"}
     assert math.isfinite(payload["value"])
+
+
+@pytest.mark.parametrize("h, x1_flag, x1_text", [
+    ("1.0", False, "2 of 2; x=1 solve unconverged)"),
+    ("0.0", None, "2 of 2)"),
+], ids=["field", "no-field"])
+def test_unconverged_free_energy_reports_the_x1_solve(
+    tmp_path, capsys, h, x1_flag, x1_text
+):
+    cfg = write_cfg(tmp_path, BASE_CONV.replace("model.h=1.0", f"model.h={h}")
+                    + "rde.tol=1e-9\nrde.max_gens=12\n")
+    out = tmp_path / "fe"
+    assert run_cli(["free-energy", "--config", cfg, "--out", out]) == 0
+    payload = json.loads((out / "free_energy.json").read_text())
+    assert payload["x1_converged"] is x1_flag
+    assert payload["converged"] is False
+    assert [n["converged"] for n in payload["nodes"]] == [False, False]
+    err = capsys.readouterr().err
+    assert f"unconverged quadrature nodes: {x1_text}" in err
 
 
 def test_convergence_csv_schema(tmp_path):
@@ -466,6 +526,17 @@ def test_validate_subset_passes_and_writes_table(tmp_path, capsys):
     assert payload["config_digest"]
     assert [c["criterion"] for c in payload["criteria"]] == ["A1", "A8", "A11"]
     assert all(c["passed"] for c in payload["criteria"])
+
+
+def test_validate_outputs_repeat_byte_for_byte(tmp_path):
+    # A1 gates on its wall time; the outputs must not record it
+    cfg = write_cfg(tmp_path, "experiment.seed=3\nvalidate.criteria=A1", name="val.txt")
+    runs = []
+    for name in ("a", "b"):
+        assert run_cli(["validate", "--config", cfg, "--out", tmp_path / name]) == 0
+        runs.append([(tmp_path / name / f).read_bytes()
+                     for f in ("validate.csv", "validate.json")])
+    assert runs[0] == runs[1]
 
 
 def test_validate_json_holds_numpy_comparisons(tmp_path):

@@ -1,8 +1,12 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from quadglass import rde
 from quadglass.disorder import DisorderSpec
 from quadglass.model import ModelParams
 from quadglass.rde import (
@@ -25,7 +29,9 @@ from oracles import (
     conjugate_step,
     direct_conjugate_from_zero_sampler,
     direct_p1_variance_sampler,
+    out_of_place_step,
     rademacher_contraction_series,
+    serial_fixed_point,
     w1_via_cdf_area,
     wq_distance,
 )
@@ -117,6 +123,21 @@ def test_step_monotone_in_population_under_common_stream():
     out_low = step(low, par, RAD, 1.0, 4000, stream(7, "mono"))
     out_high = step(high, par, RAD, 1.0, 4000, stream(7, "mono"))
     assert np.all(out_high.values >= out_low.values)
+
+
+@pytest.mark.parametrize("p, spec", [
+    (1, DisorderSpec("uniform_symmetric", 1.5)),
+    (2, DisorderSpec("gaussian", 1.0, 2.0)),
+    (3, RAD),
+])
+def test_in_place_step_is_the_out_of_place_expression(p, spec):
+    pop = Population(stream(33, "pop").uniform(0.05, 1.0, size=700))
+    rng, oracle_rng = stream(33, "step", str(p)), stream(33, "step", str(p))
+    par = params_with(0.9, 0.7, p=p)
+    got = step(pop, par, spec, 0.8, 1500, rng)
+    want = out_of_place_step(pop.values, par, spec, 0.8, 1500, oracle_rng)
+    assert got.values.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_step_validates_arguments():
@@ -222,6 +243,100 @@ def test_non_convergence_reports_flag_not_exception():
     )
     assert not report.converged
     assert report.generations == 12
+
+
+@pytest.mark.parametrize(
+    "par, spec, rate_scale, kw, converges",
+    [
+        (params_with(0.5, 0.5, p=2), DisorderSpec("gaussian", 1.0, 2.0), 0.7,
+         dict(pop_size=4000, tol=1e-2, max_gens=60), True),
+        (params_with(0.8, 0.5, p=3), RAD, 1.0,
+         dict(pop_size=3000, tol=1e-3, max_gens=25), False),
+        (params_with(1.0, 0.5, p=1), DisorderSpec("uniform_symmetric", 1.5), 0.5,
+         dict(pop_size=3000, tol=2e-2, max_gens=60), True),
+        (params_with(1.0, 1.0, p=2), DisorderSpec("two_point_symmetric", 0.7), 1.0,
+         dict(pop_size=2500, tol=1e-9, max_gens=15, init=delta_population(0.3, 4000)),
+         False),
+    ],
+    ids=["gaussian-c2-p2-converges", "rademacher-p3-at-max-gens", "uniform-p1",
+         "warm-start-other-size"],
+)
+def test_look_ahead_solve_is_the_serial_loop(
+    monkeypatch, par, spec, rate_scale, kw, converges
+):
+    draws, n_draws = rde._draws, []
+
+    def counted_draws(*args):
+        n_draws.append(None)
+        return draws(*args)
+
+    monkeypatch.setattr(rde, "_draws", counted_draws)
+    rng, oracle_rng = stream(30, "ahead"), stream(30, "ahead")
+    report = solve_fixed_point(par, spec, rate_scale, rng, **kw)
+    assert len(n_draws) == report.generations  # no generation drawn in vain
+    expected = serial_fixed_point(par, spec, rate_scale, oracle_rng, **kw)
+    assert report.converged is expected.converged is converges
+    assert report.generations == expected.generations
+    assert report.gaps == expected.gaps
+    assert report.population.values.tobytes() == expected.population.values.tobytes()
+    assert report.population.rate == expected.population.rate
+    assert report.population.generation == expected.population.generation
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_look_ahead_solve_exits_cleanly_when_a_push_fails(monkeypatch):
+    push, calls = rde._push, []
+
+    def failing_push(*args):
+        calls.append(None)
+        if len(calls) == 4:
+            raise FloatingPointError("push 4 failed")
+        return push(*args)
+
+    monkeypatch.setattr(rde, "_push", failing_push)
+    par, kw = params_with(0.5, 0.5), dict(pop_size=2000, tol=1e-9, max_gens=30)
+    oracle_rng = stream(31, "fail")
+    with pytest.raises(FloatingPointError):
+        serial_fixed_point(par, RAD, 1.0, oracle_rng, **kw)
+    calls.clear()
+    baseline = threading.active_count()
+    rng = stream(31, "fail")
+    with pytest.raises(FloatingPointError):
+        solve_fixed_point(par, RAD, 1.0, rng, **kw)
+    assert len(calls) == 4
+    assert threading.active_count() == baseline
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_concurrent_look_ahead_solves_each_match_the_serial_loop():
+    # more solving threads than cores, each with its own helper, under fast
+    # thread switching: a draw landing in the wrong solve or generator shows
+    par, kw = params_with(0.5, 0.5, p=3), dict(pop_size=1500, tol=1e-9, max_gens=20)
+
+    def solve(i):
+        return solve_fixed_point(par, RAD, 1.0, stream(34, str(i)), **kw)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            reports = list(pool.map(solve, range(6), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, report in enumerate(reports):
+        expected = serial_fixed_point(par, RAD, 1.0, stream(34, str(i)), **kw)
+        assert report.gaps == expected.gaps
+        assert report.population.values.tobytes() == expected.population.values.tobytes()
+
+
+def test_look_ahead_solve_leaves_rng_untouched_on_bad_rate_scale():
+    rng = stream(32, "bad")
+    before = rng.bit_generator.state
+    baseline = threading.active_count()
+    with pytest.raises(ValueError, match="rate_scale"):
+        solve_fixed_point(params_with(), RAD, 1.5, rng, pop_size=100)
+    assert threading.active_count() == baseline
+    assert rng.bit_generator.state == before
 
 
 # ---------------------------------------------------------------------------
