@@ -229,11 +229,11 @@ def build_config(
             raise ConfigError(
                 f"{key}: realization sizes must be at least model.p={options['model.p']}"
             )
-        mean = _largest_poisson_mean(kind, options)
+        setting, mean = _largest_poisson_mean(kind, options)
         if mean > POISSON_MEAN_MAX:
             raise ConfigError(
-                f"model.alpha={raw['model.alpha']!r}: clause counts would be drawn with "
-                f"Poisson mean {mean:.6g}, above numpy's limit {POISSON_MEAN_MAX:.6g}"
+                f"{setting} at model.alpha={raw['model.alpha']!r}: clause counts would be "
+                f"drawn with Poisson mean {mean:.6g}, above numpy's limit {POISSON_MEAN_MAX:.6g}"
             )
         _check_memory(kind, options, raw)
     if kind == "validate":
@@ -264,10 +264,24 @@ def _realization_sizes(kind, options):
     return None, []
 
 
+def _rde_rate(kind, options):
+    """The largest clause rate of a kind's RDE solves: alpha*p, times rde.rate_scale for 'rde'."""
+    scale = options["rde.rate_scale"] if kind == "rde" else 1.0
+    return options["model.alpha"] * options["model.p"] * scale
+
+
 def _largest_poisson_mean(kind, options):
-    """Largest clause-count mean a kind draws: alpha*N per realization, alpha*p per RDE draw."""
-    _, sizes = _realization_sizes(kind, options)
-    return options["model.alpha"] * max([options["model.p"], *sizes])
+    """The setting behind the largest clause-count mean a kind draws, and that mean.
+
+    A realization on N sites draws Poisson(alpha*N) clauses; one RDE
+    generation draws Poisson(rate*pop_size) clauses for its pop_size outputs.
+    """
+    key, sizes = _realization_sizes(kind, options)
+    means = [(f"{key}={max(sizes)}", options["model.alpha"] * max(sizes))] if sizes else []
+    if kind in ("rde", "free-energy", "convergence"):
+        pop = options["rde.pop_size"]
+        means.append((f"rde.pop_size={pop}", _rde_rate(kind, options) * pop))
+    return max(means, key=lambda setting_mean: setting_mean[1])
 
 
 def _physical_memory():
@@ -283,8 +297,7 @@ def _check_memory(kind, options, raw):
     Per clause, a realization holds p int64 sites and p float64 weights;
     an RDE generation holds an owner, an outer weight, and p-1 interior
     weights and resampled values: 16*p bytes either way, at the mean
-    clause count.  A fixed-point solve holds two generations' draws at
-    once (it draws one generation ahead) and 32 bytes per output, one
+    clause count.  A generation also holds 32 bytes per output, one
     edge term draws p weights, indices and values per sample, and the
     Gauss-Legendre rule on n nodes builds an n x n companion matrix.
     """
@@ -298,9 +311,8 @@ def _check_memory(kind, options, raw):
                       16.0 * p * alpha * size))
     if kind in ("rde", "free-energy", "convergence"):
         pop = options["rde.pop_size"]
-        rate = alpha * p * (options["rde.rate_scale"] if kind == "rde" else 1.0)
-        needs.append((f"rde.pop_size={pop}{at_alpha}", "two RDE generations' draws",
-                      (2 * 16.0 * p * rate + 32.0) * pop))
+        needs.append((f"rde.pop_size={pop}{at_alpha}", "one RDE generation's draws",
+                      (16.0 * p * _rde_rate(kind, options) + 32.0) * pop))
     if kind in ("free-energy", "convergence"):
         n_mc = options["free_energy.n_mc"]
         needs.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 24.0 * p * n_mc))

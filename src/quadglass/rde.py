@@ -11,13 +11,9 @@ samples) represent laws; one generation resamples the whole population
 synchronously from the previous snapshot, so the update is a pure
 push-forward with clean fixed-point semantics.
 
-No random draw of a generation reads the population's values, so
-:func:`solve_fixed_point` draws generation g+1 on one helper thread
-while it pushes generation g and measures its W1 gap.  The generator is
-called in the serial order with the serial sizes, never for a
-generation the loop will not run (a look-ahead left by a failed push is
-undone), so the report and the generator's final state equal those of
-the serial loop (:func:`step` then :func:`wasserstein` per generation).
+By Poisson splitting, one generation's clauses are Poisson(rate *
+out_size) clauses with uniform owners among the outputs, drawn by the
+same sampler that builds a finite realization (:func:`model._clauses`).
 
 Under y = -log x the map is conjugate to one that contracts in the
 Wasserstein-q metric for q large enough, which is what makes the fixed
@@ -27,15 +23,13 @@ point unique; :func:`contraction_factor` estimates that modulus and
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
-from .model import ModelParams, format_float
+from .model import ModelParams, _clauses, format_float
 
 CONVERGENCE_WINDOW = 10
 DEFAULT_POP_SIZE = 100_000
@@ -93,76 +87,6 @@ def delta_population(value: float, size: int, rate: float = 0.0) -> Population:
 # one generation of the push-forward
 
 
-def _clause_draws(disorder, lam, width, out_size, rng):
-    """Common sampling step: clause counts and weights.
-
-    Each of ``out_size`` outputs owns Poisson(``lam``) clauses; each
-    clause gets one weight at the output site (``zeta``, shape (total,))
-    and ``width`` interior weights (``xi``, shape (total, width)).
-    """
-    counts = rng.poisson(lam, size=out_size)
-    total = int(counts.sum())
-    zeta = _sample_shape(disorder, (total,), rng)
-    xi = _sample_shape(disorder, (total, width), rng)
-    return counts, zeta, xi
-
-
-def _owners(counts):
-    """Output index of each clause, in clause order."""
-    return np.repeat(np.arange(counts.size), counts)
-
-
-class _Draws(NamedTuple):
-    """Every random input of one generation, drawn before its push."""
-
-    rate: float
-    counts: np.ndarray  # (out_size,) clauses owned by each output
-    zeta: np.ndarray  # (total,) weight at the output site
-    xi: np.ndarray  # (total, p-1) interior weights
-    picks: np.ndarray  # (total, p-1) resample indices into the input population
-
-
-def _draws(params, disorder, rate_scale, out_size, pop_size, rng) -> _Draws:
-    """Every RNG call of one generation that resamples a ``pop_size`` population.
-
-    None of them reads the population's values, so a generation can be
-    drawn while the one before it is still being pushed.
-    """
-    if not 0 < rate_scale <= 1:
-        raise ValueError("rate_scale must lie in (0, 1]")
-    if out_size < 1:
-        raise ValueError("out_size must be at least 1")
-    rate = params.alpha * rate_scale * params.p
-    counts, zeta, xi = _clause_draws(disorder, rate, params.p - 1, out_size, rng)
-    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
-    picks = rng.integers(0, pop_size, size=xi.shape)
-    return _Draws(rate, counts, zeta, xi, picks)
-
-
-def _push(pop: Population, params: ModelParams, draws: _Draws) -> Population:
-    """Push ``pop`` through one generation's draws, overwriting their buffers.
-
-    In place, but with the IEEE operations of the one-line expression
-    ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.
-    """
-    two_beta = 2.0 * params.beta
-    xi, zeta = draws.xi, draws.zeta
-    np.square(xi, out=xi)
-    xi *= pop.values[draws.picks]
-    denom = np.sum(xi, axis=1)
-    denom *= two_beta
-    denom += 1.0
-    np.square(zeta, out=zeta)
-    zeta *= two_beta
-    zeta /= denom
-    totals = np.bincount(
-        _owners(draws.counts), weights=zeta, minlength=draws.counts.size
-    )
-    totals += 1.0
-    np.divide(1.0, totals, out=totals)
-    return Population(totals, draws.rate, pop.generation + 1)
-
-
 def step(
     pop: Population,
     params: ModelParams,
@@ -176,10 +100,32 @@ def step(
     Every output value is an independent draw of the displayed random
     variable with the X's resampled uniformly (with replacement) from
     ``pop``.  Outputs always lie in (0, 1]; entries whose clause count
-    is zero come out exactly 1.
+    is zero come out exactly 1.  The arithmetic runs in place on the
+    draws, with the IEEE operations of the one-line expression
+    ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.
     """
-    draws = _draws(params, disorder, rate_scale, out_size, pop.size, rng)
-    return _push(pop, params, draws)
+    if not 0 < rate_scale <= 1:
+        raise ValueError("rate_scale must lie in (0, 1]")
+    if out_size < 1:
+        raise ValueError("out_size must be at least 1")
+    rate = params.alpha * rate_scale * params.p
+    owners, zeta = _clauses(disorder, rate * out_size, out_size, 1, rng)
+    xi = _sample_shape(disorder, (zeta.shape[0], params.p - 1), rng)
+    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
+    np.square(xi, out=xi)
+    xi *= pop.values[rng.integers(0, pop.size, size=xi.shape)]
+    two_beta = 2.0 * params.beta
+    denom = np.sum(xi, axis=1)
+    denom *= two_beta
+    denom += 1.0
+    zeta = zeta[:, 0]
+    np.square(zeta, out=zeta)
+    zeta *= two_beta
+    zeta /= denom
+    totals = np.bincount(owners[:, 0], weights=zeta, minlength=out_size)
+    totals += 1.0
+    np.divide(1.0, totals, out=totals)
+    return Population(totals, rate, pop.generation + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +162,11 @@ def _quantile_distance(x, y):
 # fixed-point iteration
 
 
-def _stops(gaps, tol, spare=0):
-    """The stopping rule: the last ``CONVERGENCE_WINDOW`` gaps lie below ``tol``.
-
-    With ``spare=1`` it asks whether one more gap below ``tol`` would
-    complete the window.
-    """
-    k = CONVERGENCE_WINDOW - spare
-    return len(gaps) >= k and all(g < tol for g in gaps[len(gaps) - k:])
+def _stops(gaps, tol):
+    """The stopping rule: the last ``CONVERGENCE_WINDOW`` gaps lie below ``tol``."""
+    return len(gaps) >= CONVERGENCE_WINDOW and all(
+        g < tol for g in gaps[-CONVERGENCE_WINDOW:]
+    )
 
 
 def solve_fixed_point(
@@ -244,15 +187,6 @@ def solve_fixed_point(
     raising.  Note the gap has a sampling floor of order
     pop_size**-0.5, so a tight tol with a small population can be
     unattainable by design.
-
-    One helper thread draws generation g+1 while this thread pushes
-    generation g and measures its gap, whenever generation g+1 is sure
-    to run: below ``max_gens`` and with no gap g able to complete the
-    window.  Otherwise it is drawn after gap g, if at all.  The draws are
-    the serial loop's calls in its order, and a look-ahead that a failed
-    push leaves unused is undone, so the report and the final state of
-    ``rng`` equal those of :func:`step` plus :func:`wasserstein` per
-    generation.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -262,35 +196,11 @@ def solve_fixed_point(
     )
     gaps: list[float] = []
     converged = False
-    with ThreadPoolExecutor(max_workers=1) as helper:
-
-        def draw(in_size):
-            # rng's state before the draw, to undo it if a push fails first;
-            # the helper is the only user of rng while a draw runs
-            return rng.bit_generator.state, helper.submit(
-                _draws, params, disorder, rate_scale, pop_size, in_size, rng
-            )
-
-        ahead = draw(current.size) if max_gens > 0 else None
-        try:
-            while ahead is not None:
-                job, ahead = ahead[1], None
-                draws = job.result()
-                if len(gaps) + 1 < max_gens and not _stops(gaps, tol, spare=1):
-                    ahead = draw(pop_size)
-                new = _push(current, params, draws)
-                gaps.append(wasserstein(current, new))
-                current = new
-                if _stops(gaps, tol):
-                    converged = True
-                    break
-                if ahead is None and len(gaps) < max_gens:
-                    ahead = draw(pop_size)
-        finally:
-            if ahead is not None:  # a push failed: undo the unused draws
-                state, job = ahead
-                wait([job])
-                rng.bit_generator.state = state
+    while not converged and len(gaps) < max_gens:
+        new = step(current, params, disorder, rate_scale, pop_size, rng)
+        gaps.append(wasserstein(current, new))
+        current = new
+        converged = _stops(gaps, tol)
     return RdeReport(current, len(gaps), tuple(gaps), converged, tol)
 
 
@@ -318,8 +228,9 @@ def contraction_factor(
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
     gamma = 1.0 / (2.0 * params.beta)
-    counts, zeta, _ = _clause_draws(disorder, params.alpha * params.p, 0, n_mc, rng)
-    chi = np.bincount(_owners(counts), weights=zeta**2, minlength=n_mc)
+    owners, zeta = _clauses(disorder, params.alpha * params.p * n_mc, n_mc, 1, rng)
+    counts = np.bincount(owners[:, 0], minlength=n_mc)
+    chi = np.bincount(owners[:, 0], weights=zeta[:, 0] ** 2, minlength=n_mc)
     samples = (chi / (gamma + chi)) ** q * counts * (params.p - 1)
     return mc_estimate(samples)
 
@@ -380,9 +291,9 @@ def pair_step(
     if out_size < 1:
         raise ValueError("out_size must be at least 1")
     two_beta = 2.0 * params.beta
-    counts, zeta, xi = _clause_draws(disorder, 2.0 * params.alpha, 1, out_size, rng)
-    owner = _owners(counts)
-    xi = xi[:, 0]
+    owners, zeta = _clauses(disorder, 2.0 * params.alpha * out_size, out_size, 1, rng)
+    owner, zeta = owners[:, 0], zeta[:, 0]
+    xi = _sample_shape(disorder, zeta.shape, rng)
     picks = pairs[rng.integers(0, pairs.shape[0], size=zeta.size)]
     u_k, x_k = picks[:, 0], picks[:, 1]
     denom = 1.0 + two_beta * xi**2 * x_k

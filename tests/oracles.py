@@ -165,6 +165,22 @@ def direct_conjugate_from_zero_sampler(rate, beta, spec, p, n, rng):
     return np.log1p(np.bincount(owner, weights=zeta**2 / denom, minlength=n))
 
 
+def _generation_clauses(params, spec, rate_scale, out_size, rng):
+    """One generation's clauses in ``rde.step``'s draw order.
+
+    The total count is one Poisson(rate * out_size) draw, then each clause
+    gets a uniform owner, an output-site weight and p-1 interior weights.
+    """
+    from quadglass.disorder import _sample_shape
+
+    rate = params.alpha * rate_scale * params.p
+    total = int(rng.poisson(rate * out_size))
+    owner = rng.integers(0, out_size, size=total)
+    zeta = _sample_shape(spec, (total,), rng)
+    xi = _sample_shape(spec, (total, params.p - 1), rng)
+    return owner, zeta, xi
+
+
 def conjugate_step(values, params, spec, rate_scale, out_size, rng):
     """One generation of the variance map conjugated by y = -log x.
 
@@ -174,21 +190,15 @@ def conjugate_step(values, params, spec, rate_scale, out_size, rng):
     beta = 0.  Draws come in the same order as ``rde.step``'s, so under a
     shared stream it returns -log of that push-forward up to rounding.
     """
-    from quadglass.disorder import _sample_shape
-
     if params.beta == 0:
         raise ValueError("conjugate map undefined at beta = 0")
     gamma = 1.0 / (2.0 * params.beta)
-    counts = rng.poisson(params.alpha * rate_scale * params.p, size=out_size)
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(out_size), counts)
-    zeta = _sample_shape(spec, (total,), rng)
-    xi = _sample_shape(spec, (total, params.p - 1), rng)
+    owner, zeta, xi = _generation_clauses(params, spec, rate_scale, out_size, rng)
     if params.p > 1:
         picks = values[rng.integers(0, values.size, size=xi.shape)]
         denom = gamma + np.sum(xi**2 * np.exp(-picks), axis=1)
     else:
-        denom = np.full(total, gamma)
+        denom = np.full(zeta.size, gamma)
     return np.log1p(np.bincount(owner, weights=zeta**2 / denom, minlength=out_size))
 
 
@@ -290,13 +300,7 @@ def out_of_place_step(values, params, spec, rate_scale, out_size, rng):
     Draws in ``rde.step``'s order and evaluates its arithmetic on fresh
     arrays, so the two agree bit for bit.
     """
-    from quadglass.disorder import _sample_shape
-
-    counts = rng.poisson(params.alpha * rate_scale * params.p, size=out_size)
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(out_size), counts)
-    zeta = _sample_shape(spec, (total,), rng)
-    xi = _sample_shape(spec, (total, params.p - 1), rng)
+    owner, zeta, xi = _generation_clauses(params, spec, rate_scale, out_size, rng)
     picks = values[rng.integers(0, values.size, size=xi.shape)]
     two_beta = 2.0 * params.beta
     denom = 1.0 + two_beta * np.sum(picks * xi**2, axis=1)
@@ -307,7 +311,7 @@ def out_of_place_step(values, params, spec, rate_scale, out_size, rng):
 def serial_fixed_point(
     params, disorder, rate_scale, rng, pop_size, tol, max_gens, init=None
 ):
-    """The fixed-point loop without look-ahead: ``step`` then W1 per generation."""
+    """The fixed-point loop written out: ``step`` then W1 per generation."""
     from quadglass.rde import (
         CONVERGENCE_WINDOW,
         RdeReport,

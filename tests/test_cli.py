@@ -67,7 +67,6 @@ rde.max_gens=40
     [("rde", ""), ("free-energy", "quadrature.nodes=2\nfree_energy.n_mc=2000\n")],
 )
 def test_fixed_point_outputs_byte_identical_across_worker_counts(tmp_path, kind, extra):
-    # these kinds solve fixed points with a draw look-ahead thread of their own
     cfg = write_cfg(tmp_path, RDE_SMALL + extra)
     outputs = []
     for workers in (1, 2):
@@ -311,13 +310,25 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
     assert_one_config_error(capsys.readouterr().err, *keys)
 
 
-def test_memory_guard_counts_the_draw_look_ahead(tmp_path, capsys, monkeypatch):
-    # one generation's draws and outputs need 64 kB here, two generations' 96 kB
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 80_000)
+def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
+    # (16*p*alpha*p + 32) * pop_size bytes: clause draws plus per-output arrays
+    need = (16 * 2 * 0.5 * 2 + 32) * 1000
     cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")
                     .replace("rde.pop_size=2000", "rde.pop_size=1000"))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     assert run_cli(["rde", "--config", cfg, "--out", tmp_path / "o"]) == 2
-    assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "two RDE generations")
+    assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "one RDE generation")
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
+    assert run_cli(["rde", "--config", cfg, "--out", tmp_path / "o"]) == 0
+
+
+def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monkeypatch):
+    # alpha*p*pop_size = 2e19 is past numpy's limit though alpha*p = 2e17 is not
+    monkeypatch.setattr(cli, "_physical_memory", lambda: math.inf)
+    cfg = write_cfg(tmp_path, RDE_SMALL.replace("model.alpha=0.5", "model.alpha=1e17")
+                    .replace("rde.pop_size=2000", "rde.pop_size=100"))
+    assert run_cli(["rde", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "Poisson mean")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 import math
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -92,14 +91,20 @@ def test_step_outputs_stay_in_unit_interval():
 
 
 def test_step_mass_at_one_matches_poisson_zero_probability():
-    lam = 1.0 * 0.7 * 2  # alpha * rate_scale * p
-    n = 10**5
+    # at p = 1 with +-1 weights an output is exactly 1/(1 + 2*beta*K), K its
+    # clause count; K must be Poisson(rate) on each half of the outputs,
+    # which also checks that clause owners are uniform
+    lam = 2.0 * 0.7 * 1  # alpha * rate_scale * p
+    n = 2 * 10**5
     pop = delta_population(0.5, 1000)
-    out = step(pop, params_with(), RAD, 0.7, n, stream(3, "mass"))
-    frac = float((out.values == 1.0).mean())
-    target = math.exp(-lam)
-    se = math.sqrt(target * (1 - target) / n)
-    assert abs(frac - target) < 4 * se
+    out = step(pop, params_with(alpha=2.0, beta=1.0, p=1), RAD, 0.7, n, stream(3, "mass"))
+    counts = np.rint((1.0 / out.values - 1.0) / 2.0).astype(int)
+    assert np.array_equal(1.0 / (1.0 + 2.0 * counts), out.values)
+    for half in (counts[: n // 2], counts[n // 2:]):
+        for k in range(7):
+            target = math.exp(-lam) * lam**k / math.factorial(k)
+            se = math.sqrt(target * (1 - target) / half.size)
+            assert abs(float((half == k).mean()) - target) < 4 * se, k
 
 
 def test_step_p1_law_ignores_population():
@@ -264,17 +269,19 @@ def test_non_convergence_reports_flag_not_exception():
 def test_look_ahead_solve_is_the_serial_loop(
     monkeypatch, par, spec, rate_scale, kw, converges
 ):
-    draws, n_draws = rde._draws, []
-
-    def counted_draws(*args):
-        n_draws.append(None)
-        return draws(*args)
-
-    monkeypatch.setattr(rde, "_draws", counted_draws)
-    rng, oracle_rng = stream(30, "ahead"), stream(30, "ahead")
-    report = solve_fixed_point(par, spec, rate_scale, rng, **kw)
-    assert len(n_draws) == report.generations  # no generation drawn in vain
+    # the solve is the serial step-then-W1 loop: one step per generation
+    oracle_rng = stream(30, "ahead")
     expected = serial_fixed_point(par, spec, rate_scale, oracle_rng, **kw)
+    real_step, n_steps = rde.step, []
+
+    def counted_step(*args):
+        n_steps.append(None)
+        return real_step(*args)
+
+    monkeypatch.setattr(rde, "step", counted_step)
+    rng = stream(30, "ahead")
+    report = solve_fixed_point(par, spec, rate_scale, rng, **kw)
+    assert len(n_steps) == report.generations
     assert report.converged is expected.converged is converges
     assert report.generations == expected.generations
     assert report.gaps == expected.gaps
@@ -284,33 +291,9 @@ def test_look_ahead_solve_is_the_serial_loop(
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def test_look_ahead_solve_exits_cleanly_when_a_push_fails(monkeypatch):
-    push, calls = rde._push, []
-
-    def failing_push(*args):
-        calls.append(None)
-        if len(calls) == 4:
-            raise FloatingPointError("push 4 failed")
-        return push(*args)
-
-    monkeypatch.setattr(rde, "_push", failing_push)
-    par, kw = params_with(0.5, 0.5), dict(pop_size=2000, tol=1e-9, max_gens=30)
-    oracle_rng = stream(31, "fail")
-    with pytest.raises(FloatingPointError):
-        serial_fixed_point(par, RAD, 1.0, oracle_rng, **kw)
-    calls.clear()
-    baseline = threading.active_count()
-    rng = stream(31, "fail")
-    with pytest.raises(FloatingPointError):
-        solve_fixed_point(par, RAD, 1.0, rng, **kw)
-    assert len(calls) == 4
-    assert threading.active_count() == baseline
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
 def test_concurrent_look_ahead_solves_each_match_the_serial_loop():
-    # more solving threads than cores, each with its own helper, under fast
-    # thread switching: a draw landing in the wrong solve or generator shows
+    # more solving threads than cores under fast thread switching: a draw
+    # landing in the wrong solve or generator shows
     par, kw = params_with(0.5, 0.5, p=3), dict(pop_size=1500, tol=1e-9, max_gens=20)
 
     def solve(i):
@@ -332,10 +315,8 @@ def test_concurrent_look_ahead_solves_each_match_the_serial_loop():
 def test_look_ahead_solve_leaves_rng_untouched_on_bad_rate_scale():
     rng = stream(32, "bad")
     before = rng.bit_generator.state
-    baseline = threading.active_count()
     with pytest.raises(ValueError, match="rate_scale"):
         solve_fixed_point(params_with(), RAD, 1.5, rng, pop_size=100)
-    assert threading.active_count() == baseline
     assert rng.bit_generator.state == before
 
 
