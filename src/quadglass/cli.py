@@ -28,18 +28,12 @@ from pathlib import Path
 from . import __version__
 from .acceptance import CRITERIA, run_criteria
 from .disorder import FAMILIES, DisorderSpec
-from .free_energy import QuadratureRule, convergence_study, limiting_free_energy
-from .model import (
-    Factorization,
-    ModelParams,
-    NumericalError,
-    dump_model,
-    format_float,
-    load_model,
-    sample_model,
-)
+from .free_energy import (DEFAULT_N_MC, DEFAULT_NODES, QuadratureRule, convergence_study,
+                          limiting_free_energy)
+from .model import (Factorization, ModelParams, NumericalError, dump_model, format_float,
+                    load_model, sample_model, write_rows)
 from .parallel import default_workers, parallel_map
-from .rde import dump_population, solve_fixed_point
+from .rde import DEFAULT_MAX_GENS, DEFAULT_POP_SIZE, DEFAULT_TOL, dump_population, solve_fixed_point
 from .streams import stream
 
 KINDS = ("simulate", "rde", "free-energy", "convergence", "validate", "dump", "load")
@@ -97,12 +91,12 @@ KEY_SPECS = {
     "simulate.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "simulate.replicates": (_int, None, lambda v: v >= 1, "at least 1"),
     "rde.rate_scale": (_float, 1.0, _unit, "in (0, 1]"),
-    "rde.pop_size": (_int, 100_000, lambda v: v >= 1, "at least 1"),
-    "rde.tol": (_float, 1e-3, _positive, "positive"),
-    "rde.max_gens": (_int, 500, lambda v: v >= 1, "at least 1"),
+    "rde.pop_size": (_int, DEFAULT_POP_SIZE, lambda v: v >= 1, "at least 1"),
+    "rde.tol": (_float, DEFAULT_TOL, _positive, "positive"),
+    "rde.max_gens": (_int, DEFAULT_MAX_GENS, lambda v: v >= 1, "at least 1"),
     "quadrature.kind": (str, "gauss", lambda v: v == "gauss", "gauss"),
-    "quadrature.nodes": (_int, 16, lambda v: v >= 1, "at least 1"),
-    "free_energy.n_mc": (_int, 200_000, lambda v: v >= 1, "at least 1"),
+    "quadrature.nodes": (_int, DEFAULT_NODES, lambda v: v >= 1, "at least 1"),
+    "free_energy.n_mc": (_int, DEFAULT_N_MC, lambda v: v >= 1, "at least 1"),
     "convergence.n_grid": (_int_list, [250, 500, 1000], lambda v: len(v) >= 1 and all(n >= 1 for n in v), "comma list of sizes"),
     "convergence.seeds_per_n": (_int, 10, lambda v: v >= 2, "at least 2"),
     "validate.criteria": (str, "all", lambda v: v == "all" or bool(_criteria_list(v)),
@@ -114,6 +108,10 @@ KEY_SPECS = {
 
 # numpy's Generator.poisson rejects means above int64 max - 10*sqrt(int64 max)
 POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+# SuperLU's workspace per site of one factored realization: its queries grew
+# peak RSS by 445 B/site with no clauses (N = 2.5e5 and 1e6), 485 B/site with
+# the clause arrays at alpha 0.5, p 2 (N = 1e6)
+SITE_BYTES = 512
 
 _MODEL_KEYS = ("model.alpha", "model.beta", "model.h", "model.p", "disorder.family")
 REQUIRED_BY_KIND = {
@@ -214,6 +212,7 @@ def build_config(
         if not 0 <= int(seed) < 2**64:
             raise ConfigError("--seed: must be an unsigned 64-bit integer")
         options["experiment.seed"] = int(seed)
+    workers = int(workers) if workers is not None else default_workers()
     missing = [k for k in REQUIRED_BY_KIND[kind] if k not in options]
     if missing:
         raise ConfigError(f"{kind}: missing required keys: {', '.join(missing)}")
@@ -229,13 +228,7 @@ def build_config(
             raise ConfigError(
                 f"{key}: realization sizes must be at least model.p={options['model.p']}"
             )
-        setting, mean = _largest_poisson_mean(kind, options)
-        if mean > POISSON_MEAN_MAX:
-            raise ConfigError(
-                f"{setting} at model.alpha={raw['model.alpha']!r}: clause counts would be "
-                f"drawn with Poisson mean {mean:.6g}, above numpy's limit {POISSON_MEAN_MAX:.6g}"
-            )
-        _check_memory(kind, options, raw)
+        _check_allocations(_allocations(kind, options, raw, workers))
     if kind == "validate":
         chosen = options.get("validate.criteria", "all")
         if chosen != "all":
@@ -244,10 +237,7 @@ def build_config(
                 raise ConfigError(f"validate.criteria: unknown {', '.join(bad)}")
 
     return ExperimentConfig(
-        kind,
-        options,
-        Path(out_dir) if out_dir is not None else Path("out"),
-        int(workers) if workers is not None else default_workers(),
+        kind, options, Path(out_dir) if out_dir is not None else Path("out"), workers
     )
 
 
@@ -264,26 +254,6 @@ def _realization_sizes(kind, options):
     return None, []
 
 
-def _rde_rate(kind, options):
-    """The largest clause rate of a kind's RDE solves: alpha*p, times rde.rate_scale for 'rde'."""
-    scale = options["rde.rate_scale"] if kind == "rde" else 1.0
-    return options["model.alpha"] * options["model.p"] * scale
-
-
-def _largest_poisson_mean(kind, options):
-    """The setting behind the largest clause-count mean a kind draws, and that mean.
-
-    A realization on N sites draws Poisson(alpha*N) clauses; one RDE
-    generation draws Poisson(rate*pop_size) clauses for its pop_size outputs.
-    """
-    key, sizes = _realization_sizes(kind, options)
-    means = [(f"{key}={max(sizes)}", options["model.alpha"] * max(sizes))] if sizes else []
-    if kind in ("rde", "free-energy", "convergence"):
-        pop = options["rde.pop_size"]
-        means.append((f"rde.pop_size={pop}", _rde_rate(kind, options) * pop))
-    return max(means, key=lambda setting_mean: setting_mean[1])
-
-
 def _physical_memory():
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -291,36 +261,54 @@ def _physical_memory():
         return math.inf
 
 
-def _check_memory(kind, options, raw):
-    """Reject a config whose largest allocation cannot fit in physical memory.
+def _factored(setting, n_sites, n_clauses, p, held):
+    """The row of ``held`` realizations factored at once: SITE_BYTES per site, 16*p per clause."""
+    return (setting, f"{held} factored realization(s)", n_clauses,
+            held * (SITE_BYTES * n_sites + 16.0 * p * n_clauses))
 
-    Per clause, a realization holds p int64 sites and p float64 weights;
-    an RDE generation holds an owner, an outer weight, and p-1 interior
-    weights and resampled values: 16*p bytes either way, at the mean
-    clause count.  A generation also holds 32 bytes per output, one
-    edge term draws p weights, indices and values per sample, and the
-    Gauss-Legendre rule on n nodes builds an n x n companion matrix.
+
+def _allocations(kind, options, raw, workers):
+    """Rows (setting, what, clause-count mean, bytes) of each large allocation of a kind.
+
+    A clause holds 16*p bytes: p sites and p weights in a realization
+    (``parallel_map`` factors one per worker, ``dump`` none), an owner,
+    outer weight, p-1 interior weights and values in an RDE generation.
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
-    needs = []
+    rows = []
     key, sizes = _realization_sizes(kind, options)
-    if sizes:
-        size = max(sizes)
-        needs.append((f"{key}={size}{at_alpha}", "one realization's clause arrays",
-                      16.0 * p * alpha * size))
+    if kind == "dump":
+        n = sizes[0]
+        rows.append((f"{key}={n}{at_alpha}", "one realization's clause arrays", alpha * n,
+                     16.0 * p * alpha * n))
+    elif sizes:
+        n = max(sizes)
+        copies = options["simulate.replicates" if kind == "simulate" else "convergence.seeds_per_n"]
+        rows.append(_factored(f"{key}={n}{at_alpha}", n, alpha * n, p,
+                              min(max(workers, 1), copies)))
     if kind in ("rde", "free-energy", "convergence"):
         pop = options["rde.pop_size"]
-        needs.append((f"rde.pop_size={pop}{at_alpha}", "one RDE generation's draws",
-                      (16.0 * p * _rde_rate(kind, options) + 32.0) * pop))
+        rate = alpha * p * (options["rde.rate_scale"] if kind == "rde" else 1.0)
+        rows.append((f"rde.pop_size={pop}{at_alpha}", "one RDE generation's draws",
+                     rate * pop, (16.0 * p * rate + 32.0) * pop))
     if kind in ("free-energy", "convergence"):
-        n_mc = options["free_energy.n_mc"]
-        needs.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 24.0 * p * n_mc))
-        nodes = options["quadrature.nodes"]
-        needs.append((f"quadrature.nodes={nodes}",
-                      "the Gauss-Legendre rule's companion-matrix entries", 8.0 * nodes * nodes))
+        n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
+        rows.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 0, 24.0 * p * n_mc))
+        rows.append((f"quadrature.nodes={nodes}", "the Gauss-Legendre rule's companion-matrix "
+                     "entries", 0, 8.0 * nodes * nodes))
+    return rows
+
+
+def _check_allocations(rows):
+    """Reject the first row whose clause count numpy cannot draw or whose bytes cannot fit."""
     available = _physical_memory()
-    for setting, what, need in needs:
+    for setting, what, mean, need in rows:
+        if mean > POISSON_MEAN_MAX:
+            raise ConfigError(
+                f"{setting}: clause counts would be drawn with Poisson mean {mean:.6g}, "
+                f"above numpy's limit {POISSON_MEAN_MAX:.6g}"
+            )
         if need > available:
             raise ConfigError(
                 f"{setting}: {what} need about {need / 2**30:.3g} GiB, "
@@ -352,13 +340,8 @@ def _quadrature(options):
 # output helpers
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(
-        ",".join(format_float(c) if isinstance(c, float) else str(c) for c in row)
-        for row in rows
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _warn_unconverged(kind, detail, where) -> None:
+    print(f"warning: {kind} did not converge ({detail}); {where}", file=sys.stderr)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -403,11 +386,9 @@ def _run_simulate(config: ExperimentConfig):
         return (i, model.n_clauses) + _observables(Factorization(model))
 
     rows = parallel_map(one, range(replicates), config.workers)
-    _write_csv(
-        config.out_dir / "simulate.csv",
-        ("replicate", "n_clauses", "log_det", "ones_quadratic_form", "free_energy"),
-        rows,
-    )
+    write_rows(config.out_dir / "simulate.csv", [
+        ("replicate", "n_clauses", "log_det", "ones_quadratic_form", "free_energy"), *rows,
+    ], sep=",")
     return ["simulate.csv"]
 
 
@@ -419,11 +400,9 @@ def _run_rde(config: ExperimentConfig):
         pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
         max_gens=opts["rde.max_gens"],
     )
-    _write_csv(
-        config.out_dir / "rde_trajectory.csv",
-        ("generation", "w1_gap"),
-        [(i + 1, gap) for i, gap in enumerate(report.gaps)],
-    )
+    write_rows(config.out_dir / "rde_trajectory.csv", [
+        ("generation", "w1_gap"), *((i + 1, gap) for i, gap in enumerate(report.gaps)),
+    ], sep=",")
     dump_population(report.population, config.out_dir / "population.txt")
     _write_json(
         config.out_dir / "rde_summary.json",
@@ -435,6 +414,9 @@ def _run_rde(config: ExperimentConfig):
             "config_digest": config.digest(),
         },
     )
+    if not report.converged:
+        _warn_unconverged("rde", f"W1 gap {report.gaps[-1]:.3g} after {report.generations} "
+                          "generations", "rde_summary.json has converged=false")
     return ["rde_trajectory.csv", "population.txt", "rde_summary.json"]
 
 
@@ -469,12 +451,9 @@ def _run_free_energy(config: ExperimentConfig):
     )
     if not result.converged:
         x1 = {True: "; x=1 solve converged", False: "; x=1 solve unconverged", None: ""}
-        print(
-            "warning: free-energy did not converge (unconverged quadrature nodes: "
-            f"{len(result.failed_nodes)} of {len(result.nodes)}"
-            f"{x1[result.x1_converged]}); free_energy.json has converged=false",
-            file=sys.stderr,
-        )
+        _warn_unconverged("free-energy", "unconverged quadrature nodes: "
+                          f"{len(result.failed_nodes)} of {len(result.nodes)}"
+                          f"{x1[result.x1_converged]}", "free_energy.json has converged=false")
     return ["free_energy.json"]
 
 
@@ -488,14 +467,15 @@ def _run_convergence(config: ExperimentConfig):
         n_mc=opts["free_energy.n_mc"], max_gens=opts["rde.max_gens"],
         workers=config.workers,
     )
-    _write_csv(
-        config.out_dir / "convergence.csv",
-        ("N", "mean_F", "std_F", "limit", "gap"),
-        [
-            (row.n_sites, row.mean_f, row.std_f, study.limit.value, row.gap)
-            for row in study.rows
-        ],
-    )
+    converged = "true" if study.limit_converged else "false"
+    write_rows(config.out_dir / "convergence.csv", [
+        ("N", "mean_F", "std_F", "limit", "gap", "limit_converged"),
+        *((row.n_sites, row.mean_f, row.std_f, study.limit.value, row.gap, converged)
+          for row in study.rows),
+    ], sep=",")
+    if not study.limit_converged:
+        _warn_unconverged("convergence", "its limiting free energy is unconverged",
+                          "convergence.csv has limit_converged=false")
     return ["convergence.csv"]
 
 
@@ -511,11 +491,9 @@ def _run_validate(config: ExperimentConfig):
          "pass" if r.passed else "FAIL", r.detail)
         for r in results
     ]
-    _write_csv(
-        config.out_dir / "validate.csv",
-        ("criterion", "description", "measured", "threshold", "status", "detail"),
-        rows,
-    )
+    write_rows(config.out_dir / "validate.csv", [
+        ("criterion", "description", "measured", "threshold", "status", "detail"), *rows,
+    ], sep=",")
     _write_json(
         config.out_dir / "validate.json",
         {
@@ -557,13 +535,14 @@ def _run_load(config: ExperimentConfig):
     path = config.options["load.path"]
     try:
         model = load_model(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         raise ConfigError(f"load.path={path!r}: {exc}") from exc
-    _write_csv(
-        config.out_dir / "loaded.csv",
+    _check_allocations([_factored(f"load.path={path!r}", model.n_sites, model.n_clauses,
+                                  model.params.p, 1)])
+    write_rows(config.out_dir / "loaded.csv", [
         ("n_sites", "n_clauses", "log_det", "ones_quadratic_form", "free_energy"),
-        [(model.n_sites, model.n_clauses) + _observables(Factorization(model))],
-    )
+        (model.n_sites, model.n_clauses) + _observables(Factorization(model)),
+    ], sep=",")
     return ["loaded.csv"]
 
 

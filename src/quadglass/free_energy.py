@@ -37,6 +37,8 @@ from .rde import (
 from .streams import substreams
 
 WEIGHT_SUM_SLACK = 1e-12
+DEFAULT_NODES = 16
+DEFAULT_N_MC = 200_000
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def gauss_legendre(cls, n_nodes: int = 16) -> "QuadratureRule":
+    def gauss_legendre(cls, n_nodes: int = DEFAULT_NODES) -> "QuadratureRule":
         """Gauss-Legendre rule mapped from [-1, 1] to (0, 1)."""
         t, w = np.polynomial.legendre.leggauss(int(n_nodes))
         return cls((t + 1.0) / 2.0, w / w.sum())
@@ -129,7 +131,7 @@ def limiting_free_energy(
     rng: np.random.Generator,
     pop_size: int = DEFAULT_POP_SIZE,
     tol: float = DEFAULT_TOL,
-    n_mc: int = 200_000,
+    n_mc: int = DEFAULT_N_MC,
     max_gens: int = DEFAULT_MAX_GENS,
 ) -> LimitResult:
     """Evaluate the limiting formula with one fixed point per node.
@@ -199,6 +201,7 @@ class SizeRow:
 class ConvergenceStudy:
     rows: tuple[SizeRow, ...]
     limit: Estimate
+    limit_converged: bool  # LimitResult.converged of the limit behind ``limit``
     std_slope: float | None  # log-log slope of std_f vs N; None if any std is 0
 
 
@@ -211,7 +214,7 @@ def convergence_study(
     rng: np.random.Generator,
     pop_size: int = DEFAULT_POP_SIZE,
     tol: float = DEFAULT_TOL,
-    n_mc: int = 200_000,
+    n_mc: int = DEFAULT_N_MC,
     max_gens: int = DEFAULT_MAX_GENS,
     workers: int = 1,
 ) -> ConvergenceStudy:
@@ -233,7 +236,7 @@ def convergence_study(
     limit = limiting_free_energy(
         params, disorder, rule, limit_rng, pop_size=pop_size, tol=tol, n_mc=n_mc,
         max_gens=max_gens,
-    ).estimate
+    )
 
     rows = []
     per_size_streams = substreams(sim_rng, len(n_grid))
@@ -249,7 +252,7 @@ def convergence_study(
                 mean_f,
                 std_f,
                 std_f / np.sqrt(seeds_per_n),
-                abs(mean_f - limit.value),
+                abs(mean_f - limit.estimate.value),
             )
         )
 
@@ -260,4 +263,4 @@ def convergence_study(
         std_slope = slope_fit(np.array(n_grid, dtype=float), stds).slope
     else:
         std_slope = None
-    return ConvergenceStudy(tuple(rows), limit, std_slope)
+    return ConvergenceStudy(tuple(rows), limit.estimate, limit.converged, std_slope)

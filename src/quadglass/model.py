@@ -527,72 +527,81 @@ def woodbury_residual(split: CavitySplit) -> WoodburyResidual:
 
 
 def dump_model(model: FactorModel, path) -> None:
-    """Write a realization to the portable text format.
+    """Write a realization as rows of :func:`write_rows`.
 
-    Header line: N M alpha beta h p family param truncation.  Then one
-    line per clause: p 1-based site indices followed by the p weights,
-    all decimals with 17 significant digits (lossless float64
-    round-trip).
+    Header row: N M alpha beta h p family param truncation.  Then one
+    row per clause: p 1-based site indices followed by the p weights.
     """
     params, spec = model.params, model.disorder
-    lines = [
-        " ".join(
-            [
-                str(model.n_sites),
-                str(model.n_clauses),
-                format_float(params.alpha),
-                format_float(params.beta),
-                format_float(params.h),
-                str(params.p),
-                spec.family,
-                format_float(spec.param),
-                format_float(spec.truncation),
-            ]
-        )
-    ]
-    for row, wrow in zip(model.sites, model.weights):
-        lines.append(
-            " ".join(str(int(s) + 1) for s in row)
-            + " "
-            + " ".join(format_float(w) for w in wrow)
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = (model.n_sites, model.n_clauses, float(params.alpha), float(params.beta),
+            float(params.h), params.p, spec.family, float(spec.param), float(spec.truncation))
+    clauses = ((*(row + 1), *wrow) for row, wrow in zip(model.sites, model.weights))
+    write_rows(path, [head, *clauses])
 
 
 def load_model(path) -> FactorModel:
-    """Read a realization written by :func:`dump_model`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw:
-        raise ValueError(f"{path}: empty model file")
-    head = raw[0].split()
-    if len(head) != 9:
-        raise ValueError(f"{path}: malformed header (expected 9 fields)")
-    n_sites, m = int(head[0]), int(head[1])
+    """Read a realization written by :func:`dump_model`.
+
+    Non-finite alpha, 2*beta, h, param or weights are rejected, as is a
+    clause that repeats a site: the ensemble never draws either.
+    """
+    head, *body = read_rows(path, "model", 9)
+    n_sites, m = int(np.int64(head[0])), int(head[1])  # sites are int64 indices
     alpha, beta, h, param = (float(head[i]) for i in (2, 3, 4, 7))
     for name, value in (("alpha", alpha), ("2*beta", 2.0 * beta), ("h", h), ("param", param)):
         if not math.isfinite(value):
             raise ValueError(f"{path}: header {name} must be finite, got {value!r}")
     params = ModelParams(alpha, beta, h, int(head[5]))
     spec = DisorderSpec(head[6], param, float(head[8]))
-    if len(raw) - 1 != m:
-        raise ValueError(f"{path}: header promises {m} clauses, found {len(raw) - 1}")
+    if len(body) != m:
+        raise ValueError(f"{path}: header promises {m} clauses, found {len(body)}")
     p = params.p
-    sites = np.empty((m, p), dtype=np.int64)
-    weights = np.empty((m, p))
-    for i, line in enumerate(raw[1:]):
-        fields = line.split()
+    for i, fields in enumerate(body):
         if len(fields) != 2 * p:
             raise ValueError(f"{path}: clause line {i + 2} has {len(fields)} fields")
-        sites[i] = [int(f) - 1 for f in fields[:p]]
-        weights[i] = [float(f) for f in fields[p:]]
+    sites = np.array([fields[:p] for fields in body], dtype=np.int64).reshape(m, p) - 1
+    weights = np.array([fields[p:] for fields in body], dtype=float).reshape(m, p)
     bad = np.flatnonzero(~np.isfinite(weights).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: clause line {bad[0] + 2} has a non-finite weight")
+    repeats = _rows_with_duplicates(sites)
+    if repeats.size:
+        raise ValueError(f"{path}: clause line {repeats[0] + 2} repeats a site")
     return FactorModel(n_sites, sites, weights, params, spec)
 
 
 def format_float(x: float) -> str:
     """Decimal text of a float with 17 significant digits (lossless float64)."""
     return format(float(x), ".17g")
+
+
+def write_rows(path, rows, sep=" ") -> None:
+    """Write each row as one line of fields: the text format of every non-JSON output.
+
+    UTF-8, LF line ends and a trailing newline.  Floats are written by
+    :func:`format_float` (17 significant digits, so float64 values
+    round-trip; ``inf`` and ``nan`` as such), ints and strings through
+    ``str``.  Fields are joined by ``sep``: a space in model and
+    population files, a comma in CSV outputs.
+    """
+    lines = (
+        sep.join(format_float(f) if isinstance(f, float) else str(f) for f in row) + "\n"
+        for row in rows
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+
+
+def read_rows(path, what, head_width) -> list:
+    """The nonblank lines of a space-separated :func:`write_rows` file, split into fields.
+
+    Raises ValueError naming ``path`` when the file holds no line, or
+    when its first line, the header, is not ``head_width`` fields wide.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [line.split() for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: empty {what} file")
+    if len(rows[0]) != head_width:
+        raise ValueError(f"{path}: malformed header (expected {head_width} fields)")
+    return rows

@@ -29,7 +29,7 @@ import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
-from .model import ModelParams, _clauses, format_float
+from .model import ModelParams, _clauses, read_rows, write_rows
 
 CONVERGENCE_WINDOW = 10
 DEFAULT_POP_SIZE = 100_000
@@ -326,29 +326,21 @@ def iterate_pair(
 
 
 def dump_population(pop: Population, path) -> None:
-    """Single-column decimal text: header (domain rate generation size), values.
-
-    The domain field is always the literal ``unit_interval``.
-    """
-    lines = [f"unit_interval {format_float(pop.rate)} {pop.generation} {pop.size}"]
-    lines.extend(format_float(v) for v in pop.values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a population as :func:`model.write_rows` rows: the header
+    ``unit_interval rate generation size``, then one value per row."""
+    head = ("unit_interval", float(pop.rate), pop.generation, pop.size)
+    write_rows(path, [head, *((v,) for v in pop.values)])
 
 
 def load_population(path) -> Population:
     """Read a population written by :func:`dump_population`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw:
-        raise ValueError(f"{path}: empty population file")
-    head = raw[0].split()
-    if len(head) != 4:
-        raise ValueError(f"{path}: malformed header (expected 4 fields)")
+    head, *body = read_rows(path, "population", 4)
     if head[0] != "unit_interval":
         raise ValueError(f"{path}: unknown population domain {head[0]!r}")
     rate, generation, size = float(head[1]), int(head[2]), int(head[3])
-    values = np.array([float(v) for v in raw[1:]])
+    if any(len(fields) != 1 for fields in body):
+        raise ValueError(f"{path}: a value line holds more than one field")
+    values = np.array([float(v) for (v,) in body])
     if values.size != size:
         raise ValueError(f"{path}: header promises {size} values, found {values.size}")
     return Population(values, rate, generation)

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from quadglass import cli, free_energy
-from quadglass.model import finite_free_energy, load_model
-from quadglass.rde import load_population
+from quadglass.disorder import DisorderSpec
+from quadglass.model import FactorModel, ModelParams, dump_model, finite_free_energy, load_model
+from quadglass.rde import Population, dump_population, load_population
 
 BASE_SIM = """
 experiment.kind=simulate
@@ -269,9 +270,13 @@ VALID_MODEL_FILE = "10 2 0.5 0.5 1 2 rademacher 1 inf\n1 2 1 -1\n3 4 1 1\n"
          "2*beta must be finite"),
         (VALID_MODEL_FILE.replace("1 2 1 -1", "1 2 nan -1"),
          "clause line 2 has a non-finite weight"),
+        ("4 1 0.5 0.25 1 2 rademacher 1 inf\n1 1 1 1\n", "clause line 2 repeats a site"),
+        (VALID_MODEL_FILE.replace("10 2 ", "100000000000 2 ", 1), "physical memory"),
+        (VALID_MODEL_FILE.replace("10 2 ", "9" * 30 + " 2 ", 1), "too large"),
     ],
     ids=["missing", "clause-count-mismatch", "site-out-of-range", "h-nan",
-         "alpha-inf", "beta-overflows", "weight-nan"],
+         "alpha-inf", "beta-overflows", "weight-nan", "site-repeated", "n-beyond-memory",
+         "n-beyond-int64"],
 )
 def test_bad_load_file_exits_2_without_traceback(tmp_path, capsys, text, fault):
     model_path = tmp_path / "model.txt"
@@ -300,9 +305,12 @@ def test_bad_load_file_exits_2_without_traceback(tmp_path, capsys, text, fault):
         ("free-energy", BASE_CONV.replace("free_energy.n_mc=1000",
                                           "free_energy.n_mc=" + "9" * 400),
          ("free_energy.n_mc", "64 bits")),
+        ("simulate", BASE_SIM.replace("model.alpha=0.8", "model.alpha=1e-9")
+         .replace("simulate.n_sites=100", "simulate.n_sites=100000000000"),
+         ("simulate.n_sites", "factored")),
     ],
     ids=["simulate", "rde", "free-energy-n_mc", "free-energy-nodes",
-         "free-energy-n_mc-400-digits"],
+         "free-energy-n_mc-400-digits", "simulate-factor-workspace"],
 )
 def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, keys):
     cfg = write_cfg(tmp_path, text)
@@ -320,6 +328,26 @@ def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
     assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "one RDE generation")
     monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
     assert run_cli(["rde", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    capsys.readouterr()
+
+    # min(workers, replicates) = 2 realizations factored at once, each
+    # SITE_BYTES per site plus 16*p bytes per clause at alpha*N clauses
+    need = 2 * (cli.SITE_BYTES + 16 * 2 * 0.8) * 100
+    cfg = write_cfg(tmp_path, BASE_SIM)
+    args = ["simulate", "--config", cfg, "--out", tmp_path / "s", "--workers", 2]
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert run_cli(args) == 2
+    assert_one_config_error(capsys.readouterr().err, "simulate.n_sites", "2 factored")
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
+    assert run_cli(args) == 0
+
+
+def test_dump_never_factors_so_only_its_clauses_count(tmp_path):
+    # 100 clauses on 1e11 sites: a factor would not fit, the clause arrays do
+    cfg = write_cfg(tmp_path, BASE_SIM.replace("model.alpha=0.8", "model.alpha=1e-9")
+                    .replace("simulate.n_sites=100", "dump.n_sites=100000000000")
+                    .replace("simulate.replicates=4", "").replace("simulate", "dump"))
+    assert run_cli(["dump", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
 
 def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monkeypatch):
@@ -412,6 +440,32 @@ def test_dump_then_load_round_trip(tmp_path):
     row = (out2 / "loaded.csv").read_text().splitlines()[1].split(",")
     assert int(row[0]) == 60
     assert float(row[4]) == pytest.approx(finite_free_energy(model), rel=1e-12)
+
+
+def test_text_files_match_golden_bytes(tmp_path):
+    # ints, 17-digit floats, inf, LF line ends and a trailing newline
+    params = ModelParams(0.5, 0.0, 0.1, 2)
+    model = FactorModel(5, [[0, 4], [1, 2], [3, 0]], [[1.0, -0.1], [2.5, 1 / 3], [-1e-20, 7.0]],
+                        params, DisorderSpec("gaussian", 1.0, math.inf))
+    dump_model(model, tmp_path / "model.txt")
+    assert (tmp_path / "model.txt").read_bytes() == (
+        b"5 3 0.5 0 0.10000000000000001 2 gaussian 1 inf\n"
+        b"1 5 1 -0.10000000000000001\n"
+        b"2 3 2.5 0.33333333333333331\n"
+        b"4 1 -9.9999999999999995e-21 7\n"
+    )
+    dump_population(Population([0.5, 0.25, 1 / 3, 1.0], rate=1.5, generation=7),
+                    tmp_path / "pop.txt")
+    assert (tmp_path / "pop.txt").read_bytes() == (
+        b"unit_interval 1.5 7 4\n0.5\n0.25\n0.33333333333333331\n1\n"
+    )
+    # at beta = 0, A = I: log det 0, quadratic form 1, F_N = h^2/2
+    cfg = write_cfg(tmp_path, f"load.path={tmp_path / 'model.txt'}", name="load.txt")
+    assert run_cli(["load", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert (tmp_path / "o" / "loaded.csv").read_bytes() == (
+        b"n_sites,n_clauses,log_det,ones_quadratic_form,free_energy\n"
+        b"5,3,0,1,0.005000000000000001\n"
+    )
 
 
 def test_rde_outputs_trajectory_and_population(tmp_path):
@@ -512,9 +566,20 @@ def test_convergence_csv_schema(tmp_path):
     out = tmp_path / "conv"
     assert run_cli(["convergence", "--config", cfg, "--out", out]) == 0
     lines = (out / "convergence.csv").read_text().splitlines()
-    assert lines[0] == "N,mean_F,std_F,limit,gap"
+    assert lines[0] == "N,mean_F,std_F,limit,gap,limit_converged"
     assert len(lines) == 3
     assert [int(line.split(",")[0]) for line in lines[1:]] == [60, 120]
+    assert {line.split(",")[-1] for line in lines[1:]} in ({"true"}, {"false"})
+
+
+@pytest.mark.parametrize("kind", ["rde", "convergence"])
+def test_unconverged_fixed_point_warns_once(tmp_path, capsys, kind):
+    cfg = write_cfg(tmp_path, BASE_CONV + "rde.max_gens=3\n")
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: {kind} did not converge") and err.count("\n") == 1
+    flag = {"rde": "converged=false", "convergence": "limit_converged=false"}[kind]
+    assert flag in err
 
 
 def test_validate_subset_passes_and_writes_table(tmp_path, capsys):

@@ -72,6 +72,13 @@ def test_population_file_rejects_other_domains(tmp_path):
         load_population(path)
 
 
+def test_population_file_rejects_a_value_line_with_two_fields(tmp_path):
+    path = tmp_path / "pop.txt"
+    path.write_text("unit_interval 1.5 7 2\n0.5 0.25\n")
+    with pytest.raises(ValueError, match="more than one field"):
+        load_population(path)
+
+
 # ---------------------------------------------------------------------------
 # one generation of the variance map
 
