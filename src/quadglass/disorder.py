@@ -57,13 +57,6 @@ class DisorderSpec:
                 )
 
 
-def sample_disorder(spec: DisorderSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` i.i.d. weights; deterministic given the generator state."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _sample_shape(spec, (int(n),), rng)
-
-
 def _sample_shape(spec, shape, rng):
     """Internal sampler for arbitrary output shapes."""
     if spec.family == "rademacher":
@@ -77,34 +70,6 @@ def _sample_shape(spec, shape, rng):
     if math.isfinite(spec.truncation):
         out[np.abs(out) > spec.truncation] = 0.0
     return out
-
-
-def second_moment(spec: DisorderSpec) -> float:
-    """Exact second moment of the (possibly truncated) law.
-
-    Closed forms exist for every family.  For a truncated centered
-    Gaussian with std s and level c, with u = c/s:
-
-        E[g^2 1(|g| <= c)] = s^2 * ((2 Phi(u) - 1) - 2 u phi(u)).
-    """
-    c = spec.truncation
-    if spec.family == "rademacher":
-        return 1.0
-    if spec.family == "two_point_symmetric":
-        return spec.param**2
-    if spec.family == "uniform_symmetric":
-        a = spec.param
-        if c >= a:
-            return a * a / 3.0
-        return c**3 / (3.0 * a)
-    # gaussian
-    s = spec.param
-    if not math.isfinite(c):
-        return s * s
-    u = c / s
-    mass = math.erf(u / math.sqrt(2.0))
-    density = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    return s * s * (mass - 2.0 * u * density)
 
 
 def truncate_spec(spec: DisorderSpec, c: float) -> DisorderSpec:

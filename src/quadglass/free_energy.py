@@ -34,6 +34,7 @@ from .rde import (
     RdeReport,
     solve_fixed_point,
 )
+from .stats import slope_fit
 from .streams import substreams
 
 WEIGHT_SUM_SLACK = 1e-12
@@ -258,8 +259,6 @@ def convergence_study(
 
     stds = np.array([r.std_f for r in rows])
     if len(rows) >= 3 and np.all(stds > 0):
-        from .stats import slope_fit
-
         std_slope = slope_fit(np.array(n_grid, dtype=float), stds).slope
     else:
         std_slope = None

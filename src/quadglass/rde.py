@@ -29,7 +29,7 @@ import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
-from .model import ModelParams, _clauses, read_rows, write_rows
+from .model import ModelParams, _clauses, write_rows
 
 CONVERGENCE_WINDOW = 10
 DEFAULT_POP_SIZE = 100_000
@@ -330,17 +330,3 @@ def dump_population(pop: Population, path) -> None:
     ``unit_interval rate generation size``, then one value per row."""
     head = ("unit_interval", float(pop.rate), pop.generation, pop.size)
     write_rows(path, [head, *((v,) for v in pop.values)])
-
-
-def load_population(path) -> Population:
-    """Read a population written by :func:`dump_population`."""
-    head, *body = read_rows(path, "population", 4)
-    if head[0] != "unit_interval":
-        raise ValueError(f"{path}: unknown population domain {head[0]!r}")
-    rate, generation, size = float(head[1]), int(head[2]), int(head[3])
-    if any(len(fields) != 1 for fields in body):
-        raise ValueError(f"{path}: a value line holds more than one field")
-    values = np.array([float(v) for (v,) in body])
-    if values.size != size:
-        raise ValueError(f"{path}: header promises {size} values, found {values.size}")
-    return Population(values, rate, generation)

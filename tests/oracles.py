@@ -53,6 +53,34 @@ def truncated_gaussian_second_moment(sigma, c):
     return value
 
 
+def second_moment(spec):
+    """Exact second moment of a (possibly truncated) disorder law.
+
+    Closed forms exist for every family.  For a truncated centered
+    Gaussian with std s and level c, with u = c/s:
+
+        E[g^2 1(|g| <= c)] = s^2 * ((2 Phi(u) - 1) - 2 u phi(u)).
+    """
+    c = spec.truncation
+    if spec.family == "rademacher":
+        return 1.0
+    if spec.family == "two_point_symmetric":
+        return spec.param**2
+    if spec.family == "uniform_symmetric":
+        a = spec.param
+        if c >= a:
+            return a * a / 3.0
+        return c**3 / (3.0 * a)
+    # gaussian
+    s = spec.param
+    if not math.isfinite(c):
+        return s * s
+    u = c / s
+    mass = math.erf(u / math.sqrt(2.0))
+    density = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return s * s * (mass - 2.0 * u * density)
+
+
 def dense_coupling_matrix(model):
     """A = I + 2*beta * sum_k v_k v_k^T, added into a dense array clause by clause."""
     a = np.eye(model.n_sites)
@@ -218,6 +246,21 @@ def rademacher_contraction_series(alpha, p, beta, q, l_max=60):
     )
 
 
+def rademacher_p1_free_energy(alpha, beta, h, l_max=200):
+    """Limiting free energy at arity 1 with +-1 weights, as a Poisson series.
+
+    At p = 1 the matrix is diagonal with A_ii = 1 + 2*beta*K_i, K_i ~ Poisson(alpha),
+    so F = (h^2/2) E[1/(1+2*beta*K)] + (1/2) E log(1+2*beta*K).
+    """
+    from math import exp, lgamma, log, log1p
+
+    terms = [exp(-alpha + l * log(alpha) - lgamma(l + 1)) for l in range(l_max + 1)]
+    return sum(
+        w * (h * h / 2 / (1 + 2 * beta * l) + log1p(2 * beta * l) / 2)
+        for l, w in enumerate(terms)
+    )
+
+
 def balanced_edge_term(pop_values, params, spec, n_mc, rng):
     """Edge-term oracle with balanced (stratified-index) resampling.
 
@@ -332,3 +375,20 @@ def serial_fixed_point(
         ):
             return RdeReport(current, len(gaps), tuple(gaps), True, tol)
     return RdeReport(current, len(gaps), tuple(gaps), False, tol)
+
+
+def load_population(path):
+    """Read a population written by :func:`quadglass.rde.dump_population`."""
+    from quadglass.model import read_rows
+    from quadglass.rde import Population
+
+    head, *body = read_rows(path, "population", 4)
+    if head[0] != "unit_interval":
+        raise ValueError(f"{path}: unknown population domain {head[0]!r}")
+    rate, generation, size = float(head[1]), int(head[2]), int(head[3])
+    if any(len(fields) != 1 for fields in body):
+        raise ValueError(f"{path}: a value line holds more than one field")
+    values = np.array([float(v) for (v,) in body])
+    if values.size != size:
+        raise ValueError(f"{path}: header promises {size} values, found {values.size}")
+    return Population(values, rate, generation)

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from quadglass import cli, free_energy
 from quadglass.disorder import DisorderSpec
 from quadglass.model import FactorModel, ModelParams, dump_model, finite_free_energy, load_model
-from quadglass.rde import Population, dump_population, load_population
+from quadglass.rde import Population, dump_population
+
+from oracles import load_population
 
 BASE_SIM = """
 experiment.kind=simulate
@@ -209,7 +212,8 @@ def assert_one_config_error(err, *keys):
         assert key in err
 
 
-BASE_CONV = """
+# each kind's config adds the keys only it reads to the one before
+BASE_RDE = """
 experiment.seed=10
 model.alpha=0.5
 model.beta=0.25
@@ -217,11 +221,9 @@ model.h=1.0
 model.p=2
 disorder.family=rademacher
 rde.pop_size=2000
-quadrature.nodes=2
-free_energy.n_mc=1000
-convergence.n_grid=20,40
-convergence.seeds_per_n=2
 """
+BASE_LIMIT = BASE_RDE + "quadrature.nodes=2\nfree_energy.n_mc=1000\n"
+BASE_CONV = BASE_LIMIT + "convergence.n_grid=20,40\nconvergence.seeds_per_n=2\n"
 
 
 def test_convergence_n_grid_must_cover_arity(tmp_path, capsys, monkeypatch):
@@ -294,23 +296,27 @@ def test_bad_load_file_exits_2_without_traceback(tmp_path, capsys, text, fault):
          .replace("simulate.n_sites=100", "simulate.n_sites=50"),
          ("simulate.n_sites", "model.alpha")),
         ("rde", BASE_SIM.replace("experiment.kind=simulate", "experiment.kind=rde")
-         .replace("model.alpha=0.8", "model.alpha=1e12") + "rde.pop_size=1000\n",
+         .replace("model.alpha=0.8", "model.alpha=1e12").replace("simulate.n_sites=100\n", "")
+         .replace("simulate.replicates=4\n", "") + "rde.pop_size=1000\n",
          ("rde.pop_size", "model.alpha")),
-        ("free-energy", BASE_CONV.replace("free_energy.n_mc=1000",
-                                          "free_energy.n_mc=100000000000000"),
+        ("free-energy", BASE_LIMIT.replace("free_energy.n_mc=1000",
+                                           "free_energy.n_mc=100000000000000"),
          ("free_energy.n_mc",)),
-        ("free-energy", BASE_CONV.replace("quadrature.nodes=2",
-                                          "quadrature.nodes=100000000000"),
+        ("free-energy", BASE_LIMIT.replace("quadrature.nodes=2",
+                                           "quadrature.nodes=100000000000"),
          ("quadrature.nodes",)),
-        ("free-energy", BASE_CONV.replace("free_energy.n_mc=1000",
-                                          "free_energy.n_mc=" + "9" * 400),
+        ("free-energy", BASE_LIMIT.replace("free_energy.n_mc=1000",
+                                           "free_energy.n_mc=" + "9" * 400),
          ("free_energy.n_mc", "64 bits")),
         ("simulate", BASE_SIM.replace("model.alpha=0.8", "model.alpha=1e-9")
          .replace("simulate.n_sites=100", "simulate.n_sites=100000000000"),
          ("simulate.n_sites", "factored")),
+        ("simulate", BASE_SIM.replace("simulate.n_sites=100", "simulate.n_sites=2")
+         .replace("simulate.replicates=4", "simulate.replicates=1000000000000"),
+         ("simulate.replicates", "fan-out")),
     ],
     ids=["simulate", "rde", "free-energy-n_mc", "free-energy-nodes",
-         "free-energy-n_mc-400-digits", "simulate-factor-workspace"],
+         "free-energy-n_mc-400-digits", "simulate-factor-workspace", "simulate-replicates"],
 )
 def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, keys):
     cfg = write_cfg(tmp_path, text)
@@ -368,12 +374,17 @@ def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monk
          ("rde.rate_scale",)),
         ("convergence", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o",
          ("rde.rate_scale",)),
+        ("convergence", BASE_CONV.replace("=20,40", "=20,20,20").encode(), "o",
+         ("convergence.n_grid", "distinct")),
+        ("convergence", BASE_CONV.replace("=20,40", "=20,20,40").encode(), "o",
+         ("convergence.n_grid", "distinct")),
         ("simulate", BASE_SIM.encode() + b"# caf\xe9\n", "o", ("config.txt",)),
         ("simulate", BASE_SIM.encode(), "blocker", ("--out", "blocker")),
         ("simulate", BASE_SIM.encode(), "blocker/sub", ("--out", "blocker/sub")),
     ],
     ids=["criteria-empty", "criteria-only-commas", "free-energy-rate-scale",
-         "convergence-rate-scale", "config-not-utf8", "out-is-a-file", "out-under-a-file"],
+         "convergence-rate-scale", "n-grid-all-equal", "n-grid-repeats", "config-not-utf8",
+         "out-is-a-file", "out-under-a-file"],
 )
 def test_unusable_cli_input_exits_2_naming_it(tmp_path, capsys, kind, config, out, keys):
     cfg = tmp_path / "config.txt"
@@ -384,7 +395,7 @@ def test_unusable_cli_input_exits_2_naming_it(tmp_path, capsys, kind, config, ou
 
 
 def test_rde_kind_reads_rate_scale():
-    raw = cli.parse_config_text(BASE_CONV + "rde.rate_scale=0.3")
+    raw = cli.parse_config_text(BASE_RDE + "rde.rate_scale=0.3")
     assert cli.build_config("rde", raw).options["rde.rate_scale"] == 0.3
 
 
@@ -403,9 +414,50 @@ def test_readme_model_passes_memory_guard():
         free_energy.n_mc=200000
         """
     )
-    for kind in ("free-energy", "rde", "convergence"):
+    for kind in ("free-energy", "convergence", "rde"):
+        if kind == "rde":  # it reads no quadrature or edge-term key
+            del raw["quadrature.nodes"], raw["free_energy.n_mc"]
         raw["experiment.kind"] = kind
         assert cli.build_config(kind, raw).kind == kind
+
+
+# a valid value for every settable key
+VALID = {
+    "experiment.seed": "1", "model.alpha": "0.5", "model.beta": "0.25", "model.h": "1.0",
+    "model.p": "2", "disorder.family": "rademacher", "disorder.param": "1.0",
+    "disorder.truncation": "inf", "simulate.n_sites": "10", "simulate.replicates": "2",
+    "rde.rate_scale": "0.5", "rde.pop_size": "100", "rde.tol": "0.01", "rde.max_gens": "5",
+    "quadrature.kind": "gauss", "quadrature.nodes": "2", "free_energy.n_mc": "100",
+    "convergence.n_grid": "10,20", "convergence.seeds_per_n": "2", "validate.criteria": "A1",
+    "validate.scale": "0.1", "dump.n_sites": "10", "load.path": "model.txt",
+}
+UNREAD = [(kind, key) for kind in cli.KINDS for key in cli.KEY_SPECS
+          if key != "experiment.kind" and key not in cli.KIND_KEYS[kind]]
+
+
+@pytest.mark.parametrize("kind, key", UNREAD, ids=[f"{kind}-{key}" for kind, key in UNREAD])
+def test_key_the_kind_does_not_read_is_rejected(tmp_path, capsys, kind, key):
+    required = [k for k in cli.KIND_KEYS[kind] if cli.KEY_SPECS[k][1] is None]
+    cfg = write_cfg(tmp_path, "".join(f"{k}={VALID[k]}\n" for k in [*required, key]))
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert_one_config_error(capsys.readouterr().err, key, repr(kind))
+
+
+def test_every_key_is_read_by_some_kind_and_digested_by_exactly_its_kinds(monkeypatch):
+    assert set(VALID) == set(cli.KEY_SPECS) - {"experiment.kind"}
+    assert set(VALID) == {key for keys in cli.KIND_KEYS.values() for key in keys}
+    payloads = []
+
+    def sha256(data):
+        payloads.append(data.decode("utf-8"))
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=sha256))
+    for kind in cli.KINDS:
+        config = cli.build_config(kind, {k: VALID[k] for k in cli.KIND_KEYS[kind]})
+        config.digest()
+        keys = [line.split("=", 1)[0] for line in payloads[-1].splitlines()]
+        assert keys == ["experiment.kind", *sorted(cli.KIND_KEYS[kind])]
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +584,7 @@ def test_free_energy_json_schema(tmp_path):
 def test_unconverged_free_energy_reports_the_x1_solve(
     tmp_path, capsys, h, x1_flag, x1_text
 ):
-    cfg = write_cfg(tmp_path, BASE_CONV.replace("model.h=1.0", f"model.h={h}")
+    cfg = write_cfg(tmp_path, BASE_LIMIT.replace("model.h=1.0", f"model.h={h}")
                     + "rde.tol=1e-9\nrde.max_gens=12\n")
     out = tmp_path / "fe"
     assert run_cli(["free-energy", "--config", cfg, "--out", out]) == 0
@@ -574,7 +626,8 @@ def test_convergence_csv_schema(tmp_path):
 
 @pytest.mark.parametrize("kind", ["rde", "convergence"])
 def test_unconverged_fixed_point_warns_once(tmp_path, capsys, kind):
-    cfg = write_cfg(tmp_path, BASE_CONV + "rde.max_gens=3\n")
+    cfg = write_cfg(tmp_path, {"rde": BASE_RDE, "convergence": BASE_CONV}[kind]
+                    + "rde.max_gens=3\n")
     assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == 0
     err = capsys.readouterr().err
     assert err.startswith(f"warning: {kind} did not converge") and err.count("\n") == 1

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from quadglass.disorder import DisorderSpec, sample_disorder, second_moment, truncate_spec
+from quadglass.disorder import DisorderSpec, _sample_shape, truncate_spec
 from quadglass.streams import stream
 
-from oracles import truncated_gaussian_second_moment
+from oracles import second_moment, truncated_gaussian_second_moment
 
 ALL_FAMILIES = [
     DisorderSpec("rademacher"),
@@ -18,14 +18,14 @@ ALL_FAMILIES = [
 
 
 def test_rademacher_support():
-    draws = sample_disorder(DisorderSpec("rademacher"), 10, stream(0, "rad"))
+    draws = _sample_shape(DisorderSpec("rademacher"), (10,), stream(0, "rad"))
     assert set(np.unique(draws)) <= {-1.0, 1.0}
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: f"{s.family}-{s.param}")
 def test_symmetry_and_odd_moments(spec):
     n = 10**6
-    draws = sample_disorder(spec, n, stream(1, "sym", spec.family, str(spec.param)))
+    draws = _sample_shape(spec, (n,), stream(1, "sym", spec.family, str(spec.param)))
     se = draws.std() / math.sqrt(n)
     assert abs(draws.mean()) < 4 * se
     third = draws**3
@@ -36,7 +36,7 @@ def test_symmetry_and_odd_moments(spec):
 def test_uniform_second_moment_matches_closed_form():
     spec = DisorderSpec("uniform_symmetric", 2.0)
     n = 10**6
-    draws = sample_disorder(spec, n, stream(2, "u2"))
+    draws = _sample_shape(spec, (n,), stream(2, "u2"))
     sq = draws**2
     se = sq.std() / math.sqrt(n)
     assert abs(sq.mean() - 4.0 / 3.0) < 4 * se
@@ -60,7 +60,7 @@ def test_truncation_identity_cases():
     assert truncate_spec(spec, math.inf) == spec
     rad = DisorderSpec("rademacher")
     assert truncate_spec(rad, 2.0).truncation == 2.0
-    draws = sample_disorder(truncate_spec(rad, 2.0), 1000, stream(3, "radtr"))
+    draws = _sample_shape(truncate_spec(rad, 2.0), (1000,), stream(3, "radtr"))
     assert set(np.unique(draws)) <= {-1.0, 1.0}
 
 
@@ -85,14 +85,14 @@ def test_truncated_uniform_second_moment():
     spec = truncate_spec(DisorderSpec("uniform_symmetric", 2.0), 1.5)
     assert second_moment(spec) == pytest.approx(1.5**3 / (3 * 2.0), rel=1e-14)
     n = 10**6
-    draws = sample_disorder(spec, n, stream(6, "utr"))
+    draws = _sample_shape(spec, (n,), stream(6, "utr"))
     sq = draws**2
     assert abs(sq.mean() - second_moment(spec)) < 4 * sq.std() / math.sqrt(n)
 
 
 def test_truncation_zeroes_out_of_range_draws():
     spec = DisorderSpec("gaussian", 1.0, truncation=1.0)
-    draws = sample_disorder(spec, 10**5, stream(4, "trunc"))
+    draws = _sample_shape(spec, (10**5,), stream(4, "trunc"))
     assert np.abs(draws).max() <= 1.0
     assert (draws == 0.0).mean() > 0.25  # two-sided tail mass ~0.317
 
@@ -104,8 +104,8 @@ def test_stacked_truncation_keeps_tighter_level():
 
 def test_reproducible_given_stream():
     spec = DisorderSpec("uniform_symmetric", 1.5)
-    a = sample_disorder(spec, 1000, stream(5, "rep"))
-    b = sample_disorder(spec, 1000, stream(5, "rep"))
+    a = _sample_shape(spec, (1000,), stream(5, "rep"))
+    b = _sample_shape(spec, (1000,), stream(5, "rep"))
     assert np.array_equal(a, b)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadglass import free_energy
-from quadglass.disorder import DisorderSpec, _sample_shape
+from quadglass.disorder import DisorderSpec
 from quadglass.estimate import combined_se, jackknife_se
 from quadglass.free_energy import (
     QuadratureRule,
@@ -16,7 +16,7 @@ from quadglass.model import ModelParams
 from quadglass.rde import Population, delta_population, solve_fixed_point
 from quadglass.streams import stream
 
-from oracles import balanced_edge_term, direct_p1_variance_sampler
+from oracles import balanced_edge_term, rademacher_p1_free_energy
 
 RAD = DisorderSpec("rademacher")
 A3ISH = ModelParams(0.5, 0.25, 1.0, 2)
@@ -102,28 +102,15 @@ def test_small_rate_limit_matches_frozen_population_expansion():
 
 
 def test_p1_limit_matches_direct_sampling_route():
-    # at arity 1 no fixed point is needed: X(x) can be sampled directly
+    # at arity 1 A is diagonal, so the limit is an exact Poisson series
     par = ModelParams(0.8, 0.5, 1.0, 1)
     rule = QuadratureRule.gauss_legendre(12)
     res = limiting_free_energy(
         par, RAD, rule, stream(12, "lp1"), pop_size=10**5, n_mc=2 * 10**5
     )
-    n = 4 * 10**5
-    rng = stream(13, "lp1o")
-    integral, int_se_sq = 0.0, 0.0
-    for x, w in zip(rule.nodes, rule.weights):
-        draws = direct_p1_variance_sampler(par.alpha * x, par.beta, RAD, n, rng)
-        zeta = _sample_shape(RAD, (n,), rng)
-        vals = np.log1p(2 * par.beta * zeta**2 * draws)
-        integral += w * vals.mean()
-        int_se_sq += (w * par.alpha / 2 * vals.std(ddof=1) / math.sqrt(n)) ** 2
-    x1 = direct_p1_variance_sampler(par.alpha, par.beta, RAD, n, rng)
-    oracle = par.h**2 / 2 * x1.mean() + par.alpha / 2 * integral
-    oracle_se = math.sqrt(
-        int_se_sq + (par.h**2 / 2 * x1.std(ddof=1) / math.sqrt(n)) ** 2
-    )
-    tol = 3 * combined_se(res.estimate.std_error, oracle_se)
-    assert abs(res.estimate.value - oracle) < tol
+    oracle = rademacher_p1_free_energy(par.alpha, par.beta, par.h)
+    assert oracle == pytest.approx(0.581760245906761, abs=1e-14)
+    assert abs(res.estimate.value - oracle) < 3 * res.estimate.std_error
 
 
 def test_monotone_in_field_strength_with_shared_stream():

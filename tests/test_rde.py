@@ -16,7 +16,6 @@ from quadglass.rde import (
     dump_population,
     find_contractive_q,
     iterate_pair,
-    load_population,
     pair_step,
     solve_fixed_point,
     step,
@@ -28,6 +27,7 @@ from oracles import (
     conjugate_step,
     direct_conjugate_from_zero_sampler,
     direct_p1_variance_sampler,
+    load_population,
     out_of_place_step,
     rademacher_contraction_series,
     serial_fixed_point,
