@@ -85,6 +85,20 @@ def _int_list(raw):
     return [_int(part) for part in raw.split(",") if part.strip()]
 
 
+def _criteria_ids(value):
+    """The criterion ids ``validate.criteria`` names, in run order; ``all`` is every one."""
+    ids = list(CRITERIA) if value == "all" else [c.strip() for c in value.split(",") if c.strip()]
+    unknown = [c for c in ids if c not in CRITERIA]
+    repeated = sorted({c for c in ids if ids.count(c) > 1}, key=ids.index)
+    if not ids:
+        raise ConfigError("names no criterion")
+    if unknown:
+        raise ConfigError(f"unknown {', '.join(unknown)}")
+    if repeated:
+        raise ConfigError(f"lists {', '.join(repeated)} more than once")
+    return ids
+
+
 def _positive(x):
     return x > 0
 
@@ -93,7 +107,8 @@ def _unit(x):
     return 0 < x <= 1
 
 
-# key -> (parser, default or None if required by its kinds, precondition, description)
+# key -> (parser, default or None if required by its kinds, precondition, description);
+# a precondition returns False or raises ConfigError to reject the value
 KEY_SPECS = {
     "experiment.kind": (str, None, lambda v: v in KINDS, f"one of {KINDS}"),
     "experiment.seed": (_int, 0, lambda v: 0 <= v < 2**64, "unsigned 64-bit"),
@@ -116,8 +131,7 @@ KEY_SPECS = {
     "convergence.n_grid": (_int_list, [250, 500, 1000], lambda v: len(set(v)) == len(v) >= 1
                            and min(v) >= 1, "comma list of distinct sizes"),
     "convergence.seeds_per_n": (_int, 10, lambda v: v >= 2, "at least 2"),
-    "validate.criteria": (str, "all", lambda v: v == "all" or bool(_criteria_list(v)),
-                          "all or comma list like A1,A8"),
+    "validate.criteria": (str, "all", _criteria_ids, "all or comma list like A1,A8"),
     "validate.scale": (_float, 1.0, _unit, "in (0, 1]"),
     "dump.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "load.path": (str, None, lambda v: bool(v), "nonempty path"),
@@ -210,10 +224,10 @@ def build_config(
         if key in raw:
             try:
                 value = parser(raw[key])
+                if not check(value):
+                    raise ConfigError(f"must be {description}")
             except ConfigError as exc:
                 raise ConfigError(f"{key}={raw[key]!r}: {exc}") from exc
-            if not check(value):
-                raise ConfigError(f"{key}={raw[key]!r}: must be {description}")
             options[key] = value
         elif default is not None:
             options[key] = default
@@ -222,6 +236,8 @@ def build_config(
             raise ConfigError("--seed: must be an unsigned 64-bit integer")
         options["experiment.seed"] = int(seed)
     workers = int(workers) if workers is not None else default_workers()
+    if workers < 1:
+        raise ConfigError(f"--workers: must be at least 1, got {workers}")
     missing = [k for k in KIND_KEYS[kind] if k not in options]
     if missing:
         raise ConfigError(f"{kind}: missing required keys: {', '.join(missing)}")
@@ -238,10 +254,6 @@ def build_config(
                 f"{key}: realization sizes must be at least model.p={options['model.p']}"
             )
         _check_allocations(_allocations(kind, options, raw, workers))
-    if "validate.criteria" in options and options["validate.criteria"] != "all":
-        bad = [c for c in _criteria_list(options["validate.criteria"]) if c not in CRITERIA]
-        if bad:
-            raise ConfigError(f"validate.criteria: unknown {', '.join(bad)}")
 
     return ExperimentConfig(
         kind, options, Path(out_dir) if out_dir is not None else Path("out"), workers
@@ -293,7 +305,7 @@ def _allocations(kind, options, raw, workers):
         if copies_key in options:
             copies = options[copies_key]
             rows.append(_factored(f"{key}={n}{at_alpha}", n, alpha * n, p,
-                                  min(max(workers, 1), copies)))
+                                  min(workers, copies)))
             rows.append((f"{copies_key}={copies}", "the replicate fan-out's pending items", 0,
                          item_bytes * copies))
     if "rde.pop_size" in options:
@@ -323,10 +335,6 @@ def _check_allocations(rows):
                 f"{setting}: {what} need about {need / 2**30:.3g} GiB, "
                 f"more than the {available / 2**30:.3g} GiB of physical memory"
             )
-
-
-def _criteria_list(raw):
-    return [c.strip() for c in raw.split(",") if c.strip()]
 
 
 def _model_pieces(options):
@@ -490,10 +498,9 @@ def _run_convergence(config: ExperimentConfig):
 
 def _run_validate(config: ExperimentConfig):
     opts = config.options
-    chosen = opts["validate.criteria"]
-    ids = None if chosen == "all" else _criteria_list(chosen)
     results = run_criteria(
-        ids, seed=config.seed, scale=opts["validate.scale"], workers=config.workers
+        _criteria_ids(opts["validate.criteria"]), seed=config.seed,
+        scale=opts["validate.scale"], workers=config.workers,
     )
     rows = [
         (r.cid, r.description, r.measured, r.threshold,

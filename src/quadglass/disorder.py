@@ -31,7 +31,7 @@ class DisorderSpec:
         ``uniform_symmetric`` (uniform on [-param, param]), or
         ``two_point_symmetric`` (±param with equal probability).
     param : float
-        Family scale parameter; ignored by ``rademacher``.
+        Finite positive family scale parameter; ignored by ``rademacher``.
     truncation : float
         Truncation level c in (0, inf]; ``inf`` means no truncation.
     """
@@ -43,8 +43,8 @@ class DisorderSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown disorder family {self.family!r}")
-        if not self.param > 0:
-            raise ValueError("param must be positive")
+        if not 0 < self.param < math.inf:
+            raise ValueError(f"param must be finite and positive, got {self.param!r}")
         if not self.truncation > 0:
             raise ValueError("truncation must be positive (use inf for none)")
         # A two-point law truncated below its magnitude collapses to the

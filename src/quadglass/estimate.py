@@ -11,17 +11,14 @@ JACKKNIFE_N_BLOCKS = 20  # contiguous blocks of the delete-one-block jackknife
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo scalar: value, standard error, sample count."""
+    """A Monte Carlo scalar: value and standard error."""
 
     value: float
     std_error: float
-    n_samples: int
 
     def __post_init__(self):
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
 
 
 def mc_estimate(samples: np.ndarray) -> Estimate:
@@ -31,7 +28,7 @@ def mc_estimate(samples: np.ndarray) -> Estimate:
     if n == 0:
         raise ValueError("need at least one sample")
     se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return Estimate(float(samples.mean()), se, n)
+    return Estimate(float(samples.mean()), se)
 
 
 def jackknife_se(values: np.ndarray) -> float:

@@ -147,7 +147,7 @@ def limiting_free_energy(
     """
     h = params.h
     if params.beta == 0:
-        return LimitResult(Estimate(h * h / 2.0, 0.0, 1), (), h * h / 2.0, None, True)
+        return LimitResult(Estimate(h * h / 2.0, 0.0), (), h * h / 2.0, None, True)
 
     n_nodes = rule.nodes.size
     # one stream per sweep point (the nodes, then x=1), one per node for MC
@@ -182,7 +182,7 @@ def limiting_free_energy(
         se_parts.append(h * h / 2.0 * jackknife_se(top.values))
 
     value = h_term + params.alpha / 2.0 * integral
-    estimate = Estimate(value, combined_se(*se_parts), n_mc * n_nodes)
+    estimate = Estimate(value, combined_se(*se_parts))
     converged = all(r.converged for r in reports)
     return LimitResult(estimate, tuple(nodes), h_term, x1_converged, converged)
 
@@ -259,7 +259,7 @@ def convergence_study(
 
     stds = np.array([r.std_f for r in rows])
     if len(rows) >= 3 and np.all(stds > 0):
-        std_slope = slope_fit(np.array(n_grid, dtype=float), stds).slope
+        std_slope = slope_fit(np.array(n_grid, dtype=float), stds)
     else:
         std_slope = None
     return ConvergenceStudy(tuple(rows), limit.estimate, limit.converged, std_slope)

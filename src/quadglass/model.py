@@ -60,10 +60,14 @@ class ModelParams:
     p: int
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
+        if not self.beta >= 0:
+            raise ValueError(f"beta must be nonnegative, got {self.beta!r}")
+        if not 2.0 * self.beta < math.inf:
+            raise ValueError(f"2*beta must be finite, got beta={self.beta!r}")
+        if not math.isfinite(self.h):
+            raise ValueError(f"h must be finite, got {self.h!r}")
         if self.p < 1:
             raise ValueError("p must be at least 1")
 
@@ -138,8 +142,6 @@ def _distinct_tuples(rng, n_sites, m, p):
     partial shuffles when p is comparable to n_sites.  Both routes give
     the exact uniform law on ordered distinct tuples.
     """
-    if p == 0 or m == 0:
-        return np.empty((m, p), dtype=np.int64)
     if p == 1:
         return rng.integers(0, n_sites, size=(m, 1))
     accept = np.prod(1.0 - np.arange(p) / n_sites)
@@ -387,7 +389,6 @@ class OffDiagReport:
     product_12_13: Estimate       # mean of A^{-1}_{12} A^{-1}_{13}
     product_12_34: Estimate       # mean of A^{-1}_{12} A^{-1}_{34}
     scaled_square: Estimate       # mean of (N-1) (A^{-1}_{12})^2
-    n_sites: int
 
 
 def offdiag_moments(
@@ -417,7 +418,6 @@ def offdiag_moments(
         product_12_13=mc_estimate(a12 * a13),
         product_12_34=mc_estimate(a12 * a34),
         scaled_square=mc_estimate((n_sites - 1) * a12**2),
-        n_sites=n_sites,
     )
 
 
@@ -480,42 +480,34 @@ def woodbury_residual(split: CavitySplit) -> WoodburyResidual:
     off-diagonal bulk-inverse entries between boundary interior sites
     (cross-clause entries everywhere, same-clause entries off its
     diagonal).  The residual is controlled by a constant multiple of the
-    bound; the constant is left to the caller to fit.
+    bound; the constant is left to the caller to fit.  One arithmetic
+    covers every R and p: with no interior site (R = 0 or p = 1) the
+    bulk is not factored, d_k = 1, E = 0 and the bound is exactly 0.
     """
-    params = split.bulk.params
-    two_beta = 2.0 * params.beta
+    two_beta = 2.0 * split.bulk.params.beta
     rhs = np.zeros(split.n_sites)
     rhs[-1] = 1.0
     exact = float(Factorization(reassemble(split)).solve(rhs)[-1])
 
     r = split.n_boundary
     zeta = split.site_weights
-    if r == 0:
-        return WoodburyResidual(abs(exact - 1.0), 0.0)
-
-    if split.interior_sites.size:
-        unique_sites, col_of = np.unique(split.interior_sites, return_inverse=True)
-        col_of = col_of.reshape(split.interior_sites.shape)
-        rhs_b = np.zeros((split.n_sites - 1, unique_sites.size))
-        rhs_b[unique_sites, np.arange(unique_sites.size)] = 1.0
-        sol = Factorization(split.bulk).solve(rhs_b)  # columns of B^{-1}
-        # B^{-1} restricted to the grid of distinct interior sites:
-        grid = sol[unique_sites, :]
-        xi = split.interior_weights
-        diag_terms = np.diag(grid)
-        d_k = 1.0 + two_beta * np.sum(xi**2 * diag_terms[col_of], axis=1)
-        # Gram of the interior parts through B^{-1}: (R x R), includes 2*beta.
-        profile = np.zeros((unique_sites.size, r))
-        for k in range(r):
-            np.add.at(profile[:, k], col_of[k], xi[k])
-        gram = two_beta * profile.T @ grid @ profile
-        e_matrix = gram.copy()
-        e_matrix[np.arange(r), np.arange(r)] -= d_k - 1.0  # drop the r = s terms
-        e_norm = float(np.linalg.norm(e_matrix, 2))
-    else:
-        # p = 1: no interior sites, the approximation is exact and E empty.
-        d_k = np.ones(r)
-        e_norm = 0.0
+    xi = split.interior_weights
+    unique_sites, col_of = np.unique(split.interior_sites, return_inverse=True)
+    col_of = col_of.reshape(split.interior_sites.shape)
+    cols = np.zeros((split.n_sites - 1, unique_sites.size))
+    cols[unique_sites, np.arange(unique_sites.size)] = 1.0
+    if unique_sites.size:  # with no interior site there is nothing to solve
+        cols = Factorization(split.bulk).solve(cols)  # columns of B^{-1}
+    # B^{-1} restricted to the grid of distinct interior sites:
+    grid = cols[unique_sites, :]
+    d_k = 1.0 + two_beta * np.sum(xi**2 * np.diag(grid)[col_of], axis=1)
+    # Gram of the interior parts through B^{-1}: (R x R), includes 2*beta.
+    # A clause's interior sites are distinct, so the scatter writes each entry once.
+    profile = np.zeros((unique_sites.size, r))
+    profile[col_of, np.arange(r)[:, None]] = xi
+    e_matrix = two_beta * profile.T @ grid @ profile
+    e_matrix[np.arange(r), np.arange(r)] -= d_k - 1.0  # drop the r = s terms
+    e_norm = float(np.linalg.svd(e_matrix, compute_uv=False).max(initial=0.0))  # ||E||_2
 
     approx = 1.0 / (1.0 + float(np.sum(two_beta * zeta**2 / d_k)))
     bound = float(zeta @ zeta) * e_norm
@@ -542,17 +534,14 @@ def dump_model(model: FactorModel, path) -> None:
 def load_model(path) -> FactorModel:
     """Read a realization written by :func:`dump_model`.
 
-    Non-finite alpha, 2*beta, h, param or weights are rejected, as is a
-    clause that repeats a site: the ensemble never draws either.
+    Non-finite weights are rejected, as is a clause that repeats a site:
+    the ensemble never draws either.  :class:`ModelParams` and
+    :class:`DisorderSpec` reject a header they would not accept.
     """
     head, *body = read_rows(path, "model", 9)
     n_sites, m = int(np.int64(head[0])), int(head[1])  # sites are int64 indices
-    alpha, beta, h, param = (float(head[i]) for i in (2, 3, 4, 7))
-    for name, value in (("alpha", alpha), ("2*beta", 2.0 * beta), ("h", h), ("param", param)):
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: header {name} must be finite, got {value!r}")
-    params = ModelParams(alpha, beta, h, int(head[5]))
-    spec = DisorderSpec(head[6], param, float(head[8]))
+    params = ModelParams(float(head[2]), float(head[3]), float(head[4]), int(head[5]))
+    spec = DisorderSpec(head[6], float(head[7]), float(head[8]))
     if len(body) != m:
         raise ValueError(f"{path}: header promises {m} clauses, found {len(body)}")
     p = params.p

@@ -31,7 +31,6 @@ class CorrelationReport:
     correlations: np.ndarray | None
     std_error: float
     degenerate: bool
-    n_replicates: int
 
 
 def pooled_inverse_diagonals(
@@ -71,15 +70,10 @@ def independence_check(
         lambda model: inverse_diagonal(model, idx),
         params, disorder, n_sites, n_replicates, rng, workers,
     ))
-    variances = data.var(axis=0, ddof=1)
-    if np.any(variances < DEGENERATE_VARIANCE):
-        return CorrelationReport(None, 1.0 / np.sqrt(n_replicates), True, n_replicates)
-    return CorrelationReport(
-        np.corrcoef(data, rowvar=False),
-        1.0 / np.sqrt(n_replicates),
-        False,
-        n_replicates,
-    )
+    std_error = 1.0 / np.sqrt(n_replicates)
+    if np.any(data.var(axis=0, ddof=1) < DEGENERATE_VARIANCE):
+        return CorrelationReport(None, std_error, True)
+    return CorrelationReport(np.corrcoef(data, rowvar=False), std_error, False)
 
 
 @dataclass(frozen=True)
@@ -87,8 +81,6 @@ class PoissonUniformReport:
     """Empirical comparison of the two equivalent index constructions."""
 
     tv_distance: float
-    pmf_uniform_given_poisson: np.ndarray   # L | M ~ Unif{0..M}, M ~ Poisson(lam)
-    pmf_poisson_at_uniform_rate: np.ndarray  # L' | U ~ Poisson(lam*U), U ~ Unif[0,1]
     p_zero: Estimate
     n_samples: int
 
@@ -100,36 +92,28 @@ def poisson_uniform_check(
 
     A uniform pick from {0..M} with M Poisson(lam) has the same law as a
     Poisson draw at a uniformly thinned rate lam*U.  Returns the
-    empirical total-variation distance, both PMFs on the union support,
-    and the empirical mass at zero with its binomial standard error.
+    empirical total-variation distance between the two PMFs, the
+    uniform pick's empirical mass at zero with its binomial standard
+    error, and the sample count per construction.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     m = rng.poisson(lam, size=n_samples)
-    first = rng.integers(0, m + 1)
-    second = rng.poisson(lam * rng.random(n_samples))
+    first = rng.integers(0, m + 1)                       # L | M ~ Unif{0..M}
+    second = rng.poisson(lam * rng.random(n_samples))    # L' | U ~ Poisson(lam*U)
     top = int(max(first.max(), second.max())) + 1
     pmf_a = np.bincount(first, minlength=top) / n_samples
     pmf_b = np.bincount(second, minlength=top) / n_samples
     tv = 0.5 * float(np.abs(pmf_a - pmf_b).sum())
     p0 = float(pmf_a[0])
     p0_se = float(np.sqrt(max(p0 * (1.0 - p0), 1e-300) / n_samples))
-    return PoissonUniformReport(
-        tv, pmf_a, pmf_b, Estimate(p0, p0_se, n_samples), n_samples
-    )
+    return PoissonUniformReport(tv, Estimate(p0, p0_se), n_samples)
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-def slope_fit(xs, ys) -> SlopeFit:
-    """Least-squares line through (log x, log y)."""
+def slope_fit(xs, ys) -> float:
+    """Slope of the least-squares line through (log x, log y)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 3:
@@ -138,13 +122,7 @@ def slope_fit(xs, ys) -> SlopeFit:
         raise ValueError("all inputs must be positive for a log-log fit")
     lx, ly = np.log(xs), np.log(ys)
     dx = lx - lx.mean()
-    dy = ly - ly.mean()
     denom = float(dx @ dx)
     if denom == 0:
         raise ValueError("x values must not be all equal")
-    slope = float(dx @ dy) / denom
-    intercept = float(ly.mean() - slope * lx.mean())
-    ss_res = float(np.sum((ly - (intercept + slope * lx)) ** 2))
-    ss_tot = float(dy @ dy)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return SlopeFit(slope, intercept, r2)
+    return float(dx @ (ly - ly.mean())) / denom

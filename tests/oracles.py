@@ -89,6 +89,42 @@ def dense_coupling_matrix(model):
     return a
 
 
+def dense_woodbury_residual(split):
+    """(residual, bound) of the rank-R cavity check from dense numpy inverses.
+
+    Builds the full matrix from the bulk and the boundary clauses, then
+    writes d_k, E, the approximation and the bound clause by clause.
+    """
+    two_beta = 2.0 * split.bulk.params.beta
+    n = split.n_sites
+    full = np.eye(n)
+    full[: n - 1, : n - 1] = dense_coupling_matrix(split.bulk)
+    clauses = boundary_clauses(split)
+    for clause in clauses:
+        full[np.ix_(clause.sites, clause.sites)] += two_beta * np.outer(
+            clause.weights, clause.weights
+        )
+    exact = np.linalg.inv(full)[-1, -1]
+    b_inv = np.linalg.inv(dense_coupling_matrix(split.bulk))
+    # interior (site, weight) pairs of each clause; its last site is N-1
+    interior = [list(zip(c.sites[:-1], c.weights[:-1])) for c in clauses]
+    d = [1.0 + two_beta * sum(w * w * b_inv[s, s] for s, w in pairs) for pairs in interior]
+    r = len(clauses)
+    e = np.zeros((r, r))
+    for k in range(r):
+        for l in range(r):
+            e[k, l] = two_beta * sum(
+                wa * wb * b_inv[sa, sb]
+                for sa, wa in interior[k]
+                for sb, wb in interior[l]
+                if k != l or sa != sb
+            )
+    zeta = [c.weights[-1] for c in clauses]
+    approx = 1.0 / (1.0 + sum(two_beta * z * z / dk for z, dk in zip(zeta, d)))
+    e_norm = np.linalg.norm(e, 2) if r else 0.0
+    return abs(exact - approx), sum(z * z for z in zeta) * e_norm
+
+
 def logdet_via_eigenvalues(matrix):
     """log det through a dense eigen-decomposition."""
     return float(np.sum(np.log(np.linalg.eigvalsh(matrix))))

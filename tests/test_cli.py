@@ -366,31 +366,37 @@ def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize(
-    "kind, config, out, keys",
+    "kind, config, out, flags, keys",
     [
-        ("validate", b"validate.criteria=\n", "o", ("validate.criteria",)),
-        ("validate", b"validate.criteria= , \n", "o", ("validate.criteria",)),
-        ("free-energy", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o",
+        ("validate", b"validate.criteria=\n", "o", (), ("validate.criteria",)),
+        ("validate", b"validate.criteria= , \n", "o", (), ("validate.criteria",)),
+        ("validate", b"validate.criteria=A1,A1\n", "o", (),
+         ("validate.criteria", "A1 more than once")),
+        ("free-energy", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o", (),
          ("rde.rate_scale",)),
-        ("convergence", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o",
+        ("convergence", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o", (),
          ("rde.rate_scale",)),
-        ("convergence", BASE_CONV.replace("=20,40", "=20,20,20").encode(), "o",
+        ("convergence", BASE_CONV.replace("=20,40", "=20,20,20").encode(), "o", (),
          ("convergence.n_grid", "distinct")),
-        ("convergence", BASE_CONV.replace("=20,40", "=20,20,40").encode(), "o",
+        ("convergence", BASE_CONV.replace("=20,40", "=20,20,40").encode(), "o", (),
          ("convergence.n_grid", "distinct")),
-        ("simulate", BASE_SIM.encode() + b"# caf\xe9\n", "o", ("config.txt",)),
-        ("simulate", BASE_SIM.encode(), "blocker", ("--out", "blocker")),
-        ("simulate", BASE_SIM.encode(), "blocker/sub", ("--out", "blocker/sub")),
+        ("simulate", BASE_SIM.encode() + b"# caf\xe9\n", "o", (), ("config.txt",)),
+        ("simulate", BASE_SIM.encode(), "blocker", (), ("--out", "blocker")),
+        ("simulate", BASE_SIM.encode(), "blocker/sub", (), ("--out", "blocker/sub")),
+        ("simulate", BASE_SIM.encode(), "o", ("--workers", 0), ("--workers",)),
+        ("simulate", BASE_SIM.encode(), "o", ("--workers", -4), ("--workers",)),
     ],
-    ids=["criteria-empty", "criteria-only-commas", "free-energy-rate-scale",
-         "convergence-rate-scale", "n-grid-all-equal", "n-grid-repeats", "config-not-utf8",
-         "out-is-a-file", "out-under-a-file"],
+    ids=["criteria-empty", "criteria-only-commas", "criteria-repeated",
+         "free-energy-rate-scale", "convergence-rate-scale", "n-grid-all-equal",
+         "n-grid-repeats", "config-not-utf8", "out-is-a-file", "out-under-a-file",
+         "workers-zero", "workers-negative"],
 )
-def test_unusable_cli_input_exits_2_naming_it(tmp_path, capsys, kind, config, out, keys):
+def test_unusable_cli_input_exits_2_naming_it(tmp_path, capsys, kind, config, out, flags,
+                                              keys):
     cfg = tmp_path / "config.txt"
     cfg.write_bytes(config)
     (tmp_path / "blocker").write_text("a file, not a directory\n", encoding="utf-8")
-    assert run_cli([kind, "--config", cfg, "--out", tmp_path / out]) == 2
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / out, *flags]) == 2
     assert_one_config_error(capsys.readouterr().err, *keys)
 
 

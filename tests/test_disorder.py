@@ -116,6 +116,9 @@ def test_degenerate_and_invalid_specs_rejected():
         DisorderSpec("two_point_symmetric", 3.0, truncation=1.0)
     with pytest.raises(ValueError):
         DisorderSpec("gaussian", -1.0)
+    for param in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="param must be finite"):
+            DisorderSpec("gaussian", param)
     with pytest.raises(ValueError):
         DisorderSpec("cauchy")
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from quadglass.model import (
     Factorization,
     ModelParams,
     _assemble,
+    cavity_split,
     coupling_matrix,
     finite_free_energy,
     inverse_diagonal,
@@ -25,8 +26,9 @@ from quadglass.model import (
     offdiag_moments,
     ones_quadratic_form,
     sample_model,
+    woodbury_residual,
 )
-from quadglass.streams import stream
+from quadglass.streams import stream, substreams
 
 from oracles import dense_coupling_matrix, logdet_via_eigenvalues
 
@@ -147,6 +149,22 @@ def test_sparse_factor_matches_dense_oracle(p, family, alpha):
     assert fac.inverse_diagonal() == pytest.approx(np.diag(inv), abs=1e-12)
     whiten = fac.solve_transposed_factor(np.eye(n))
     assert whiten @ whiten.T == pytest.approx(inv, abs=1e-12)
+
+
+def test_woodbury_residual_factors_the_bulk_only_with_interior_sites(factor_calls):
+    # the full matrix is factored once per split; the bulk too when there is an
+    # interior site to solve for (p >= 2 and R >= 1)
+    seen = set()
+    for p in (1, 2, 3):
+        params = ModelParams(0.5, 0.5, 0.0, p)
+        for child in substreams(stream(9, "wcount", p), 10):
+            split = cavity_split(params, RAD, 30, child)
+            del factor_calls[:]
+            woodbury_residual(split)
+            has_interior = split.interior_sites.size > 0
+            assert len(factor_calls) == (2 if has_interior else 1)
+            seen.add((p > 1, has_interior))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("sites", [[-1], [40], [3, 40]], ids=["negative", "N", "mixed"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from quadglass.streams import stream, substreams
 from oracles import (
     boundary_clauses,
     conjugate_gradient_solve,
+    dense_woodbury_residual,
     ks_distance,
     log_det_incremental,
     logdet_via_eigenvalues,
@@ -91,6 +93,25 @@ def test_distinct_tuples_fallback_when_arity_near_size():
     rng = stream(4, "fallback")
     tuples = _distinct_tuples(rng, 6, 500, 5)
     assert all(len(set(row)) == 5 for row in tuples)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, h, fault",
+    [
+        (math.inf, 0.5, 1.0, "alpha must be finite"),
+        (0.0, 0.5, 1.0, "alpha must be finite and positive"),
+        (0.5, math.nan, 1.0, "beta must be nonnegative"),
+        (0.5, -0.1, 1.0, "beta must be nonnegative"),
+        (0.5, 1e308, 1.0, "2*beta must be finite"),
+        (0.5, 0.5, math.inf, "h must be finite"),
+        (0.5, 0.5, math.nan, "h must be finite"),
+    ],
+    ids=["alpha-inf", "alpha-zero", "beta-nan", "beta-negative", "beta-overflows",
+         "h-inf", "h-nan"],
+)
+def test_params_outside_the_finite_domain_rejected(alpha, beta, h, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        ModelParams(alpha, beta, h, 2)
 
 
 def test_sample_model_rejects_small_n():
@@ -382,6 +403,23 @@ def test_residual_exact_at_arity_one():
     split = cavity_split(params, RAD, 60, stream(81, "p1res"))
     res = woodbury_residual(split)
     assert res.residual < 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize(
+    "spec", [RAD, DisorderSpec("gaussian", 1.0), DisorderSpec("gaussian", 1.0, 0.8)],
+    ids=["rademacher", "gaussian", "truncated-gaussian"],
+)
+def test_residual_and_bound_match_dense_oracle(p, spec):
+    params = ModelParams(0.5, 0.5, 0.0, p)
+    splits = [cavity_split(params, spec, 25, child)
+              for child in substreams(stream(83, "dense", p), 20)]
+    assert {s.n_boundary == 0 for s in splits} == {True, False}  # R = 0 is covered
+    for split in splits:
+        res = woodbury_residual(split)
+        residual, bound = dense_woodbury_residual(split)
+        assert res.residual == pytest.approx(residual, abs=1e-12)
+        assert res.bound == pytest.approx(bound, abs=1e-12)
 
 
 def test_residual_small_and_dominated_by_bound():

@@ -121,8 +121,6 @@ def test_mass_at_zero_matches_series():
 def test_identity_in_law_at_large_sample():
     report = poisson_uniform_check(3.0, 10**6, stream(22, "putv"))
     assert report.tv_distance < 0.01
-    assert report.pmf_uniform_given_poisson.sum() == pytest.approx(1.0)
-    assert report.pmf_poisson_at_uniform_rate.sum() == pytest.approx(1.0)
 
 
 def test_tv_shrinks_with_sample_size():
@@ -140,25 +138,23 @@ def test_tv_shrinks_with_sample_size():
 
 def test_exact_power_law_recovered():
     xs = np.array([10.0, 100.0, 1000.0, 10000.0])
-    fit = slope_fit(xs, 3.0 * xs**-0.5)
-    assert fit.slope == pytest.approx(-0.5, abs=1e-12)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    slope = slope_fit(xs, 3.0 * xs**-0.5)
+    assert slope == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_constant_series_has_zero_slope():
-    fit = slope_fit([1.0, 10.0, 100.0], [2.5, 2.5, 2.5])
-    assert fit.slope == pytest.approx(0.0, abs=1e-14)
+    slope = slope_fit([1.0, 10.0, 100.0], [2.5, 2.5, 2.5])
+    assert slope == pytest.approx(0.0, abs=1e-14)
 
 
 def test_noisy_power_law_matches_lstsq_oracle():
     rng = stream(30, "slope")
     xs = np.logspace(0, 2, 10)
     ys = xs**-0.5 * (1.0 + rng.uniform(-0.05, 0.05, 10))
-    fit = slope_fit(xs, ys)
-    oracle_slope, oracle_intercept = lstsq_loglog(xs, ys)
-    assert fit.slope == pytest.approx(oracle_slope, rel=1e-10)
-    assert fit.intercept == pytest.approx(oracle_intercept, rel=1e-10)
-    assert -0.6 < fit.slope < -0.4
+    slope = slope_fit(xs, ys)
+    oracle_slope, _ = lstsq_loglog(xs, ys)
+    assert slope == pytest.approx(oracle_slope, rel=1e-10)
+    assert -0.6 < slope < -0.4
 
 
 def test_slope_fit_rejects_bad_input():
