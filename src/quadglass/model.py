@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, tril
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .disorder import DisorderSpec, _sample_shape
@@ -38,8 +38,10 @@ from .estimate import Estimate, mc_estimate
 from .parallel import parallel_map
 from .streams import substreams
 
-# unit right-hand sides solved together by Factorization.inverse_diagonal
-INVERSE_DIAGONAL_BLOCK = 64
+# entries of the Z[S_j, S_j] blocks that Factorization.inverse_diagonal
+# gathers in one pass, at a peak of about 40 bytes each; a depth of the
+# elimination tree with more is split into column chunks (a column never is)
+INVERSE_DIAGONAL_PAIRS = 2**18
 
 
 class NumericalError(RuntimeError):
@@ -276,6 +278,97 @@ def _factorize(matrix):
     return lu, pivots
 
 
+def _closed_pattern(lower) -> csc_matrix:
+    """The pattern of a lower triangular CSC matrix, closed under elimination.
+
+    Returns B with unit values such that for every column j the rows
+    below its diagonal form a clique: (l, k) is stored for k < l both in
+    S_j.  tril(B B^T) adds every such entry; it is repeated until the
+    pattern stops growing (it never shrinks, since B has a unit diagonal).
+    """
+    pattern = csc_matrix(lower, copy=True)
+    while True:
+        pattern.data[:] = 1.0
+        grown = tril(pattern @ pattern.T, format="csc")
+        if grown.nnz == pattern.nnz:
+            pattern.sort_indices()
+            return pattern
+        pattern = grown
+
+
+def _tree_depth(parent: np.ndarray) -> np.ndarray:
+    """Depth of every node of a forest given by ``parent`` (a root is its own).
+
+    Pointer jumping: ``dist`` is the distance from each node to ``jump``,
+    which moves twice as far up per pass, until every jump is a root.
+    """
+    dist = (parent != np.arange(parent.size)).astype(np.int64)
+    jump = parent
+    while True:
+        further = jump[jump]
+        if np.array_equal(further, jump):
+            return dist
+        dist = dist + dist[jump]
+        jump = further
+
+
+def _selected_inverse_diagonal(lower, pivots: np.ndarray) -> np.ndarray:
+    """diag((L D L^T)^{-1}) by Takahashi's recurrence, depth by depth.
+
+    Z is held on the closed pattern of L, column by column in CSC order,
+    so the entry (r, c), r >= c, sits at ``searchsorted(keys, c*n + r)``.
+    Z[S_j, S_j] is symmetric, so each column gathers its lower triangle
+    once, pair (a, b) with a < b adding to both Z[s_a, j] and Z[s_b, j].
+    Every per-entry index is set up once; a pass reads slices of them.
+    """
+    n = pivots.size
+    pattern = _closed_pattern(lower)
+    ptr = pattern.indptr.astype(np.int64)
+    rows = pattern.indices.astype(np.int64)
+    below = np.diff(ptr) - 1                                  # |S_j|
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, below + 1) + rows
+    entries = lower.tocoo()
+    lval = np.zeros(rows.size)                                # 0 where closure added
+    lval[np.searchsorted(keys, entries.col.astype(np.int64) * n + entries.row)] = entries.data
+    parent = np.where(below > 0, rows[np.minimum(ptr[:-1] + 1, ptr[1:] - 1)], np.arange(n))
+    depth = _tree_depth(parent)
+    z = np.zeros(rows.size)
+    z[ptr[:-1]] = 1.0 / pivots                                # final at the roots
+    order = np.argsort(depth, kind="stable")[np.count_nonzero(depth == 0):]
+    # the other columns' below-diagonal entries, column by column in depth order
+    count = below[order]
+    col_bound = np.concatenate([[0], np.cumsum(count)])
+    ent = np.arange(col_bound[-1]) + np.repeat(ptr[order] + 1 - col_bound[:-1], count)
+    later = np.repeat(ptr[order + 1], count) - 1 - ent        # entries after it in S_j
+    pair_bound = np.concatenate([[0], np.cumsum(later)])
+    shift = np.arange(ent.size) + 1 - pair_bound[:-1]
+    rent, lent = rows[ent], lval[ent]
+    # a pass covers one depth, or a run of its columns within one pair chunk
+    level = depth[order]
+    gathered = count * (count + 1) // 2
+    before = np.cumsum(gathered) - gathered
+    piece = (before - before[np.searchsorted(level, level)]) // INVERSE_DIAGONAL_PAIRS
+    cuts = np.append(
+        np.flatnonzero(np.diff(level, prepend=0) | np.diff(piece, prepend=-1)), order.size
+    )
+    ecut = col_bound[cuts]
+    pcut = pair_bound[ecut]
+    for c0, c1, e0, e1, p0, p1 in zip(
+        cuts[:-1], cuts[1:], ecut[:-1], ecut[1:], pcut[:-1], pcut[1:]
+    ):
+        ia = np.repeat(np.arange(e0, e1), later[e0:e1])
+        ib = np.arange(p0, p1) + np.repeat(shift[e0:e1], later[e0:e1])
+        zab = z[np.searchsorted(keys, rent[ia] * n + rent[ib])]   # Z[s_b, s_a]
+        x = -(
+            z[ptr[rent[e0:e1]]] * lent[e0:e1]
+            + np.bincount(ia - e0, zab * lent[ib], e1 - e0)
+            + np.bincount(ib - e0, zab * lent[ia], e1 - e0)
+        )
+        z[ent[e0:e1]] = x
+        z[ptr[order[c0:c1]]] -= np.add.reduceat(lent[e0:e1] * x, col_bound[c0:c1] - e0)
+    return z[ptr[:-1]]
+
+
 class Factorization:
     """One realization's matrix A, factored once and queried many times.
 
@@ -313,22 +406,33 @@ class Factorization:
     def inverse_diagonal(self, sites=None) -> np.ndarray:
         """A^{-1}_{ii} at the given 0-based sites (default: every site).
 
-        All values lie in (0, 1] because A >= I.  Unit right-hand sides
-        are solved INVERSE_DIAGONAL_BLOCK at a time, so no N x N array
-        is formed.
+        Selected inversion (Takahashi, Fagan and Chin 1973) on the factor
+        P A P^T = L D L^T.  Z = (L D L^T)^{-1} satisfies
+        Z = D^{-1} L^{-1} + (I - L^T) Z, so for each column j with rows S_j
+        below the diagonal of L
+
+            Z[S_j, j] = -Z[S_j, S_j] L[S_j, j],
+            Z[j, j]   = 1/d_j - L[S_j, j]^T Z[S_j, j],
+
+        and A^{-1}_{ii} = Z[perm_c[i], perm_c[i]].  Every row of S_j is an
+        ancestor of j in the elimination tree, parent(j) = min S_j, so the
+        columns at one depth are independent: Z is computed on L's pattern
+        only, one vectorized pass per depth from the roots down.  SuperLU
+        leaves out entries of L that are exactly zero, and +-1 weights
+        cancel fill exactly, so Z[S_j, S_j] could reach outside that
+        pattern; the pattern is closed under elimination first.  The work
+        is about sum_j |S_j|^2 / 2 gathered entries, the order of the
+        factorization's own flop count, and no N x N array is formed.  All
+        values lie in (0, 1] because A >= I.
         """
         n = self.model.n_sites
-        sites = np.arange(n) if sites is None else np.asarray(sites, dtype=np.int64)
+        sites = np.arange(n) if sites is None else np.asarray(sites)
+        if sites.size and sites.dtype.kind not in "iu":
+            raise ValueError("site indices must be integers")
         if sites.size and (sites.min() < 0 or sites.max() >= n):
             raise ValueError("site index out of range")
-        out = np.empty(sites.size)
-        for start in range(0, sites.size, INVERSE_DIAGONAL_BLOCK):
-            block = sites[start : start + INVERSE_DIAGONAL_BLOCK]
-            cols = np.arange(block.size)
-            rhs = np.zeros((n, block.size))
-            rhs[block, cols] = 1.0
-            out[start : start + block.size] = self.solve(rhs)[block, cols]
-        return out
+        diag = _selected_inverse_diagonal(self._lu.L, self._pivots)
+        return diag[self._lu.perm_c[sites.astype(np.int64)]]
 
     @cached_property
     def ones_quadratic_form(self) -> float:

@@ -133,7 +133,8 @@ def test_queries_share_one_factor_and_match_dense_linear_algebra(factor_calls):
 @pytest.mark.parametrize("family", ["rademacher", "gaussian"])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_sparse_factor_matches_dense_oracle(p, family, alpha):
-    # N = 130 leaves a partial last block of unit right-hand sides
+    # at N = 130 the p >= 2 factors carry fill (nnz(L) up to 3.6 times that of
+    # A's lower triangle) and the dense oracle stays cheap
     n = 130
     model = sample_model(
         ModelParams(alpha, 0.5, 0.3, p), DisorderSpec(family), n,
@@ -167,11 +168,55 @@ def test_woodbury_residual_factors_the_bulk_only_with_interior_sites(factor_call
     assert seen == {(False, False), (True, False), (True, True)}
 
 
-@pytest.mark.parametrize("sites", [[-1], [40], [3, 40]], ids=["negative", "N", "mixed"])
-def test_factor_inverse_diagonal_rejects_sites_out_of_range(sites):
+@pytest.mark.parametrize(
+    "sites, message",
+    [
+        ([-1], "site index out of range"),
+        ([40], "site index out of range"),
+        ([3, 40], "site index out of range"),
+        ([1.7], "site indices must be integers"),
+        (np.array([2.9]), "site indices must be integers"),
+        ([True, False], "site indices must be integers"),
+    ],
+    ids=["negative", "N", "mixed", "float", "numpy-float", "bool"],
+)
+def test_factor_inverse_diagonal_rejects_sites_out_of_range(sites, message):
     model = sample_model(ModelParams(1.0, 0.5, 0.3, 2), RAD, 40, stream(8, "range"))
-    with pytest.raises(ValueError, match="site index out of range"):
+    with pytest.raises(ValueError, match=message):
         Factorization(model).inverse_diagonal(sites)
+
+
+def test_inverse_diagonal_exact_where_cancellation_drops_fill_from_l():
+    # +-1 weights cancel fill exactly; on this draw L lacks entries that
+    # Z[S_j, S_j] needs, and reading Z off L's own pattern is off by 0.03
+    pinned = sample_model(ModelParams(1.0, 0.5, 0.0, 2), RAD, 60, stream(109, "probe"))
+    models = [pinned]
+    for params in (
+        ModelParams(0.5, 0.25, 1.0, 2), ModelParams(1.0, 0.5, 0.0, 2),
+        ModelParams(0.8, 0.5, 0.0, 3),
+    ):
+        for child in substreams(stream(110, "zero-fill", params.p, str(params.alpha)), 30):
+            models.append(sample_model(params, RAD, 60, child))
+    dropped = []  # whether SuperLU left entries the elimination needs out of L
+    for model in models:
+        fac = Factorization(model)
+        lower = fac._lu.L
+        dropped.append(quadglass.model._closed_pattern(lower).nnz > lower.nnz)
+        inv = np.linalg.inv(dense_coupling_matrix(model))
+        assert fac.inverse_diagonal() == pytest.approx(np.diag(inv), abs=1e-12)
+    assert dropped[0] and sum(dropped) > 1
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [(ModelParams(1.0, 0.5, 0.0, 2), 500), (ModelParams(0.8, 0.5, 0.0, 3), 200)],
+    ids=["moment", "p3"],
+)
+def test_inverse_diagonal_does_not_depend_on_the_pair_chunk(monkeypatch, params, n):
+    fac = Factorization(sample_model(params, RAD, n, stream(111, "chunk", params.p)))
+    whole = fac.inverse_diagonal()
+    monkeypatch.setattr(quadglass.model, "INVERSE_DIAGONAL_PAIRS", 1)  # one column a chunk
+    assert np.array_equal(fac.inverse_diagonal(), whole)
 
 
 def test_failed_factorization_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
