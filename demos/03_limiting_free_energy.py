@@ -9,7 +9,6 @@ increasing size, including the concentration rate of the fluctuations.
 from quadglass import (
     DisorderSpec,
     ModelParams,
-    QuadratureRule,
     convergence_study,
     limiting_free_energy,
     stream,
@@ -17,9 +16,9 @@ from quadglass import (
 
 params = ModelParams(alpha=0.5, beta=0.25, h=1.0, p=2)
 spec = DisorderSpec("rademacher")
-rule = QuadratureRule.gauss_legendre(16)
+n_nodes = 16
 
-result = limiting_free_energy(params, spec, rule, stream(42, "demo-limit"))
+result = limiting_free_energy(params, spec, n_nodes, stream(42, "demo-limit"))
 print(f"limiting free energy: {result.estimate.value:.6f} "
       f"+- {result.estimate.std_error:.1e}")
 print(f"field term h^2/2 * E X(1) = {result.h_term:.6f}")
@@ -30,7 +29,7 @@ for node in result.nodes[::4]:
           f"converged {node.converged}")
 
 print("\nfinite sizes against the limit (10 seeds per size):")
-study = convergence_study(params, spec, [100, 400, 1600], 10, rule,
+study = convergence_study(params, spec, [100, 400, 1600], 10, n_nodes,
                           stream(43, "demo-study"))
 print(f"{'N':>6} {'mean F_N':>12} {'std':>10} {'gap to limit':>13}")
 for row in study.rows:

@@ -16,7 +16,6 @@ from quadglass import (
     DisorderSpec,
     ModelParams,
     Population,
-    QuadratureRule,
     iterate_pair,
     limiting_free_energy,
     solve_fixed_point,
@@ -40,11 +39,10 @@ print(f"  W1 between the X marginal and the one-dimensional fixed point: "
 
 print("\ntruncation continuity for gaussian disorder (limit at each level):")
 gauss = DisorderSpec("gaussian", 1.0)
-rule = QuadratureRule.gauss_legendre(12)
 values = {}
 for c in (1.0, 2.0, 4.0, math.inf):
     spec = gauss if math.isinf(c) else truncate_spec(gauss, c)
-    res = limiting_free_energy(params, spec, rule, stream(13, "demo-tr", str(c)),
+    res = limiting_free_energy(params, spec, 12, stream(13, "demo-tr", str(c)),
                                pop_size=50_000, n_mc=10**5)
     values[c] = res.estimate.value
     label = "inf" if math.isinf(c) else f"{c:3.0f}"

@@ -8,7 +8,7 @@ checks every structural identity the two are built on.
 """
 
 from .disorder import DisorderSpec, truncate_spec
-from .free_energy import QuadratureRule, convergence_study, limiting_free_energy
+from .free_energy import convergence_study, limiting_free_energy
 from .model import (
     Factorization,
     ModelParams,
@@ -38,7 +38,6 @@ __all__ = [
     "Factorization",
     "ModelParams",
     "Population",
-    "QuadratureRule",
     "cavity_split",
     "convergence_study",
     "coupling_matrix",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .disorder import DisorderSpec
 from .estimate import combined_se, jackknife_se
-from .free_energy import QuadratureRule, limiting_free_energy
+from .free_energy import limiting_free_energy
 from .model import (
     ModelParams,
     cavity_split,
@@ -69,9 +69,7 @@ def a1(seed, scale=1.0, workers=1):
     target = params.h**2 / 2
     model = sample_model(params, RADEMACHER, 300, stream(seed, "A1", "model"))
     f_fin = finite_free_energy(model)
-    res = limiting_free_energy(
-        params, RADEMACHER, QuadratureRule.gauss_legendre(4), stream(seed, "A1", "lim")
-    )
+    res = limiting_free_energy(params, RADEMACHER, 4, stream(seed, "A1", "lim"))
     diff = max(abs(f_fin - target), abs(res.estimate.value - target))
     elapsed = time.perf_counter() - t0
     passed = diff < 1e-12 and elapsed < 1.0
@@ -112,8 +110,7 @@ def a3(seed, scale=1.0, workers=1):
     n_seeds = _count(20, scale)
     n_sites = _count(2000, scale, floor=100)
     limit = limiting_free_energy(
-        BASE_PARAMS, RADEMACHER, QuadratureRule.gauss_legendre(16),
-        stream(seed, "A3", "limit"),
+        BASE_PARAMS, RADEMACHER, 16, stream(seed, "A3", "limit"),
         pop_size=_count(100_000, scale, floor=5000),
         n_mc=_count(200_000, scale, floor=10_000),
     )
@@ -367,7 +364,6 @@ def a12(seed, scale=1.0, workers=1):
 def a13(seed, scale=1.0, workers=1):
     """Truncating the disorder perturbs the limit continuously."""
     params = ModelParams(0.5, 0.5, 1.0, 2)
-    rule = QuadratureRule.gauss_legendre(12)
     kw = dict(
         pop_size=_count(100_000, scale, floor=10_000),
         n_mc=_count(200_000, scale, floor=20_000),
@@ -375,9 +371,7 @@ def a13(seed, scale=1.0, workers=1):
     values, ses = {}, {}
     for c in (1.0, 2.0, 4.0, math.inf):
         spec = DisorderSpec("gaussian", 1.0, truncation=c)
-        res = limiting_free_energy(
-            params, spec, rule, stream(seed, "A13", str(c)), **kw
-        )
+        res = limiting_free_energy(params, spec, 12, stream(seed, "A13", str(c)), **kw)
         values[c], ses[c] = res.estimate.value, res.estimate.std_error
     gaps = {c: abs(values[c] - values[math.inf]) for c in (1.0, 2.0, 4.0)}
     slack12 = combined_se(ses[1.0], ses[2.0])

@@ -28,8 +28,7 @@ from pathlib import Path
 from . import __version__
 from .acceptance import CRITERIA, run_criteria
 from .disorder import FAMILIES, DisorderSpec
-from .free_energy import (DEFAULT_N_MC, DEFAULT_NODES, QuadratureRule, convergence_study,
-                          limiting_free_energy)
+from .free_energy import DEFAULT_N_MC, DEFAULT_NODES, convergence_study, limiting_free_energy
 from .model import (Factorization, ModelParams, NumericalError, dump_model, format_float,
                     load_model, sample_model, write_rows)
 from .parallel import default_workers, parallel_map
@@ -114,7 +113,7 @@ KEY_SPECS = {
     "experiment.seed": (_int, 0, lambda v: 0 <= v < 2**64, "unsigned 64-bit"),
     "model.alpha": (_float, None, lambda v: 0 < v < math.inf, "finite and positive"),
     "model.beta": (_float, None, lambda v: 0 <= 2 * v < math.inf, "nonnegative with 2*beta finite"),
-    "model.h": (_float, None, lambda v: math.isfinite(v), "finite"),
+    "model.h": (_float, None, lambda v: math.isfinite(v * v), "finite with h*h finite"),
     "model.p": (_int, None, lambda v: v >= 1, "at least 1"),
     "disorder.family": (str, None, lambda v: v in FAMILIES, f"one of {FAMILIES}"),
     "disorder.param": (_float, 1.0, lambda v: 0 < v < math.inf, "finite and positive"),
@@ -349,10 +348,6 @@ def _model_pieces(options):
     return params, spec
 
 
-def _quadrature(options):
-    return QuadratureRule.gauss_legendre(options["quadrature.nodes"])
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -426,7 +421,7 @@ def _run_rde(config: ExperimentConfig):
         {
             "converged": report.converged,
             "generations": report.generations,
-            "tol": report.tol,
+            "tol": opts["rde.tol"],
             "population_mean": report.population.mean(),
             "config_digest": config.digest(),
         },
@@ -441,7 +436,7 @@ def _run_free_energy(config: ExperimentConfig):
     params, spec = _model_pieces(config.options)
     opts = config.options
     result = limiting_free_energy(
-        params, spec, _quadrature(opts), stream(config.seed, "free-energy"),
+        params, spec, opts["quadrature.nodes"], stream(config.seed, "free-energy"),
         pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
         n_mc=opts["free_energy.n_mc"], max_gens=opts["rde.max_gens"],
     )
@@ -479,18 +474,19 @@ def _run_convergence(config: ExperimentConfig):
     opts = config.options
     study = convergence_study(
         params, spec, opts["convergence.n_grid"], opts["convergence.seeds_per_n"],
-        _quadrature(opts), stream(config.seed, "convergence"),
+        opts["quadrature.nodes"], stream(config.seed, "convergence"),
         pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
         n_mc=opts["free_energy.n_mc"], max_gens=opts["rde.max_gens"],
         workers=config.workers,
     )
-    converged = "true" if study.limit_converged else "false"
+    limit = study.limit
+    converged = "true" if limit.converged else "false"
     write_rows(config.out_dir / "convergence.csv", [
         ("N", "mean_F", "std_F", "limit", "gap", "limit_converged"),
-        *((row.n_sites, row.mean_f, row.std_f, study.limit.value, row.gap, converged)
+        *((row.n_sites, row.mean_f, row.std_f, limit.estimate.value, row.gap, converged)
           for row in study.rows),
     ], sep=",")
-    if not study.limit_converged:
+    if not limit.converged:
         _warn_unconverged("convergence", "its limiting free energy is unconverged",
                           "convergence.csv has limit_converged=false")
     return ["convergence.csv"]

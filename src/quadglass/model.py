@@ -25,6 +25,7 @@ pivot is exactly 1 and every query is exact.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -45,11 +46,22 @@ INVERSE_DIAGONAL_PAIRS = 2**18
 
 
 class NumericalError(RuntimeError):
-    """Factorization failed on a matrix that is >= I by construction.
+    """A computation failed in floating point on input that passed its checks.
 
-    This cannot happen for a correctly assembled realization; treat it
-    as a bug signal, not an input problem.
+    A factorization failing on a matrix that is >= I by construction is a
+    bug signal; an overflow or nan under :func:`_float_range`, such as an
+    RDE generation at an extreme beta, is not.
     """
+
+
+@contextmanager
+def _float_range(what):
+    """Turn an overflow or a nan made inside the block into a :class:`NumericalError`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"{what} left the float range: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -68,8 +80,8 @@ class ModelParams:
             raise ValueError(f"beta must be nonnegative, got {self.beta!r}")
         if not 2.0 * self.beta < math.inf:
             raise ValueError(f"2*beta must be finite, got beta={self.beta!r}")
-        if not math.isfinite(self.h):
-            raise ValueError(f"h must be finite, got {self.h!r}")
+        if not math.isfinite(self.h * self.h):
+            raise ValueError(f"h*h must be finite, got h={self.h!r}")
         if self.p < 1:
             raise ValueError("p must be at least 1")
 

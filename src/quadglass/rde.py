@@ -29,7 +29,7 @@ import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
-from .model import ModelParams, _clauses, write_rows
+from .model import ModelParams, _clauses, _float_range, write_rows
 
 CONVERGENCE_WINDOW = 10
 DEFAULT_POP_SIZE = 100_000
@@ -54,7 +54,7 @@ class Population:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("population values must be a nonempty 1-D array")
-        if values.min() <= 0 or values.max() > 1:
+        if not (values.min() > 0 and values.max() <= 1):  # nan fails both
             raise ValueError("population values must lie in (0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -72,10 +72,12 @@ class RdeReport:
     """Outcome of a fixed-point run: final population and gap trajectory."""
 
     population: Population
-    generations: int
     gaps: tuple[float, ...]
     converged: bool
-    tol: float
+
+    @property
+    def generations(self) -> int:
+        return len(self.gaps)
 
 
 def delta_population(value: float, size: int, rate: float = 0.0) -> Population:
@@ -102,29 +104,32 @@ def step(
     ``pop``.  Outputs always lie in (0, 1]; entries whose clause count
     is zero come out exactly 1.  The arithmetic runs in place on the
     draws, with the IEEE operations of the one-line expression
-    ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.
+    ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.  A
+    generation that overflows or makes a nan, and so would leave
+    (0, 1], raises :class:`model.NumericalError`.
     """
     if not 0 < rate_scale <= 1:
         raise ValueError("rate_scale must lie in (0, 1]")
     if out_size < 1:
         raise ValueError("out_size must be at least 1")
     rate = params.alpha * rate_scale * params.p
-    owners, zeta = _clauses(disorder, rate * out_size, out_size, 1, rng)
-    xi = _sample_shape(disorder, (zeta.shape[0], params.p - 1), rng)
-    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
-    np.square(xi, out=xi)
-    xi *= pop.values[rng.integers(0, pop.size, size=xi.shape)]
-    two_beta = 2.0 * params.beta
-    denom = np.sum(xi, axis=1)
-    denom *= two_beta
-    denom += 1.0
-    zeta = zeta[:, 0]
-    np.square(zeta, out=zeta)
-    zeta *= two_beta
-    zeta /= denom
-    totals = np.bincount(owners[:, 0], weights=zeta, minlength=out_size)
-    totals += 1.0
-    np.divide(1.0, totals, out=totals)
+    with _float_range(f"generation {pop.generation + 1} at rate {rate:.6g}"):
+        owners, zeta = _clauses(disorder, rate * out_size, out_size, 1, rng)
+        xi = _sample_shape(disorder, (zeta.shape[0], params.p - 1), rng)
+        # at p = 1, xi has no columns: the resample draws nothing and denom is 1
+        np.square(xi, out=xi)
+        xi *= pop.values[rng.integers(0, pop.size, size=xi.shape)]
+        two_beta = 2.0 * params.beta
+        denom = np.sum(xi, axis=1)
+        denom *= two_beta
+        denom += 1.0
+        zeta = zeta[:, 0]
+        np.square(zeta, out=zeta)
+        zeta *= two_beta
+        zeta /= denom
+        totals = np.bincount(owners[:, 0], weights=zeta, minlength=out_size)
+        totals += 1.0
+        np.divide(1.0, totals, out=totals)
     return Population(totals, rate, pop.generation + 1)
 
 
@@ -201,7 +206,7 @@ def solve_fixed_point(
         gaps.append(wasserstein(current, new))
         current = new
         converged = _stops(gaps, tol)
-    return RdeReport(current, len(gaps), tuple(gaps), converged, tol)
+    return RdeReport(current, tuple(gaps), converged)
 
 
 # ---------------------------------------------------------------------------

@@ -409,8 +409,8 @@ def serial_fixed_point(
         if len(gaps) >= CONVERGENCE_WINDOW and all(
             g < tol for g in gaps[-CONVERGENCE_WINDOW:]
         ):
-            return RdeReport(current, len(gaps), tuple(gaps), True, tol)
-    return RdeReport(current, len(gaps), tuple(gaps), False, tol)
+            return RdeReport(current, tuple(gaps), True)
+    return RdeReport(current, tuple(gaps), False)
 
 
 def load_population(path):

@@ -270,6 +270,7 @@ VALID_MODEL_FILE = "10 2 0.5 0.5 1 2 rademacher 1 inf\n1 2 1 -1\n3 4 1 1\n"
         (VALID_MODEL_FILE.replace("0.5 0.5 1 2", "inf 0.5 1 2"), "alpha must be finite"),
         (VALID_MODEL_FILE.replace("0.5 0.5 1 2", "0.5 1e308 1 2"),
          "2*beta must be finite"),
+        (VALID_MODEL_FILE.replace("0.5 0.5 1 2", "0.5 0.5 1e200 2"), "h*h must be finite"),
         (VALID_MODEL_FILE.replace("1 2 1 -1", "1 2 nan -1"),
          "clause line 2 has a non-finite weight"),
         ("4 1 0.5 0.25 1 2 rademacher 1 inf\n1 1 1 1\n", "clause line 2 repeats a site"),
@@ -277,8 +278,8 @@ VALID_MODEL_FILE = "10 2 0.5 0.5 1 2 rademacher 1 inf\n1 2 1 -1\n3 4 1 1\n"
         (VALID_MODEL_FILE.replace("10 2 ", "9" * 30 + " 2 ", 1), "too large"),
     ],
     ids=["missing", "clause-count-mismatch", "site-out-of-range", "h-nan",
-         "alpha-inf", "beta-overflows", "weight-nan", "site-repeated", "n-beyond-memory",
-         "n-beyond-int64"],
+         "alpha-inf", "beta-overflows", "h-square-overflows", "weight-nan", "site-repeated",
+         "n-beyond-memory", "n-beyond-int64"],
 )
 def test_bad_load_file_exits_2_without_traceback(tmp_path, capsys, text, fault):
     model_path = tmp_path / "model.txt"
@@ -385,11 +386,13 @@ def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monk
         ("simulate", BASE_SIM.encode(), "blocker/sub", (), ("--out", "blocker/sub")),
         ("simulate", BASE_SIM.encode(), "o", ("--workers", 0), ("--workers",)),
         ("simulate", BASE_SIM.encode(), "o", ("--workers", -4), ("--workers",)),
+        ("free-energy", BASE_LIMIT.replace("model.h=1.0", "model.h=1e200").encode(), "o", (),
+         ("model.h", "h*h finite")),
     ],
     ids=["criteria-empty", "criteria-only-commas", "criteria-repeated",
          "free-energy-rate-scale", "convergence-rate-scale", "n-grid-all-equal",
          "n-grid-repeats", "config-not-utf8", "out-is-a-file", "out-under-a-file",
-         "workers-zero", "workers-negative"],
+         "workers-zero", "workers-negative", "h-square-overflows"],
 )
 def test_unusable_cli_input_exits_2_naming_it(tmp_path, capsys, kind, config, out, flags,
                                               keys):
@@ -639,6 +642,20 @@ def test_unconverged_fixed_point_warns_once(tmp_path, capsys, kind):
     assert err.startswith(f"warning: {kind} did not converge") and err.count("\n") == 1
     flag = {"rde": "converged=false", "convergence": "limit_converged=false"}[kind]
     assert flag in err
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", ["rde", "free-energy", "convergence"])
+def test_rde_generation_past_float_range_exits_4_without_traceback(tmp_path, capsys, kind, p):
+    # 2*beta is finite, but gaussian weights push 2*beta*z^2 past the float range
+    base = {"rde": BASE_RDE, "free-energy": BASE_LIMIT, "convergence": BASE_CONV}[kind]
+    cfg = write_cfg(tmp_path, base.replace("model.beta=0.25", "model.beta=1e307")
+                    .replace("model.p=2", f"model.p={p}").replace("rademacher", "gaussian")
+                    .replace("rde.pop_size=2000", "rde.pop_size=200") + "rde.max_gens=5\n")
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure in {kind}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_validate_subset_passes_and_writes_table(tmp_path, capsys):

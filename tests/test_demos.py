@@ -35,3 +35,21 @@ def test_limit_demo_reproduces_the_base_limit():
     match = re.search(r"limiting free energy:\s+(\S+)", done.stdout)
     assert match is not None, done.stdout
     assert abs(float(match.group(1)) - 0.5494) < 0.002
+
+
+def test_fixed_point_demo_reports_the_tol_it_passed():
+    done = run_demo("02_variance_fixed_point.py")
+    assert done.returncode == 0, done.stderr
+    match = re.search(r"ran (\d+) generations \(converged flag: \w+, tol (\S+)\)", done.stdout)
+    assert match is not None, done.stdout
+    assert int(match.group(1)) <= 150
+    assert float(match.group(2)) == 1e-3
+
+
+def test_cavity_demo_index_constructions_agree():
+    # two constructions of the same law, 10^6 samples each
+    done = run_demo("04_cavity_identities.py")
+    assert done.returncode == 0, done.stderr
+    match = re.search(r"total-variation distance\s+(\S+)", done.stdout)
+    assert match is not None, done.stdout
+    assert float(match.group(1)) < 0.005

@@ -105,9 +105,10 @@ def test_distinct_tuples_fallback_when_arity_near_size():
         (0.5, 1e308, 1.0, "2*beta must be finite"),
         (0.5, 0.5, math.inf, "h must be finite"),
         (0.5, 0.5, math.nan, "h must be finite"),
+        (0.5, 0.5, 1e200, "h*h must be finite"),
     ],
     ids=["alpha-inf", "alpha-zero", "beta-nan", "beta-negative", "beta-overflows",
-         "h-inf", "h-nan"],
+         "h-inf", "h-nan", "h-square-overflows"],
 )
 def test_params_outside_the_finite_domain_rejected(alpha, beta, h, fault):
     with pytest.raises(ValueError, match=re.escape(fault)):
