@@ -31,7 +31,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix, tril
+from scipy.linalg.lapack import dpotri
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .disorder import DisorderSpec, _sample_shape
@@ -238,23 +239,28 @@ def _assemble(model: FactorModel) -> csc_matrix:
     Each clause contributes its p x p block of weight products; entries
     that land on the same (row, column) are summed.  Products that are
     exactly zero (all of them at beta = 0) are not stored, so they cost
-    the factorization no fill.
+    the factorization no fill.  An entry past the float range raises
+    :class:`NumericalError`.
     """
     n = model.n_sites
-    contrib = (
-        2.0 * model.params.beta * model.weights[:, :, None] * model.weights[:, None, :]
-    )
+    with _float_range("assembly"):
+        contrib = (
+            2.0 * model.params.beta * model.weights[:, :, None] * model.weights[:, None, :]
+        )
     keep = contrib != 0
     rows = np.broadcast_to(model.sites[:, :, None], contrib.shape)[keep]
     cols = np.broadcast_to(model.sites[:, None, :], contrib.shape)[keep]
     diag = np.arange(n)
-    return csc_matrix(
+    matrix = csc_matrix(
         (
             np.concatenate([np.ones(n), contrib[keep]]),
             (np.concatenate([diag, rows]), np.concatenate([diag, cols])),
         ),
         shape=(n, n),
     )
+    if not np.all(np.isfinite(matrix.data)):  # the sum of finite products overflowed
+        raise NumericalError("assembly left the float range: a summed entry overflowed")
+    return matrix
 
 
 def coupling_matrix(model: FactorModel) -> np.ndarray:
@@ -290,22 +296,85 @@ def _factorize(matrix):
     return lu, pivots
 
 
+def _column_structure(pattern):
+    """(ptr, rows, below, keys, parent) of a lower triangular CSC pattern with sorted rows.
+
+    ``below`` is |S_j|, the number of rows under column j's diagonal;
+    the entry (r, c) has key c*n + r, so ``keys`` is sorted; parent(j) =
+    min S_j, or j itself at a root of the elimination forest.
+    """
+    n = pattern.shape[0]
+    ptr = pattern.indptr.astype(np.int64)
+    rows = pattern.indices.astype(np.int64)
+    below = np.diff(ptr) - 1
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, below + 1) + rows
+    parent = np.where(below > 0, rows[np.minimum(ptr[:-1] + 1, ptr[1:] - 1)], np.arange(n))
+    return ptr, rows, below, keys, parent
+
+
 def _closed_pattern(lower) -> csc_matrix:
     """The pattern of a lower triangular CSC matrix, closed under elimination.
 
-    Returns B with unit values such that for every column j the rows
-    below its diagonal form a clique: (l, k) is stored for k < l both in
-    S_j.  tril(B B^T) adds every such entry; it is repeated until the
-    pattern stops growing (it never shrinks, since B has a unit diagonal).
+    Returns B with unit values and sorted rows such that for every
+    column j the rows below its diagonal form a clique: (l, k) is stored
+    for k < l both in S_j.  That holds exactly when every S_j without
+    parent(j) lies in S_parent(j) (then S_j is a clique because
+    S_parent(j) is, from the last column down), which one key search
+    over the entries checks.  The entries it finds missing are added
+    and the check is repeated; L is nearly always closed already.
     """
     pattern = csc_matrix(lower, copy=True)
+    pattern.sum_duplicates()
+    n = pattern.shape[0]
     while True:
-        pattern.data[:] = 1.0
-        grown = tril(pattern @ pattern.T, format="csc")
-        if grown.nnz == pattern.nnz:
-            pattern.sort_indices()
+        ptr, rows, below, keys, parent = _column_structure(pattern)
+        cols = np.repeat(np.arange(n, dtype=np.int64), below + 1)
+        past = rows > parent[cols]                            # S_j without parent(j)
+        need_rows, need_cols = rows[past], parent[cols[past]]
+        need = need_cols * n + need_rows
+        at = np.minimum(np.searchsorted(keys, need), keys.size - 1)
+        missing = keys[at] != need
+        if not missing.any():
+            pattern.data[:] = 1.0
             return pattern
-        pattern = grown
+        pattern = csc_matrix(
+            (np.ones(rows.size + np.count_nonzero(missing)),
+             (np.concatenate([rows, need_rows[missing]]),
+              np.concatenate([cols, need_cols[missing]]))),
+            shape=(n, n),
+        )
+        pattern.sum_duplicates()
+
+
+def _root_clique(below: np.ndarray) -> int:
+    """First column c0 of the root clique of a closed pattern with ``below`` = |S_j|.
+
+    The root clique is the trailing columns c0..n-1 whose rows below the
+    diagonal are every later column.  In a closed pattern a full column's
+    parent j+1 is full too, so the full columns are exactly c0..n-1; the
+    last column always is one.
+    """
+    return int(np.flatnonzero(below == np.arange(below.size - 1, -1, -1))[0])
+
+
+def _clique_inverse(lval: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Z22 = L22^{-T} D2^{-1} L22^{-1} on the lower triangle, column by column.
+
+    ``lval`` holds the k x k unit lower triangular L22 the same way.
+    Its transpose scaled by D2^{1/2} is the Cholesky factor R of
+    L22 D2 L22^T = R^T R, so LAPACK's ``dpotri`` inverts it in k^3/3
+    multiply-adds.  The upper triangle of a row-major array lists a
+    column-major lower triangle in order, which is how both are read.
+    """
+    k = pivots.size
+    upper = np.triu(np.ones((k, k), dtype=bool))
+    factor = np.zeros((k, k))
+    factor[upper] = lval
+    factor *= np.sqrt(pivots)[:, None]
+    inverse, info = dpotri(factor)
+    if info:
+        raise NumericalError(f"dense inverse of the root clique failed: dpotri info {info}")
+    return inverse[upper]
 
 
 def _tree_depth(parent: np.ndarray) -> np.ndarray:
@@ -325,28 +394,30 @@ def _tree_depth(parent: np.ndarray) -> np.ndarray:
 
 
 def _selected_inverse_diagonal(lower, pivots: np.ndarray) -> np.ndarray:
-    """diag((L D L^T)^{-1}) by Takahashi's recurrence, depth by depth.
+    """diag((L D L^T)^{-1}): the root clique densely, then Takahashi's recurrence.
 
     Z is held on the closed pattern of L, column by column in CSC order,
-    so the entry (r, c), r >= c, sits at ``searchsorted(keys, c*n + r)``.
-    Z[S_j, S_j] is symmetric, so each column gathers its lower triangle
-    once, pair (a, b) with a < b adding to both Z[s_a, j] and Z[s_b, j].
-    Every per-entry index is set up once; a pass reads slices of them.
+    so the entry (r, c), r >= c, sits at ``searchsorted(keys, c*n + r)``,
+    or at ``ptr[c] + r - c`` when c is in the root clique, whose columns
+    are full.  The clique's block of Z is filled in by LAPACK first.  A
+    column whose parent lies in the clique then becomes a root, and the
+    other columns follow one depth of that forest at a time.  Z[S_j, S_j] is
+    symmetric, so each column gathers its lower triangle once, pair
+    (a, b) with a < b adding to both Z[s_a, j] and Z[s_b, j].  Every
+    per-entry index is set up once; a pass reads slices of them.
     """
     n = pivots.size
-    pattern = _closed_pattern(lower)
-    ptr = pattern.indptr.astype(np.int64)
-    rows = pattern.indices.astype(np.int64)
-    below = np.diff(ptr) - 1                                  # |S_j|
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, below + 1) + rows
+    ptr, rows, below, keys, parent = _column_structure(_closed_pattern(lower))
     entries = lower.tocoo()
     lval = np.zeros(rows.size)                                # 0 where closure added
     lval[np.searchsorted(keys, entries.col.astype(np.int64) * n + entries.row)] = entries.data
-    parent = np.where(below > 0, rows[np.minimum(ptr[:-1] + 1, ptr[1:] - 1)], np.arange(n))
-    depth = _tree_depth(parent)
     z = np.zeros(rows.size)
     z[ptr[:-1]] = 1.0 / pivots                                # final at the roots
-    order = np.argsort(depth, kind="stable")[np.count_nonzero(depth == 0):]
+    clique = _root_clique(below)                              # its first column
+    z[ptr[clique]:] = _clique_inverse(lval[ptr[clique]:], pivots[clique:])
+    depth = _tree_depth(np.where(parent < clique, parent, np.arange(n)))
+    todo = np.flatnonzero(below[:clique] > 0)
+    order = todo[np.argsort(depth[todo], kind="stable")]
     # the other columns' below-diagonal entries, column by column in depth order
     count = below[order]
     col_bound = np.concatenate([[0], np.cumsum(count)])
@@ -370,7 +441,11 @@ def _selected_inverse_diagonal(lower, pivots: np.ndarray) -> np.ndarray:
     ):
         ia = np.repeat(np.arange(e0, e1), later[e0:e1])
         ib = np.arange(p0, p1) + np.repeat(shift[e0:e1], later[e0:e1])
-        zab = z[np.searchsorted(keys, rent[ia] * n + rent[ib])]   # Z[s_b, s_a]
+        sa, sb = rent[ia], rent[ib]
+        at = ptr[sa] + sb - sa                                # Z[s_b, s_a] if s_a in the clique
+        out = sa < clique
+        at[out] = np.searchsorted(keys, sa[out] * n + sb[out])
+        zab = z[at]
         x = -(
             z[ptr[rent[e0:e1]]] * lent[e0:e1]
             + np.bincount(ia - e0, zab * lent[ib], e1 - e0)
@@ -427,14 +502,22 @@ class Factorization:
             Z[j, j]   = 1/d_j - L[S_j, j]^T Z[S_j, j],
 
         and A^{-1}_{ii} = Z[perm_c[i], perm_c[i]].  Every row of S_j is an
-        ancestor of j in the elimination tree, parent(j) = min S_j, so the
-        columns at one depth are independent: Z is computed on L's pattern
-        only, one vectorized pass per depth from the roots down.  SuperLU
-        leaves out entries of L that are exactly zero, and +-1 weights
-        cancel fill exactly, so Z[S_j, S_j] could reach outside that
-        pattern; the pattern is closed under elimination first.  The work
-        is about sum_j |S_j|^2 / 2 gathered entries, the order of the
-        factorization's own flop count, and no N x N array is formed.  All
+        ancestor of j in the elimination tree, parent(j) = min S_j.
+        SuperLU leaves out entries of L that are exactly zero, and +-1
+        weights cancel fill exactly, so Z[S_j, S_j] could reach outside
+        that pattern; the pattern is closed under elimination first,
+        which is checked with one key search in O(nnz(L)) and grown only
+        where it is not.  The root clique, the trailing columns c0..n-1
+        whose rows are every later column, is inverted densely with
+        LAPACK, Z22 = L22^{-T} D2^{-1} L22^{-1} (c0 = n-1 at beta = 0,
+        c0 = 0 for a dense A).  The columns under it follow on L's
+        pattern, one vectorized pass per depth of the forest left when
+        the clique is cut off, so the number of passes is that forest's
+        height, not the elimination tree's.  For a clique of k columns
+        the work is about k^3/3 + sum_j |S_j|^2 / 2 over the other
+        columns, the order of the factorization's own flop count.  The
+        one dense array is the clique's k x k block, which L already
+        holds half of; no N x N array is formed unless L is dense.  All
         values lie in (0, 1] because A >= I.
         """
         n = self.model.n_sites

@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csc_matrix, tril
 
 
 class Clause(NamedTuple):
@@ -149,6 +150,24 @@ def log_det_incremental(model):
         total += math.log(s)
         inv -= (two_beta / s) * np.outer(u, u)
     return total
+
+
+def closed_pattern_by_products(lower):
+    """Pattern of a lower triangular CSC matrix closed under elimination, by products.
+
+    With B the unit-valued pattern, tril(B B^T) stores (l, k) whenever
+    some column holds both rows; it is repeated until the pattern stops
+    growing (it never shrinks, since B has a unit diagonal).  The result
+    has sorted indices.
+    """
+    pattern = csc_matrix(lower, copy=True)
+    while True:
+        pattern.data[:] = 1.0
+        grown = tril(pattern @ pattern.T, format="csc")
+        if grown.nnz == pattern.nnz:
+            pattern.sort_indices()
+            return pattern
+        pattern = grown
 
 
 def conjugate_gradient_solve(matrix, rhs, tol=1e-14, max_iter=10_000):

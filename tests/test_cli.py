@@ -658,6 +658,30 @@ def test_rde_generation_past_float_range_exits_4_without_traceback(tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("param", ["1e200", "1e154"])
+def test_weights_past_float_range_fail_in_the_assembly(tmp_path, capsys, param):
+    # disorder.param is finite, but the products 2*beta*w_i*w_j of its weights are not;
+    # numpy's overflow warning on the way would be an error under the pytest settings
+    cfg = write_cfg(tmp_path, BASE_SIM.replace("rademacher", f"gaussian\ndisorder.param={param}")
+                    .replace("simulate.n_sites=100", "simulate.n_sites=50"))
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in simulate: assembly left the float range")
+    assert err.count("\n") == 1
+
+
+def test_summed_entry_past_float_range_fails_in_the_assembly(tmp_path, capsys):
+    # each product 2*beta*w*w = 1e308 is finite; site 1's diagonal sums two of them
+    model_path = tmp_path / "model.txt"
+    model_path.write_text("4 2 0.5 0.5 0 2 rademacher 1 inf\n1 2 1e154 1\n1 3 1e154 1\n",
+                          encoding="utf-8")
+    cfg = write_cfg(tmp_path, f"load.path={model_path}", name="load.txt")
+    assert run_cli(["load", "--config", cfg, "--out", tmp_path / "o"]) == 4
+    err = capsys.readouterr().err
+    assert err == ("numerical failure in load: assembly left the float range: "
+                   "a summed entry overflowed\n")
+
+
 def test_validate_subset_passes_and_writes_table(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -30,7 +30,7 @@ from quadglass.model import (
 )
 from quadglass.streams import stream, substreams
 
-from oracles import dense_coupling_matrix, logdet_via_eigenvalues
+from oracles import closed_pattern_by_products, dense_coupling_matrix, logdet_via_eigenvalues
 
 RAD = DisorderSpec("rademacher")
 MODEL_KEYS = """
@@ -201,10 +201,40 @@ def test_inverse_diagonal_exact_where_cancellation_drops_fill_from_l():
     for model in models:
         fac = Factorization(model)
         lower = fac._lu.L
-        dropped.append(quadglass.model._closed_pattern(lower).nnz > lower.nnz)
+        closed = quadglass.model._closed_pattern(lower)
+        reference = closed_pattern_by_products(lower)
+        assert np.array_equal(closed.indptr, reference.indptr)
+        assert np.array_equal(closed.indices, reference.indices)
+        dropped.append(closed.nnz > lower.nnz)
         inv = np.linalg.inv(dense_coupling_matrix(model))
         assert fac.inverse_diagonal() == pytest.approx(np.diag(inv), abs=1e-12)
     assert dropped[0] and sum(dropped) > 1
+
+
+@pytest.mark.parametrize(
+    "params, family, n, clique",
+    [
+        (ModelParams(1.0, 0.0, 0.0, 2), "rademacher", 200, "last column"),
+        (ModelParams(1.0, 0.5, 0.0, 6), "gaussian", 6, "every column"),
+        (ModelParams(1.0, 0.5, 0.0, 2), "rademacher", 500, "trailing block"),
+        (ModelParams(0.5, 0.25, 1.0, 2), "rademacher", 500, "trailing block"),
+    ],
+    ids=["beta-zero", "tiny-dense", "moment", "base-forest"],
+)
+def test_inverse_diagonal_matches_dense_inverse_whatever_the_root_clique(
+    params, family, n, clique
+):
+    # the root clique c0..n-1 is inverted densely and the forest under it by
+    # Takahashi's recurrence; each case covers another split between the two
+    model = sample_model(params, DisorderSpec(family), n, stream(112, "clique", n, family))
+    fac = Factorization(model)
+    below = np.diff(quadglass.model._closed_pattern(fac._lu.L).indptr) - 1
+    c0 = quadglass.model._root_clique(below)
+    assert clique == {n - 1: "last column", 0: "every column"}.get(c0, "trailing block")
+    if clique == "trailing block":
+        assert np.count_nonzero(below == 0) > 1  # a forest: the clique hangs off one root
+    inv = np.linalg.inv(dense_coupling_matrix(model))
+    assert fac.inverse_diagonal() == pytest.approx(np.diag(inv), abs=1e-12)
 
 
 @pytest.mark.parametrize(
