@@ -142,6 +142,9 @@ POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 # peak RSS by 445 B/site with no clauses (N = 2.5e5 and 1e6), 485 B/site with
 # the clause arrays at alpha 0.5, p 2 (N = 1e6)
 SITE_BYTES = 512
+# The assembly's peak per entry of A (tracemalloc): 27-28 B at p = 40 and 100, up to
+# 41 B at p = 2, where V and the identity add their share (N = 200-20000)
+ENTRY_BYTES = 48
 
 # Held per fanned-out item until the map returns (tracemalloc): 1.8 KB per future and
 # result row on a 2-worker pool, which submits every future at once (230 B serially),
@@ -284,6 +287,13 @@ def _factored(setting, n_sites, n_clauses, p, held):
             held * (SITE_BYTES * n_sites + 16.0 * p * n_clauses))
 
 
+def _entries(setting, n_sites, n_clauses, p, held):
+    """The row of ``held`` matrices A: ENTRY_BYTES per entry, N + p*(p-1) per clause or N^2."""
+    entries = min(float(n_sites) ** 2, n_sites + p * (p - 1) * n_clauses)
+    return (setting, f"the matrix entries of {held} realization(s)", n_clauses,
+            held * ENTRY_BYTES * entries)
+
+
 def _allocations(kind, options, raw, workers):
     """Rows (setting, what, clause-count mean, bytes) of each large allocation of a kind.
 
@@ -303,8 +313,8 @@ def _allocations(kind, options, raw, workers):
                                    ("convergence.seeds_per_n", ITEM_BYTES + STREAM_BYTES)):
         if copies_key in options:
             copies = options[copies_key]
-            rows.append(_factored(f"{key}={n}{at_alpha}", n, alpha * n, p,
-                                  min(workers, copies)))
+            for row in (_factored, _entries):
+                rows.append(row(f"{key}={n}{at_alpha}", n, alpha * n, p, min(workers, copies)))
             rows.append((f"{copies_key}={copies}", "the replicate fan-out's pending items", 0,
                          item_bytes * copies))
     if "rde.pop_size" in options:
@@ -549,8 +559,8 @@ def _run_load(config: ExperimentConfig):
         model = load_model(path)
     except (OSError, ValueError, OverflowError) as exc:
         raise ConfigError(f"load.path={path!r}: {exc}") from exc
-    _check_allocations([_factored(f"load.path={path!r}", model.n_sites, model.n_clauses,
-                                  model.params.p, 1)])
+    _check_allocations([row(f"load.path={path!r}", model.n_sites, model.n_clauses,
+                            model.params.p, 1) for row in (_factored, _entries)])
     write_rows(config.out_dir / "loaded.csv", [
         ("n_sites", "n_clauses", "log_det", "ones_quadratic_form", "free_energy"),
         (model.n_sites, model.n_clauses) + _observables(Factorization(model)),

@@ -14,8 +14,9 @@ thermodynamic observables reduce to linear algebra on A:
 
 Each realization is factored once by :class:`Factorization`, every
 observable is a query on that one factor, and :func:`over_realizations`
-fans a query out over independent realizations.  The roughly
-N + alpha*N*p^2 nonzeros of A are assembled as a sparse matrix and
+fans a query out over independent realizations.  With V the N x M
+matrix of clause vectors, A = I + 2*beta * V V^T is assembled from V
+as a sparse matrix of at most min(N^2, N + p*(p-1)*M) nonzeros and
 factored by a fill-reducing symmetric sparse LU, A = P^T L D L^T P.
 A >= I makes the factorization unconditionally well posed, so it needs
 no pivoting off the diagonal; when A = I (no clauses or beta = 0) every
@@ -32,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotri
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu, spsolve_triangular
+from scipy.sparse import csc_matrix, csr_matrix, identity
+from scipy.sparse.linalg import splu
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
@@ -233,32 +234,29 @@ def over_realizations(
 # linear algebra
 
 
-def _assemble(model: FactorModel) -> csc_matrix:
-    """A = I + 2*beta * sum_k v_k v_k^T as a sparse CSC matrix.
-
-    Each clause contributes its p x p block of weight products; entries
-    that land on the same (row, column) are summed.  Products that are
-    exactly zero (all of them at beta = 0) are not stored, so they cost
-    the factorization no fill.  An entry past the float range raises
-    :class:`NumericalError`.
-    """
-    n = model.n_sites
-    with _float_range("assembly"):
-        contrib = (
-            2.0 * model.params.beta * model.weights[:, :, None] * model.weights[:, None, :]
-        )
-    keep = contrib != 0
-    rows = np.broadcast_to(model.sites[:, :, None], contrib.shape)[keep]
-    cols = np.broadcast_to(model.sites[:, None, :], contrib.shape)[keep]
-    diag = np.arange(n)
-    matrix = csc_matrix(
-        (
-            np.concatenate([np.ones(n), contrib[keep]]),
-            (np.concatenate([diag, rows]), np.concatenate([diag, cols])),
-        ),
-        shape=(n, n),
+def _clause_rows(model: FactorModel) -> csr_matrix:
+    """V^T as an M x N CSR matrix: row k holds clause k's p weights at its p sites."""
+    m, p = model.sites.shape
+    return csr_matrix(
+        (model.weights.ravel(), model.sites.ravel(), np.arange(0, m * p + 1, p)),
+        shape=(m, model.n_sites),
     )
-    if not np.all(np.isfinite(matrix.data)):  # the sum of finite products overflowed
+
+
+def _assemble(model: FactorModel) -> csc_matrix:
+    """A = I + 2*beta * V V^T as a sparse CSC matrix with sorted rows.
+
+    The sparse product forms each entry's sum of weight products once.
+    No sum that is exactly zero is stored (+-1 clauses that cancel, and
+    all of them at beta = 0), so none costs the factorization fill.  An
+    entry past the float range raises :class:`NumericalError`.
+    """
+    rows = _clause_rows(model)
+    gram = (rows.T.tocsr() @ rows).tocsc()                   # CSR to CSC sorts the rows
+    with _float_range("assembly"):
+        gram.data *= 2.0 * model.params.beta
+    matrix = gram + identity(model.n_sites, format="csc")
+    if not np.all(np.isfinite(matrix.data)):  # a sum of finite products overflowed
         raise NumericalError("assembly left the float range: a summed entry overflowed")
     return matrix
 
@@ -312,22 +310,22 @@ def _column_structure(pattern):
     return ptr, rows, below, keys, parent
 
 
-def _closed_pattern(lower) -> csc_matrix:
-    """The pattern of a lower triangular CSC matrix, closed under elimination.
+def _closed_pattern(lower):
+    """L's values on its pattern closed under elimination, and that pattern's structure.
 
-    Returns B with unit values and sorted rows such that for every
-    column j the rows below its diagonal form a clique: (l, k) is stored
-    for k < l both in S_j.  That holds exactly when every S_j without
+    In the closed pattern, given by :func:`_column_structure`, the rows
+    below each column j's diagonal form a clique: (l, k) is stored for
+    k < l both in S_j.  That holds exactly when every S_j without
     parent(j) lies in S_parent(j) (then S_j is a clique because
     S_parent(j) is, from the last column down), which one key search
-    over the entries checks.  The entries it finds missing are added
-    and the check is repeated; L is nearly always closed already.
+    over the entries checks.  The entries it finds missing are added,
+    with value 0, and the check is repeated; L is nearly always closed.
     """
     pattern = csc_matrix(lower, copy=True)
     pattern.sum_duplicates()
     n = pattern.shape[0]
     while True:
-        ptr, rows, below, keys, parent = _column_structure(pattern)
+        ptr, rows, below, keys, parent = structure = _column_structure(pattern)
         cols = np.repeat(np.arange(n, dtype=np.int64), below + 1)
         past = rows > parent[cols]                            # S_j without parent(j)
         need_rows, need_cols = rows[past], parent[cols[past]]
@@ -335,10 +333,9 @@ def _closed_pattern(lower) -> csc_matrix:
         at = np.minimum(np.searchsorted(keys, need), keys.size - 1)
         missing = keys[at] != need
         if not missing.any():
-            pattern.data[:] = 1.0
-            return pattern
+            return pattern.data, structure
         pattern = csc_matrix(
-            (np.ones(rows.size + np.count_nonzero(missing)),
+            (np.concatenate([pattern.data, np.zeros(np.count_nonzero(missing))]),
              (np.concatenate([rows, need_rows[missing]]),
               np.concatenate([cols, need_cols[missing]]))),
             shape=(n, n),
@@ -407,10 +404,7 @@ def _selected_inverse_diagonal(lower, pivots: np.ndarray) -> np.ndarray:
     per-entry index is set up once; a pass reads slices of them.
     """
     n = pivots.size
-    ptr, rows, below, keys, parent = _column_structure(_closed_pattern(lower))
-    entries = lower.tocoo()
-    lval = np.zeros(rows.size)                                # 0 where closure added
-    lval[np.searchsorted(keys, entries.col.astype(np.int64) * n + entries.row)] = entries.data
+    lval, (ptr, rows, below, keys, parent) = _closed_pattern(lower)  # 0 where closure added
     z = np.zeros(rows.size)
     z[ptr[:-1]] = 1.0 / pivots                                # final at the roots
     clique = _root_clique(below)                              # its first column
@@ -459,9 +453,10 @@ def _selected_inverse_diagonal(lower, pivots: np.ndarray) -> np.ndarray:
 class Factorization:
     """One realization's matrix A, factored once and queried many times.
 
-    The sparse A is factored once by a symmetric sparse LU, A = C C^T
-    with C = P^T L D^{1/2}: P a fill-reducing permutation, L unit lower
-    triangular, D = diag(U) > 0.
+    The sparse A is factored once by a symmetric sparse LU,
+    A = P^T L D L^T P: P a fill-reducing permutation, L unit lower
+    triangular, D = diag(U) > 0.  Solves go through SuperLU; only
+    :meth:`inverse_diagonal` reads L itself.
     """
 
     def __init__(self, model: FactorModel):
@@ -476,19 +471,6 @@ class Factorization:
     def solve(self, rhs) -> np.ndarray:
         """A^{-1} rhs for a vector or a matrix of right-hand-side columns."""
         return self._lu.solve(np.asarray(rhs, dtype=float))
-
-    def solve_transposed_factor(self, rhs) -> np.ndarray:
-        """C^{-T} rhs; standard normal columns map to N(0, A^{-1}) draws.
-
-        With A = C C^T, C^{-T} g = P^T L^{-T} D^{-1/2} g has covariance
-        (C C^T)^{-1} = A^{-1}.
-        """
-        rhs = np.asarray(rhs, dtype=float)
-        scale = np.sqrt(self._pivots).reshape((-1,) + (1,) * (rhs.ndim - 1))
-        x = spsolve_triangular(
-            self._lu.L.T, rhs / scale, lower=False, unit_diagonal=True
-        )
-        return x[self._lu.perm_c]
 
     def inverse_diagonal(self, sites=None) -> np.ndarray:
         """A^{-1}_{ii} at the given 0-based sites (default: every site).
@@ -507,7 +489,8 @@ class Factorization:
         weights cancel fill exactly, so Z[S_j, S_j] could reach outside
         that pattern; the pattern is closed under elimination first,
         which is checked with one key search in O(nnz(L)) and grown only
-        where it is not.  The root clique, the trailing columns c0..n-1
+        where it is not, carrying L's values along (0 where it grew), so
+        L is read once.  The root clique, the trailing columns c0..n-1
         whose rows are every later column, is inverted densely with
         LAPACK, Z22 = L22^{-T} D2^{-1} L22^{-1} (c0 = n-1 at beta = 0,
         c0 = 0 for a dense A).  The columns under it follow on L's
@@ -546,14 +529,18 @@ class Factorization:
     def sample_spins(self, n_samples: int, rng: np.random.Generator) -> np.ndarray:
         """(n_samples, N) i.i.d. Gibbs draws: mean h*A^{-1}*1, covariance A^{-1}.
 
-        The noise is z = C^{-T} g, whose covariance is (C C^T)^{-1} = A^{-1}.
+        Perturbation sampling (Papandreou and Yuille 2010) from A's own
+        clause matrix V, in one solve: with g ~ N(0, I_N) and
+        eta ~ N(0, I_M), the draw A^{-1} (h*1 + g + sqrt(2*beta) V eta)
+        has noise covariance A^{-1} (I + 2*beta V V^T) A^{-1} = A^{-1}.
         """
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        n = self.model.n_sites
-        mean = self.solve(np.full(n, self.model.params.h))
-        noise = self.solve_transposed_factor(rng.standard_normal((n, n_samples)))
-        return mean[None, :] + noise.T
+        model = self.model
+        g = rng.standard_normal((model.n_sites, n_samples))
+        eta = rng.standard_normal((model.n_clauses, n_samples))
+        perturbation = math.sqrt(2.0 * model.params.beta) * (_clause_rows(model).T @ eta)
+        return self.solve(model.params.h + g + perturbation).T
 
 
 def log_det(model: FactorModel) -> float:

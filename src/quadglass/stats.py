@@ -65,6 +65,8 @@ def independence_check(
         raise ValueError("n_entries must be at least 2")
     if n_sites < n_entries:
         raise ValueError("n_sites must be at least n_entries")
+    if n_replicates < 2:
+        raise ValueError("n_replicates must be at least 2 to estimate a correlation")
     idx = np.arange(n_entries)
     # a few unit columns cost less than the whole selected-inverse diagonal
     rhs = np.zeros((n_sites, n_entries))

@@ -90,6 +90,14 @@ def dense_coupling_matrix(model):
     return a
 
 
+def dense_clause_matrix(model):
+    """V, the N x M matrix whose column k is clause k's vector v_k, written clause by clause."""
+    v = np.zeros((model.n_sites, model.n_clauses))
+    for k, (row, wrow) in enumerate(zip(model.sites, model.weights)):
+        v[row, k] = wrow
+    return v
+
+
 def dense_woodbury_residual(split):
     """(residual, bound) of the rank-R cavity check from dense numpy inverses.
 

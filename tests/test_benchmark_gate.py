@@ -1,0 +1,38 @@
+"""The benchmark's own correctness gate, run against the current package.
+
+``perfbench/workloads.py`` checks the model entry points it times
+(``log_det``, ``ones_quadratic_form``, ``finite_free_energy`` and
+``inverse_diagonal(model, sites)``) against numpy.  Running that gate
+here catches a change to those entry points before a benchmark run
+does; the benchmark itself is only read.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from quadglass.streams import stream
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("params", ["BASE_PARAMS", "MOMENT_PARAMS"])
+def test_model_gate_finds_no_problem(workloads, params):
+    problems = workloads.model_gate(
+        getattr(workloads, params), workloads.RADEMACHER, 300, stream(118, "gate", params)
+    )
+    assert problems == []

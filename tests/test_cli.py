@@ -3,6 +3,7 @@ import json
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from quadglass import cli, free_energy
@@ -347,6 +348,43 @@ def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
     assert_one_config_error(capsys.readouterr().err, "simulate.n_sites", "2 factored")
     monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
     assert run_cli(args) == 0
+
+
+@pytest.mark.parametrize(
+    "n_sites, entries",
+    [(200, 200 + 20 * 19 * 0.5 * 200), (100, 100**2)],
+    ids=["clause-bound", "dense"],
+)
+def test_memory_guard_counts_the_matrix_entries(tmp_path, capsys, monkeypatch,
+                                                n_sites, entries):
+    # 2 realizations held at once, each with at most min(N^2, N + p*(p-1)*alpha*N)
+    # entries of A; the SITE_BYTES and 16*p clause row stays far below that
+    need = 2 * cli.ENTRY_BYTES * entries
+    cfg = write_cfg(tmp_path, BASE_SIM.replace("model.alpha=0.8", "model.alpha=0.5")
+                    .replace("model.p=2", "model.p=20")
+                    .replace("simulate.n_sites=100", f"simulate.n_sites={n_sites}"))
+    args = ["simulate", "--config", cfg, "--out", tmp_path / "s", "--workers", 2]
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert run_cli(args) == 2
+    assert_one_config_error(capsys.readouterr().err, "simulate.n_sites", "matrix entries")
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
+    assert run_cli(args) == 0
+
+
+def test_load_guard_counts_the_matrix_entries(tmp_path, capsys, monkeypatch):
+    # 10 clauses of 20 sites on 40 sites: A may be dense, 40^2 entries, while
+    # SITE_BYTES per site and 16*p per clause come to less than a third of that
+    sites = (np.arange(20) + 2 * np.arange(10)[:, None]) % 40
+    model = FactorModel(40, sites, np.ones((10, 20)), ModelParams(0.5, 0.5, 1.0, 20),
+                        DisorderSpec("rademacher"))
+    dump_model(model, tmp_path / "model.txt")
+    need = cli.ENTRY_BYTES * 40**2
+    cfg = write_cfg(tmp_path, f"load.path={tmp_path / 'model.txt'}", name="load.txt")
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    assert run_cli(["load", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert_one_config_error(capsys.readouterr().err, "load.path", "matrix entries")
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
+    assert run_cli(["load", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
 
 def test_dump_never_factors_so_only_its_clauses_count(tmp_path):

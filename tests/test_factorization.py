@@ -6,6 +6,9 @@ wrapping the ``splu`` binding that ``quadglass.model`` uses, and check
 every query against dense numpy linear algebra.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -19,7 +22,6 @@ from quadglass.model import (
     ModelParams,
     _assemble,
     cavity_split,
-    coupling_matrix,
     finite_free_energy,
     inverse_diagonal,
     log_det,
@@ -30,7 +32,12 @@ from quadglass.model import (
 )
 from quadglass.streams import stream, substreams
 
-from oracles import closed_pattern_by_products, dense_coupling_matrix, logdet_via_eigenvalues
+from oracles import (
+    closed_pattern_by_products,
+    dense_clause_matrix,
+    dense_coupling_matrix,
+    logdet_via_eigenvalues,
+)
 
 RAD = DisorderSpec("rademacher")
 MODEL_KEYS = """
@@ -52,6 +59,13 @@ def factor_calls(monkeypatch):
 
     monkeypatch.setattr(quadglass.model, "splu", counting)
     return calls
+
+
+def noise_map(fac):
+    """A^{-1} [I | sqrt(2*beta) V]: the map sample_spins applies to (g, eta)."""
+    model = fac.model
+    scaled = math.sqrt(2.0 * model.params.beta) * dense_clause_matrix(model)
+    return fac.solve(np.hstack([np.eye(model.n_sites), scaled]))
 
 
 def write_cfg(path, text):
@@ -112,17 +126,72 @@ def test_identity_realization_queries_are_exact(make):
         assert report.product_12_34.value == 0.0
 
 
+def _cancelling_pair():
+    # the two clauses' products at (0, 1) are 1 and -1
+    sites, weights = np.array([[0, 1], [1, 0]]), np.array([[1.0, 1.0], [1.0, -1.0]])
+    return FactorModel(4, sites, weights, ModelParams(1.0, 0.5, 0.0, 2), RAD)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sample_model(ModelParams(1.0, 0.5, 0.0, 2), RAD, 300, stream(113, "asm")),
+        lambda: sample_model(ModelParams(0.8, 0.25, 0.0, 5), RAD, 60, stream(114, "asm")),
+        lambda: sample_model(ModelParams(0.8, 0.5, 0.0, 3), DisorderSpec("gaussian"), 300,
+                             stream(115, "asm")),
+        lambda: sample_model(ModelParams(1.0, 0.0, 0.0, 3), RAD, 50, stream(116, "asm")),
+        _cancelling_pair,
+    ],
+    ids=["moment", "rademacher-p5", "gaussian-p3", "beta-zero", "cancelling-pair"],
+)
+def test_assembly_matches_clause_by_clause_oracle(make):
+    # A from V V^T holds exactly the oracle's nonzeros: no stored zero where
+    # +-1 clauses cancel, only the diagonal at beta = 0
+    model = make()
+    matrix = _assemble(model)
+    oracle = dense_coupling_matrix(model)
+    assert matrix.has_canonical_format
+    assert np.array_equal(matrix.toarray() != 0, oracle != 0)
+    assert np.count_nonzero(matrix.data) == matrix.nnz
+    if model.disorder.family == "rademacher":
+        assert np.array_equal(matrix.toarray(), oracle)
+    else:
+        assert matrix.toarray() == pytest.approx(oracle, rel=1e-14, abs=0)
+    if model.params.beta == 0:
+        assert matrix.nnz == model.n_sites
+    if make is _cancelling_pair:
+        assert matrix.nnz == 4 and oracle[0, 1] == 0.0
+
+
+def test_assembly_memory_follows_the_entries_of_a_not_the_products():
+    # M*p^2 = 400 * 40^2 = 640000 weight products land on at most N^2 = 40000
+    # entries; the assembly's peak stays within 40 bytes per entry of A
+    rng = stream(117, "asm-memory")
+    model = FactorModel(
+        200, np.array([rng.permutation(200)[:40] for _ in range(400)]),
+        rng.choice([-1.0, 1.0], size=(400, 40)), ModelParams(2.0, 0.5, 0.0, 40), RAD,
+    )
+    tracemalloc.start()
+    try:
+        matrix = _assemble(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_clauses * 40**2 > 10 * matrix.nnz
+    assert peak < 40 * matrix.nnz
+
+
 def test_queries_share_one_factor_and_match_dense_linear_algebra(factor_calls):
     model = sample_model(ModelParams(1.0, 0.5, 0.3, 3), RAD, 40, stream(5, "q"))
     fac = Factorization(model)
-    a = coupling_matrix(model)
+    a = dense_coupling_matrix(model)
     inv = np.linalg.inv(a)
     ones = np.ones(40)
     assert fac.log_det == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12)
     assert fac.ones_quadratic_form == pytest.approx(ones @ inv @ ones / 40, rel=1e-12)
     assert fac.solve(np.eye(40)) == pytest.approx(inv, abs=1e-12)
-    whiten = fac.solve_transposed_factor(np.eye(40))  # C^{-T}, A = C C^T
-    assert whiten @ whiten.T == pytest.approx(inv, abs=1e-12)
+    noise = noise_map(fac)  # covariance A^{-1} (I + 2*beta V V^T) A^{-1}
+    assert noise @ noise.T == pytest.approx(inv, abs=1e-12)
     assert fac.free_energy == (
         0.3 * 0.3 / 2.0 * fac.ones_quadratic_form + fac.log_det / 80.0
     )
@@ -148,8 +217,8 @@ def test_sparse_factor_matches_dense_oracle(p, family, alpha):
     assert fac.log_det == pytest.approx(logdet_via_eigenvalues(a), rel=1e-12)
     assert fac.solve(rhs) == pytest.approx(np.linalg.solve(a, rhs), abs=1e-12)
     assert fac.inverse_diagonal() == pytest.approx(np.diag(inv), abs=1e-12)
-    whiten = fac.solve_transposed_factor(np.eye(n))
-    assert whiten @ whiten.T == pytest.approx(inv, abs=1e-12)
+    noise = noise_map(fac)
+    assert noise @ noise.T == pytest.approx(inv, abs=1e-12)
 
 
 def test_woodbury_residual_factors_the_bulk_only_with_interior_sites(factor_calls):
@@ -201,11 +270,14 @@ def test_inverse_diagonal_exact_where_cancellation_drops_fill_from_l():
     for model in models:
         fac = Factorization(model)
         lower = fac._lu.L
-        closed = quadglass.model._closed_pattern(lower)
+        values, (ptr, rows, *_) = quadglass.model._closed_pattern(lower)
         reference = closed_pattern_by_products(lower)
-        assert np.array_equal(closed.indptr, reference.indptr)
-        assert np.array_equal(closed.indices, reference.indices)
-        dropped.append(closed.nnz > lower.nnz)
+        assert np.array_equal(ptr, reference.indptr)
+        assert np.array_equal(rows, reference.indices)
+        # L's own values where it has entries, 0 where the closure added one
+        cols = np.repeat(np.arange(model.n_sites), np.diff(reference.indptr))
+        assert np.array_equal(values, lower.toarray()[reference.indices, cols])
+        dropped.append(rows.size > lower.nnz)
         inv = np.linalg.inv(dense_coupling_matrix(model))
         assert fac.inverse_diagonal() == pytest.approx(np.diag(inv), abs=1e-12)
     assert dropped[0] and sum(dropped) > 1
@@ -228,7 +300,7 @@ def test_inverse_diagonal_matches_dense_inverse_whatever_the_root_clique(
     # Takahashi's recurrence; each case covers another split between the two
     model = sample_model(params, DisorderSpec(family), n, stream(112, "clique", n, family))
     fac = Factorization(model)
-    below = np.diff(quadglass.model._closed_pattern(fac._lu.L).indptr) - 1
+    _, (_, _, below, _, _) = quadglass.model._closed_pattern(fac._lu.L)
     c0 = quadglass.model._root_clique(below)
     assert clique == {n - 1: "last column", 0: "every column"}.get(c0, "trailing block")
     if clique == "trailing block":

@@ -30,6 +30,7 @@ from quadglass.streams import stream, substreams
 from oracles import (
     boundary_clauses,
     conjugate_gradient_solve,
+    dense_coupling_matrix,
     dense_woodbury_residual,
     ks_distance,
     log_det_incremental,
@@ -151,7 +152,7 @@ def test_logdet_single_clause_closed_form():
 
 def test_logdet_matches_eigenvalue_oracle():
     model = small_model(21, n_sites=6)
-    oracle = logdet_via_eigenvalues(coupling_matrix(model))
+    oracle = logdet_via_eigenvalues(dense_coupling_matrix(model))
     assert log_det(model) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
@@ -210,7 +211,7 @@ def test_quadratic_form_trivial_and_scalar_cases():
 
 def test_quadratic_form_matches_conjugate_gradient_oracle():
     model = small_model(36, n_sites=8)
-    a = coupling_matrix(model)
+    a = dense_coupling_matrix(model)
     ones = np.ones(8)
     oracle = float(ones @ conjugate_gradient_solve(a, ones)) / 8
     assert ones_quadratic_form(model) == pytest.approx(oracle, rel=1e-8)
@@ -279,7 +280,7 @@ def test_spins_match_exact_moments():
     var_emp = draws[:, 0].var(ddof=1)
     se_var = var_exact * math.sqrt(2.0 / (n - 1))
     assert abs(var_emp - var_exact) < 4 * se_var
-    a = coupling_matrix(model)
+    a = dense_coupling_matrix(model)
     mean_exact = model.params.h * np.linalg.solve(a, np.ones(30))
     se_mean = np.sqrt(np.diag(np.linalg.inv(a)) / n)
     assert np.all(np.abs(draws.mean(axis=0) - mean_exact) < 4 * se_mean)

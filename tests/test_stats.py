@@ -99,6 +99,8 @@ def test_independence_check_validates_arguments():
         independence_check(par, RAD, 10, 1, 5, stream(13, "iarg"))
     with pytest.raises(ValueError):
         independence_check(par, RAD, 3, 4, 5, stream(13, "iarg"))
+    with pytest.raises(ValueError, match="n_replicates"):  # no variance from one replicate
+        independence_check(par, RAD, 10, 2, 1, stream(13, "iarg"))
 
 
 # ---------------------------------------------------------------------------
