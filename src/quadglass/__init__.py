@@ -15,7 +15,6 @@ from .model import (
     cavity_split,
     coupling_matrix,
     offdiag_moments,
-    reassemble,
     sample_model,
     woodbury_residual,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "limiting_free_energy",
     "offdiag_moments",
     "poisson_uniform_check",
-    "reassemble",
     "sample_model",
     "solve_fixed_point",
     "stream",

@@ -264,8 +264,7 @@ def a9(seed, scale=1.0, workers=1):
     median = float(np.median(residuals))
     # fit the constant on the first half, test coverage on everything
     half = n_splits // 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fit_ratios = residuals[:half][bounds[:half] > 0] / bounds[:half][bounds[:half] > 0]
+    fit_ratios = residuals[:half][bounds[:half] > 0] / bounds[:half][bounds[:half] > 0]
     c_fit = float(fit_ratios.max()) if fit_ratios.size else 1.0
     covered = residuals <= c_fit * bounds + 1e-12
     coverage = float(covered.mean())

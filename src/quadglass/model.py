@@ -503,14 +503,27 @@ class Factorization:
         holds half of; no N x N array is formed unless L is dense.  All
         values lie in (0, 1] because A >= I.
         """
-        n = self.model.n_sites
-        sites = np.arange(n) if sites is None else np.asarray(sites)
+        sites = self._sites(np.arange(self.model.n_sites) if sites is None else sites)
+        return _selected_inverse_diagonal(self._lu.L, self._pivots)[self._lu.perm_c[sites]]
+
+    def inverse_block(self, sites) -> np.ndarray:
+        """A^{-1}[sites][:, sites] from one solve on the sites' unit columns.
+
+        A few unit columns cost less than the whole selected-inverse diagonal.
+        """
+        sites = self._sites(sites)
+        units = np.zeros((self.model.n_sites, sites.size))
+        units[sites, np.arange(sites.size)] = 1.0
+        return self.solve(units)[sites]
+
+    def _sites(self, sites) -> np.ndarray:
+        """``sites`` as int64 indices, once they are checked to be integers in 0..N-1."""
+        sites = np.asarray(sites)
         if sites.size and sites.dtype.kind not in "iu":
             raise ValueError("site indices must be integers")
-        if sites.size and (sites.min() < 0 or sites.max() >= n):
+        if sites.size and (sites.min() < 0 or sites.max() >= self.model.n_sites):
             raise ValueError("site index out of range")
-        diag = _selected_inverse_diagonal(self._lu.L, self._pivots)
-        return diag[self._lu.perm_c[sites.astype(np.int64)]]
+        return sites.astype(np.int64)
 
     @cached_property
     def ones_quadratic_form(self) -> float:
@@ -589,16 +602,10 @@ def offdiag_moments(
         raise ValueError("n_sites must be at least 4 for the (1,2)(3,4) moment")
     if n_replicates < 1:
         raise ValueError("n_replicates must be at least 1")
-    rhs = np.zeros((n_sites, 3))
-    rhs[[1, 2, 3], [0, 1, 2]] = 1.0
-
-    def entries(model):
-        sol = Factorization(model).solve(rhs)
-        return sol[0, 0], sol[0, 1], sol[2, 2]
-
-    a12, a13, a34 = np.array(
-        over_realizations(entries, params, disorder, n_sites, n_replicates, rng)
-    ).T
+    a12, a13, a34 = np.array(over_realizations(  # A^{-1}_12, A^{-1}_13, A^{-1}_34 per replicate
+        lambda model: Factorization(model).inverse_block(np.arange(4))[[0, 0, 2], [1, 2, 3]],
+        params, disorder, n_sites, n_replicates, rng,
+    )).T
     return OffDiagReport(
         entry_12=mc_estimate(a12),
         product_12_13=mc_estimate(a12 * a13),
@@ -621,8 +628,8 @@ def cavity_split(
 
     The clause list of a full realization decomposes in law into a bulk
     part avoiding the last site (count Poisson(alpha*(N-p))) and a
-    boundary part through it (count Poisson(alpha*p)); reassembling the
-    two reproduces the original ensemble exactly.
+    boundary part through it (count Poisson(alpha*p)); the two lists
+    together are a realization of the original ensemble, exactly in law.
     """
     if n_sites <= params.p:
         raise ValueError("n_sites must exceed p to split off one site")
@@ -638,54 +645,35 @@ def cavity_split(
     return CavitySplit(n_sites, bulk, interior_sites, interior_weights, site_weights)
 
 
-def reassemble(split: CavitySplit) -> FactorModel:
-    """Merge bulk and boundary clauses into a full N-site realization."""
-    last = split.n_sites - 1
-    r = split.n_boundary
-    boundary_sites = np.hstack(
-        [split.interior_sites, np.full((r, 1), last, dtype=np.int64)]
-    )
-    boundary_weights = np.hstack([split.interior_weights, split.site_weights[:, None]])
-    sites = np.vstack([split.bulk.sites, boundary_sites])
-    weights = np.vstack([split.bulk.weights, boundary_weights])
-    return FactorModel(
-        split.n_sites, sites, weights, split.bulk.params, split.bulk.disorder
-    )
-
-
 def woodbury_residual(split: CavitySplit) -> WoodburyResidual:
     """Two-sided check of the rank-R cavity approximation at the last site.
 
-    Computes exactly, by independent factorizations,
+    With B the bulk matrix, Xi the interior parts of the R boundary
+    clauses and z their weights at the last site, K = I + 2*beta G with
+    G = Xi^T B^{-1} Xi gives A^{-1}_{NN} = 1/(1 + 2*beta z^T K^{-1} z)
+    exactly, by the Schur complement and Xi^T (B + 2*beta Xi Xi^T)^{-1} Xi
+    = G (I + 2*beta G)^{-1}.  Returns
 
         residual = | A^{-1}_{NN} - (1 + sum_k 2*beta*z_k^2 / d_k)^{-1} |,
         d_k      = 1 + 2*beta * sum_r xi_{k,r}^2 * Binv[s_{k,r}, s_{k,r}],
 
-    where B is the bulk matrix, and returns it with the product
-    ||z||^2 * ||E||, E being the R x R interaction matrix built from the
+    with the product ||z||^2 * ||E||, E = K - diag(d_k) being made of the
     off-diagonal bulk-inverse entries between boundary interior sites
     (cross-clause entries everywhere, same-clause entries off its
     diagonal).  The residual is controlled by a constant multiple of the
-    bound; the constant is left to the caller to fit.  One arithmetic
-    covers every R and p: with no interior site (R = 0 or p = 1) the
-    bulk is not factored, d_k = 1, E = 0 and the bound is exactly 0.
+    bound; the constant is left to the caller to fit.  B is the only
+    matrix factored, and only with an interior site: with none (R = 0 or
+    p = 1), d_k = 1, E = 0 and the bound is exactly 0.
     """
     two_beta = 2.0 * split.bulk.params.beta
-    rhs = np.zeros(split.n_sites)
-    rhs[-1] = 1.0
-    exact = float(Factorization(reassemble(split)).solve(rhs)[-1])
-
     r = split.n_boundary
     zeta = split.site_weights
     xi = split.interior_weights
     unique_sites, col_of = np.unique(split.interior_sites, return_inverse=True)
     col_of = col_of.reshape(split.interior_sites.shape)
-    cols = np.zeros((split.n_sites - 1, unique_sites.size))
-    cols[unique_sites, np.arange(unique_sites.size)] = 1.0
-    if unique_sites.size:  # with no interior site there is nothing to solve
-        cols = Factorization(split.bulk).solve(cols)  # columns of B^{-1}
-    # B^{-1} restricted to the grid of distinct interior sites:
-    grid = cols[unique_sites, :]
+    # B^{-1} restricted to the grid of distinct interior sites; with none, nothing to factor
+    grid = (Factorization(split.bulk).inverse_block(unique_sites)
+            if unique_sites.size else np.zeros((0, 0)))
     d_k = 1.0 + two_beta * np.sum(xi**2 * np.diag(grid)[col_of], axis=1)
     # Gram of the interior parts through B^{-1}: (R x R), includes 2*beta.
     # A clause's interior sites are distinct, so the scatter writes each entry once.
@@ -695,6 +683,7 @@ def woodbury_residual(split: CavitySplit) -> WoodburyResidual:
     e_matrix[np.arange(r), np.arange(r)] -= d_k - 1.0  # drop the r = s terms
     e_norm = float(np.linalg.svd(e_matrix, compute_uv=False).max(initial=0.0))  # ||E||_2
 
+    exact = 1.0 / (1.0 + two_beta * float(zeta @ np.linalg.solve(e_matrix + np.diag(d_k), zeta)))
     approx = 1.0 / (1.0 + float(np.sum(two_beta * zeta**2 / d_k)))
     bound = float(zeta @ zeta) * e_norm
     return WoodburyResidual(abs(exact - approx), bound)

@@ -127,8 +127,8 @@ def step(
         np.square(zeta, out=zeta)
         zeta *= two_beta
         zeta /= denom
-        totals = np.bincount(owners[:, 0], weights=zeta, minlength=out_size)
-        totals += 1.0
+        # not in place: with no clause drawn, bincount returns int64 zeros
+        totals = np.bincount(owners[:, 0], weights=zeta, minlength=out_size) + 1.0
         np.divide(1.0, totals, out=totals)
     return Population(totals, rate, pop.generation + 1)
 

@@ -67,12 +67,8 @@ def independence_check(
         raise ValueError("n_sites must be at least n_entries")
     if n_replicates < 2:
         raise ValueError("n_replicates must be at least 2 to estimate a correlation")
-    idx = np.arange(n_entries)
-    # a few unit columns cost less than the whole selected-inverse diagonal
-    rhs = np.zeros((n_sites, n_entries))
-    rhs[idx, idx] = 1.0
     data = np.array(over_realizations(  # (reps, entries)
-        lambda model: Factorization(model).solve(rhs)[idx, idx],
+        lambda model: Factorization(model).inverse_block(np.arange(n_entries)).diagonal(),
         params, disorder, n_sites, n_replicates, rng, workers,
     ))
     std_error = 1.0 / np.sqrt(n_replicates)

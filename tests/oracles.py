@@ -13,6 +13,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import csc_matrix, tril
 
+from quadglass.model import CavitySplit, FactorModel
+
 
 class Clause(NamedTuple):
     """One interaction term: p distinct sites and their weights."""
@@ -40,6 +42,21 @@ def boundary_clauses(split):
         for row, wrow, z in zip(
             split.interior_sites, split.interior_weights, split.site_weights
         )
+    )
+
+
+def reassemble(split: CavitySplit) -> FactorModel:
+    """Merge bulk and boundary clauses into a full N-site realization."""
+    last = split.n_sites - 1
+    r = split.n_boundary
+    boundary_sites = np.hstack(
+        [split.interior_sites, np.full((r, 1), last, dtype=np.int64)]
+    )
+    boundary_weights = np.hstack([split.interior_weights, split.site_weights[:, None]])
+    sites = np.vstack([split.bulk.sites, boundary_sites])
+    weights = np.vstack([split.bulk.weights, boundary_weights])
+    return FactorModel(
+        split.n_sites, sites, weights, split.bulk.params, split.bulk.disorder
     )
 
 

@@ -624,6 +624,27 @@ def test_free_energy_json_schema(tmp_path):
     assert math.isfinite(payload["value"])
 
 
+def test_free_energy_survives_a_generation_without_clauses(tmp_path, capsys):
+    # the README model at a small population: node 1 (x ~ 0.0053) draws
+    # Poisson(0.27) clauses per generation, none at all in some of them
+    cfg = write_cfg(
+        tmp_path,
+        """
+        experiment.seed=1
+        model.alpha=0.5
+        model.beta=0.25
+        model.h=1.0
+        model.p=2
+        disorder.family=rademacher
+        rde.pop_size=50
+        quadrature.nodes=16
+        free_energy.n_mc=200000
+        """,
+    )
+    assert run_cli(["free-energy", "--config", cfg, "--out", tmp_path / "fe"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("h, x1_flag, x1_text", [
     ("1.0", False, "2 of 2; x=1 solve unconverged)"),
     ("0.0", None, "2 of 2)"),

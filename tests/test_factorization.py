@@ -190,6 +190,8 @@ def test_queries_share_one_factor_and_match_dense_linear_algebra(factor_calls):
     assert fac.log_det == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12)
     assert fac.ones_quadratic_form == pytest.approx(ones @ inv @ ones / 40, rel=1e-12)
     assert fac.solve(np.eye(40)) == pytest.approx(inv, abs=1e-12)
+    sites = [31, 4, 17, 0]
+    assert fac.inverse_block(sites) == pytest.approx(inv[np.ix_(sites, sites)], abs=1e-12)
     noise = noise_map(fac)  # covariance A^{-1} (I + 2*beta V V^T) A^{-1}
     assert noise @ noise.T == pytest.approx(inv, abs=1e-12)
     assert fac.free_energy == (
@@ -222,8 +224,8 @@ def test_sparse_factor_matches_dense_oracle(p, family, alpha):
 
 
 def test_woodbury_residual_factors_the_bulk_only_with_interior_sites(factor_calls):
-    # the full matrix is factored once per split; the bulk too when there is an
-    # interior site to solve for (p >= 2 and R >= 1)
+    # the bulk is the only matrix factored, and only when there is an interior
+    # site to solve for (p >= 2 and R >= 1); A^{-1}_NN comes from the R x R K
     seen = set()
     for p in (1, 2, 3):
         params = ModelParams(0.5, 0.5, 0.0, p)
@@ -232,7 +234,7 @@ def test_woodbury_residual_factors_the_bulk_only_with_interior_sites(factor_call
             del factor_calls[:]
             woodbury_residual(split)
             has_interior = split.interior_sites.size > 0
-            assert len(factor_calls) == (2 if has_interior else 1)
+            assert factor_calls == ([(29, 29)] if has_interior else [])
             seen.add((p > 1, has_interior))
     assert seen == {(False, False), (True, False), (True, True)}
 
@@ -251,8 +253,10 @@ def test_woodbury_residual_factors_the_bulk_only_with_interior_sites(factor_call
 )
 def test_factor_inverse_diagonal_rejects_sites_out_of_range(sites, message):
     model = sample_model(ModelParams(1.0, 0.5, 0.3, 2), RAD, 40, stream(8, "range"))
-    with pytest.raises(ValueError, match=message):
-        Factorization(model).inverse_diagonal(sites)
+    fac = Factorization(model)
+    for query in (fac.inverse_diagonal, fac.inverse_block):
+        with pytest.raises(ValueError, match=message):
+            query(sites)
 
 
 def test_inverse_diagonal_exact_where_cancellation_drops_fill_from_l():

@@ -21,7 +21,6 @@ from quadglass.model import (
     log_det,
     offdiag_moments,
     ones_quadratic_form,
-    reassemble,
     sample_model,
     woodbury_residual,
 )
@@ -38,6 +37,7 @@ from oracles import (
     model_clauses,
     p1_inverse_diagonal,
     partition_function_mc,
+    reassemble,
 )
 
 RAD = DisorderSpec("rademacher")

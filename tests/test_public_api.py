@@ -19,7 +19,7 @@ def demo_imports():
 
 def test_all_is_exactly_what_the_demos_import():
     names = demo_imports()
-    assert len(names) == 21
+    assert len(names) == 20
     assert "Factorization" in names
     assert set(quadglass.__all__) == names
     assert len(quadglass.__all__) == len(names)

@@ -91,6 +91,13 @@ def test_step_zero_temperature_is_point_mass_at_one():
     assert np.all(out.values == 1.0)
 
 
+def test_step_that_draws_no_clause_returns_ones():
+    # Poisson(1e-300) is 0: the generation draws no clause at all
+    out = step(delta_population(0.3, 1), params_with(), RAD, 1e-300, 1, stream(1, "none"))
+    assert out.values.dtype == float
+    assert np.array_equal(out.values, [1.0])
+
+
 def test_step_outputs_stay_in_unit_interval():
     rng = stream(2, "range")
     pop = Population(rng.uniform(0.01, 1.0, 2000))
