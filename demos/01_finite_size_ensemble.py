@@ -13,7 +13,6 @@ from quadglass import (
     DisorderSpec,
     Factorization,
     ModelParams,
-    coupling_matrix,
     sample_model,
     stream,
 )
@@ -26,7 +25,10 @@ model = sample_model(params, spec, n_sites=150, rng=rng)
 print(f"sampled {model.n_clauses} clauses on {model.n_sites} sites "
       f"(rate alpha*N = {params.alpha * model.n_sites:.0f})")
 
-a = coupling_matrix(model)
+# the dense A = I + 2*beta * sum_k v_k v_k^T, summed clause by clause
+a = np.eye(model.n_sites)
+for sites, weights in zip(model.sites, model.weights):
+    a[np.ix_(sites, sites)] += 2 * params.beta * np.outer(weights, weights)
 eigs = np.linalg.eigvalsh(a)
 print(f"matrix is exactly symmetric: {np.array_equal(a, a.T)}")
 print(f"spectrum floor {eigs.min():.6f} (never below 1: the identity part)")

@@ -13,7 +13,6 @@ from .model import (
     Factorization,
     ModelParams,
     cavity_split,
-    coupling_matrix,
     offdiag_moments,
     sample_model,
     woodbury_residual,
@@ -39,7 +38,6 @@ __all__ = [
     "Population",
     "cavity_split",
     "convergence_study",
-    "coupling_matrix",
     "delta_population",
     "find_contractive_q",
     "iterate_pair",

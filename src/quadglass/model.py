@@ -261,14 +261,6 @@ def _assemble(model: FactorModel) -> csc_matrix:
     return matrix
 
 
-def coupling_matrix(model: FactorModel) -> np.ndarray:
-    """The dense N x N matrix I + 2*beta * sum_k v_k v_k^T (for inspection).
-
-    The same assembly that :class:`Factorization` factors, densified.
-    """
-    return _assemble(model).toarray()
-
-
 def _factorize(matrix):
     """Symmetric sparse LU of A, P A P^T = L U, and the pivots diag(U).
 

@@ -15,11 +15,12 @@ ORDER = sorted(CRITERIA, key=lambda c: int(c[1:]))
 
 @pytest.mark.parametrize("cid", ORDER)
 def test_criterion(cid):
-    result = CRITERIA[cid](DEFAULT_SEED)
+    description, criterion = CRITERIA[cid]
+    measured, threshold, passed, detail = criterion(DEFAULT_SEED)
     line = (
-        f"{result.cid}: {'pass' if result.passed else 'FAIL'} "
-        f"measured={result.measured:.6g} threshold={result.threshold:.6g} "
-        f"({result.description}) {result.detail}"
+        f"{cid}: {'pass' if passed else 'FAIL'} "
+        f"measured={measured:.6g} threshold={threshold:.6g} "
+        f"({description}) {detail}"
     )
     print(line)
-    assert result.passed, line
+    assert passed, line

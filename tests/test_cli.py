@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from quadglass import cli, free_energy
+from quadglass import acceptance, cli, free_energy
 from quadglass.disorder import DisorderSpec
 from quadglass.model import FactorModel, ModelParams, dump_model, finite_free_energy, load_model
 from quadglass.rde import Population, dump_population
@@ -804,6 +804,26 @@ def test_validate_reports_failure_with_exit_3(tmp_path):
         name="valfail.txt",
     )
     assert run_cli(["validate", "--config", cfg, "--out", tmp_path / "vf"]) == 3
+
+
+def test_validate_crash_row_keeps_the_criterion_description(tmp_path, monkeypatch):
+    description = acceptance.CRITERIA["A1"][0]
+    exc = RuntimeError("criterion broke")
+
+    def broken(seed, scale, workers):
+        raise exc
+
+    monkeypatch.setitem(acceptance.CRITERIA, "A1", (description, broken))
+    cfg = write_cfg(tmp_path, "validate.criteria=A1", name="val.txt")
+    out = tmp_path / "val"
+    assert run_cli(["validate", "--config", cfg, "--out", out]) == 3
+    row = (out / "validate.csv").read_text().splitlines()[1]
+    assert row.split(",") == ["A1", description, "nan", "nan", "FAIL", repr(exc)]
+    payload = json.loads((out / "validate.json").read_text())
+    assert payload["criteria"] == [{
+        "criterion": "A1", "description": description, "measured": None,
+        "threshold": None, "passed": False, "detail": repr(exc),
+    }]
 
 
 def test_validate_rejects_unknown_criterion(tmp_path):

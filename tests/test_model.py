@@ -11,9 +11,9 @@ from quadglass.model import (
     FactorModel,
     Factorization,
     ModelParams,
+    _assemble,
     _distinct_tuples,
     cavity_split,
-    coupling_matrix,
     dump_model,
     finite_free_energy,
     inverse_diagonal,
@@ -56,7 +56,7 @@ def test_vanishing_rate_gives_identity():
     params = ModelParams(1e-12, 0.5, 1.0, 2)
     model = sample_model(params, RAD, 20, stream(0, "empty"))
     assert model.n_clauses == 0
-    assert np.array_equal(coupling_matrix(model), np.eye(20))
+    assert np.array_equal(_assemble(model).toarray(), np.eye(20))
 
 
 def test_clause_count_is_poisson():
@@ -128,7 +128,7 @@ def test_sample_model_rejects_small_n():
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_matrix_symmetric_spd_with_unit_floor(seed):
     model = small_model(seed, n_sites=60)
-    a = coupling_matrix(model)
+    a = _assemble(model).toarray()
     assert np.array_equal(a, a.T)
     assert np.linalg.eigvalsh(a).min() >= 1.0 - 1e-9
 

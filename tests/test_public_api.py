@@ -1,11 +1,16 @@
-"""The package namespace holds exactly the names the demos import from it."""
+"""The package namespace holds exactly the names the demos import from it,
+and README's criteria table is the criteria table of the package."""
 
 import ast
+import re
+from itertools import takewhile
 from pathlib import Path
 
 import quadglass
+from quadglass.acceptance import CRITERIA
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def demo_imports():
@@ -19,7 +24,7 @@ def demo_imports():
 
 def test_all_is_exactly_what_the_demos_import():
     names = demo_imports()
-    assert len(names) == 20
+    assert len(names) == 19
     assert "Factorization" in names
     assert set(quadglass.__all__) == names
     assert len(quadglass.__all__) == len(names)
@@ -28,3 +33,17 @@ def test_all_is_exactly_what_the_demos_import():
 def test_every_public_name_resolves():
     for name in quadglass.__all__:
         assert getattr(quadglass, name) is not None
+
+
+def readme_criteria():
+    """The (id, description) rows of README's criteria table, with ``\\|`` read as ``|``."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    body = lines[lines.index("| id | description |") + 2:]  # past the rule under the head
+    return [
+        tuple(cell.strip().replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", line)[1:-1])
+        for line in takewhile(lambda line: line.startswith("|"), body)
+    ]
+
+
+def test_readme_criteria_table_is_the_criteria_table():
+    assert readme_criteria() == [(cid, description) for cid, (description, _) in CRITERIA.items()]
