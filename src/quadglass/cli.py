@@ -300,6 +300,8 @@ def _allocations(kind, options, raw, workers):
     A clause holds 16*p bytes: p sites and p weights in a realization
     (``parallel_map`` factors one per worker, ``dump`` none), an owner,
     outer weight, p-1 interior weights and values in an RDE generation.
+    A fixed-point solve holds two generations' draws at once, since it
+    draws one generation ahead.
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
@@ -320,8 +322,8 @@ def _allocations(kind, options, raw, workers):
     if "rde.pop_size" in options:
         pop = options["rde.pop_size"]
         rate = alpha * p * options.get("rde.rate_scale", 1.0)
-        rows.append((f"rde.pop_size={pop}{at_alpha}", "one RDE generation's draws",
-                     rate * pop, (16.0 * p * rate + 32.0) * pop))
+        rows.append((f"rde.pop_size={pop}{at_alpha}", "two RDE generations' draws",
+                     rate * pop, (2 * 16.0 * p * rate + 32.0) * pop))
     if "free_energy.n_mc" in options:
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
         rows.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 0, 24.0 * p * n_mc))

@@ -45,6 +45,8 @@ class DisorderSpec:
             raise ValueError(f"unknown disorder family {self.family!r}")
         if not 0 < self.param < math.inf:
             raise ValueError(f"param must be finite and positive, got {self.param!r}")
+        if self.family == "uniform_symmetric" and not 2.0 * self.param < math.inf:
+            raise ValueError(f"2*param must be finite, got param={self.param!r}")
         if not self.truncation > 0:
             raise ValueError("truncation must be positive (use inf for none)")
         # A two-point law truncated below its magnitude collapses to the
@@ -58,18 +60,41 @@ class DisorderSpec:
 
 
 def _sample_shape(spec, shape, rng):
-    """Internal sampler for arbitrary output shapes."""
-    if spec.family == "rademacher":
-        out = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-    elif spec.family == "gaussian":
-        out = rng.normal(0.0, spec.param, size=shape)
+    """Draws of ``spec`` in an array of ``shape``: :func:`_raw_draws` then :func:`_weights`."""
+    return _weights(spec, _raw_draws(spec, np.empty(shape), rng))
+
+
+def _raw_draws(spec, out, rng):
+    """Fill the float array ``out`` by the law's one generator call and return it."""
+    if spec.family == "gaussian":
+        rng.standard_normal(out=out)
     elif spec.family == "uniform_symmetric":
-        out = rng.uniform(-spec.param, spec.param, size=shape)
-    else:  # two_point_symmetric
-        out = (rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0) * spec.param
-    if math.isfinite(spec.truncation):
-        out[np.abs(out) > spec.truncation] = 0.0
+        rng.random(out=out)
+    else:  # a sign bit for the two-point families
+        out[...] = rng.integers(0, 2, size=out.shape)
     return out
+
+
+def _weights(spec, raw):
+    """Turn :func:`_raw_draws` output into the law's weights, in place, and return it.
+
+    The operations are those of ``rng.normal(0, param)``,
+    ``rng.uniform(-param, param)`` and ``2*bit - 1``, so the weights equal
+    a direct draw of the law bit for bit.
+    """
+    if spec.family == "gaussian":
+        raw *= spec.param
+    elif spec.family == "uniform_symmetric":
+        raw *= 2.0 * spec.param  # numpy's high - low, exact while finite
+        raw -= spec.param
+    else:
+        raw *= 2.0
+        raw -= 1.0
+        if spec.family == "two_point_symmetric":
+            raw *= spec.param
+    if math.isfinite(spec.truncation):
+        raw[np.abs(raw) > spec.truncation] = 0.0
+    return raw
 
 
 def truncate_spec(spec: DisorderSpec, c: float) -> DisorderSpec:

@@ -183,9 +183,11 @@ def _rows_with_duplicates(rows):
 def _clauses(disorder, mean, n_sites, width, rng):
     """Poisson(mean) clauses: the count m, then (m, width) distinct sites, then weights.
 
-    Besides realizations, ``rde.step``, ``rde.contraction_factor`` and
-    ``rde.pair_step`` draw their clauses here at width 1: the one site is
-    the clause's owner among ``n_sites`` outputs.
+    Besides realizations, ``rde.contraction_factor`` and ``rde.pair_step``
+    draw their clauses here at width 1: the one site is the clause's owner
+    among ``n_sites`` outputs.  An RDE generation's draw half
+    (``rde._draw_owners`` and ``rde._draw_weights``) makes the same
+    generator calls and leaves the weights' arithmetic to ``rde._push``.
     """
     m = int(rng.poisson(mean))
     sites = _distinct_tuples(rng, n_sites, m, width)

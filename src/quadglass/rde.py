@@ -12,8 +12,24 @@ synchronously from the previous snapshot, so the update is a pure
 push-forward with clean fixed-point semantics.
 
 By Poisson splitting, one generation's clauses are Poisson(rate *
-out_size) clauses with uniform owners among the outputs, drawn by the
-same sampler that builds a finite realization (:func:`model._clauses`).
+out_size) clauses with uniform owners among the outputs, drawn in the
+order of the sampler that builds a finite realization
+(:func:`model._clauses`).
+
+A generation is two halves.  The draw half makes its generator calls
+in this order: the clause count and the owners (:func:`_draw_owners`),
+the raw weights (:func:`_draw_weights`) and the resample indices
+(:func:`_draw_picks`).  The push half, :func:`_push`, does all the
+arithmetic; :func:`step` is the one after the other.  No draw reads the
+population's values, so :func:`solve_fixed_point` draws generation
+g+1's raw weights, most of a generation's generator time, on one helper
+thread while it pushes generation g and measures its W1 gap.  The
+weights land in buffers this thread allocated, since memory the helper
+allocated would stay in its own malloc arena after the solve.  The
+generator is called in the serial order with the serial sizes, and a
+draw made for a generation the loop does not run is undone, so the
+report and the generator's final state equal those of :func:`step`
+then :func:`wasserstein` per generation.
 
 Under y = -log x the map is conjugate to one that contracts in the
 Wasserstein-q metric for q large enough, which is what makes the fixed
@@ -23,11 +39,13 @@ point unique; :func:`contraction_factor` estimates that modulus and
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .disorder import DisorderSpec, _sample_shape
+from .disorder import DisorderSpec, _raw_draws, _sample_shape, _weights
 from .estimate import Estimate, mc_estimate
 from .model import ModelParams, _clauses, _float_range, write_rows
 
@@ -89,6 +107,73 @@ def delta_population(value: float, size: int, rate: float = 0.0) -> Population:
 # one generation of the push-forward
 
 
+class _Clauses(NamedTuple):
+    """One generation's clauses as drawn, before any arithmetic."""
+
+    rate: float
+    out_size: int
+    owners: np.ndarray  # (m,) output index of each clause
+    zeta: np.ndarray  # (m,) raw draws of the weight at the owner
+    xi: np.ndarray  # (m, p-1) raw draws of the interior weights
+
+
+def _index_dtype(n):
+    """int32 for indices below ``n`` when they fit; it draws the values int64 would."""
+    return np.int32 if n <= 2**31 else np.int64
+
+
+def _draw_owners(params, rate_scale, out_size, rng) -> _Clauses:
+    """A generation's first generator calls: the clause count m, then the owners.
+
+    The weight buffers are allocated here, empty, for :func:`_draw_weights`.
+    """
+    if not 0 < rate_scale <= 1:
+        raise ValueError("rate_scale must lie in (0, 1]")
+    if out_size < 1:
+        raise ValueError("out_size must be at least 1")
+    rate = params.alpha * rate_scale * params.p
+    m = int(rng.poisson(rate * out_size))
+    owners = rng.integers(0, out_size, size=m, dtype=_index_dtype(out_size))
+    return _Clauses(rate, out_size, owners, np.empty(m), np.empty((m, params.p - 1)))
+
+
+def _draw_weights(clauses: _Clauses, disorder, rng) -> _Clauses:
+    """The raw weight draws, written into the clauses' buffers."""
+    _raw_draws(disorder, clauses.zeta, rng)
+    _raw_draws(disorder, clauses.xi, rng)
+    return clauses
+
+
+def _draw_picks(clauses: _Clauses, in_size, rng) -> np.ndarray:
+    """A generation's last generator call: resample indices among ``in_size`` values."""
+    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
+    return rng.integers(0, in_size, size=clauses.xi.shape, dtype=_index_dtype(in_size))
+
+
+def _push(pop, params, disorder, clauses: _Clauses, picks) -> Population:
+    """Push ``pop`` through one generation's draws, overwriting the weight buffers.
+
+    The arithmetic runs in place, with the IEEE operations of the
+    one-line expression ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.
+    """
+    with _float_range(f"generation {pop.generation + 1} at rate {clauses.rate:.6g}"):
+        zeta = _weights(disorder, clauses.zeta)
+        xi = _weights(disorder, clauses.xi)
+        np.square(xi, out=xi)
+        xi *= pop.values[picks]
+        two_beta = 2.0 * params.beta
+        denom = np.sum(xi, axis=1)
+        denom *= two_beta
+        denom += 1.0
+        np.square(zeta, out=zeta)
+        zeta *= two_beta
+        zeta /= denom
+        # not in place: with no clause drawn, bincount returns int64 zeros
+        totals = np.bincount(clauses.owners, weights=zeta, minlength=clauses.out_size) + 1.0
+        np.divide(1.0, totals, out=totals)
+    return Population(totals, clauses.rate, pop.generation + 1)
+
+
 def step(
     pop: Population,
     params: ModelParams,
@@ -102,35 +187,11 @@ def step(
     Every output value is an independent draw of the displayed random
     variable with the X's resampled uniformly (with replacement) from
     ``pop``.  Outputs always lie in (0, 1]; entries whose clause count
-    is zero come out exactly 1.  The arithmetic runs in place on the
-    draws, with the IEEE operations of the one-line expression
-    ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.  A
-    generation that overflows or makes a nan, and so would leave
-    (0, 1], raises :class:`model.NumericalError`.
+    is zero come out exactly 1.  A generation that overflows or makes a
+    nan, and so would leave (0, 1], raises :class:`model.NumericalError`.
     """
-    if not 0 < rate_scale <= 1:
-        raise ValueError("rate_scale must lie in (0, 1]")
-    if out_size < 1:
-        raise ValueError("out_size must be at least 1")
-    rate = params.alpha * rate_scale * params.p
-    with _float_range(f"generation {pop.generation + 1} at rate {rate:.6g}"):
-        owners, zeta = _clauses(disorder, rate * out_size, out_size, 1, rng)
-        xi = _sample_shape(disorder, (zeta.shape[0], params.p - 1), rng)
-        # at p = 1, xi has no columns: the resample draws nothing and denom is 1
-        np.square(xi, out=xi)
-        xi *= pop.values[rng.integers(0, pop.size, size=xi.shape)]
-        two_beta = 2.0 * params.beta
-        denom = np.sum(xi, axis=1)
-        denom *= two_beta
-        denom += 1.0
-        zeta = zeta[:, 0]
-        np.square(zeta, out=zeta)
-        zeta *= two_beta
-        zeta /= denom
-        # not in place: with no clause drawn, bincount returns int64 zeros
-        totals = np.bincount(owners[:, 0], weights=zeta, minlength=out_size) + 1.0
-        np.divide(1.0, totals, out=totals)
-    return Population(totals, rate, pop.generation + 1)
+    clauses = _draw_weights(_draw_owners(params, rate_scale, out_size, rng), disorder, rng)
+    return _push(pop, params, disorder, clauses, _draw_picks(clauses, pop.size, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +211,21 @@ def wasserstein(a: Population, b: Population) -> float:
 
 
 def _quantile_distance(x, y):
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
+    """W1 between the empirical laws of two arrays (see :func:`wasserstein`)."""
+    return _sorted_distance(np.sort(np.asarray(x, dtype=float)),
+                            np.sort(np.asarray(y, dtype=float)))
+
+
+def _sorted_distance(x, y):
+    """W1 between the empirical laws of two sorted arrays."""
     if x.size == y.size:
-        diffs = np.abs(x - y)
+        diffs = x - y
     else:
         grid_n = max(x.size, y.size)
         probs = (np.arange(grid_n) + 0.5) / grid_n
-        qx = np.interp(probs, (np.arange(x.size) + 0.5) / x.size, x)
-        qy = np.interp(probs, (np.arange(y.size) + 0.5) / y.size, y)
-        diffs = np.abs(qx - qy)
+        diffs = np.interp(probs, (np.arange(x.size) + 0.5) / x.size, x)
+        diffs -= np.interp(probs, (np.arange(y.size) + 0.5) / y.size, y)
+    np.abs(diffs, out=diffs)
     return float(diffs.mean())
 
 
@@ -192,6 +258,13 @@ def solve_fixed_point(
     raising.  Note the gap has a sampling floor of order
     pop_size**-0.5, so a tight tol with a small population can be
     unattainable by design.
+
+    One helper thread draws generation g+1's raw weights while this
+    thread pushes generation g and measures its gap.  When the loop
+    ends, by convergence, at ``max_gens`` or by an exception, a draw
+    made for a generation it does not run is undone, so the report and
+    the final state of ``rng`` equal those of :func:`step` then
+    :func:`wasserstein` per generation.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -199,13 +272,36 @@ def solve_fixed_point(
     current = (
         delta_population(1.0, pop_size, rate) if init is None else init
     )
+    previous = np.sort(current.values)
     gaps: list[float] = []
     converged = False
-    while not converged and len(gaps) < max_gens:
-        new = step(current, params, disorder, rate_scale, pop_size, rng)
-        gaps.append(wasserstein(current, new))
-        current = new
-        converged = _stops(gaps, tol)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+
+        def draw_ahead():
+            # rng's state before the generation's draws, to undo them if the
+            # loop ends first; nothing else calls rng while the helper draws
+            state = rng.bit_generator.state
+            clauses = _draw_owners(params, rate_scale, pop_size, rng)
+            return state, helper.submit(_draw_weights, clauses, disorder, rng)
+
+        pending = draw_ahead() if max_gens > 0 else None
+        try:
+            while pending is not None and not converged:
+                job, pending = pending[1], None
+                clauses = job.result()
+                picks = _draw_picks(clauses, current.size, rng)
+                if len(gaps) + 1 < max_gens:
+                    pending = draw_ahead()
+                current = _push(current, params, disorder, clauses, picks)
+                ordered = np.sort(current.values)
+                gaps.append(_sorted_distance(previous, ordered))
+                previous = ordered
+                converged = _stops(gaps, tol)
+        finally:
+            if pending is not None:  # drawn for a generation the loop does not run
+                state, job = pending
+                wait([job])
+                rng.bit_generator.state = state
     return RdeReport(current, tuple(gaps), converged)
 
 

@@ -248,6 +248,22 @@ def partition_function_mc(model, n_draws, rng, chunk=500_000):
     return np.log(mean) / n, se_mean / mean / n
 
 
+def numpy_direct_draws(spec, shape, rng):
+    """Draws of a disorder law by numpy's own samplers, one call each.
+
+    ``normal(0, param)``, ``uniform(-param, param)`` and a sign bit for the
+    two-point families, then truncation by the indicator.
+    """
+    if spec.family == "gaussian":
+        out = rng.normal(0.0, spec.param, size=shape)
+    elif spec.family == "uniform_symmetric":
+        out = rng.uniform(-spec.param, spec.param, size=shape)
+    else:
+        magnitude = spec.param if spec.family == "two_point_symmetric" else 1.0
+        out = (rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0) * magnitude
+    return np.where(np.abs(out) > spec.truncation, 0.0, out)
+
+
 def direct_p1_variance_sampler(rate, beta, spec, n, rng):
     """Sample (1 + 2b sum_{k<=Poisson(rate)} z_k^2)^{-1} directly."""
     from quadglass.disorder import _sample_shape

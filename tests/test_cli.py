@@ -163,6 +163,14 @@ def test_non_finite_model_input_names_offending_key(tmp_path, capsys, key, old, 
     assert_one_config_error(capsys.readouterr().err, key)
 
 
+def test_uniform_width_past_float_range_exits_2(tmp_path, capsys):
+    # numpy's uniform(-param, param) cannot draw a width 2*param of inf
+    cfg = write_cfg(tmp_path, BASE_SIM.replace(
+        "disorder.family=rademacher", "disorder.family=uniform_symmetric\ndisorder.param=1e308"))
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert_one_config_error(capsys.readouterr().err, "2*param")
+
+
 @pytest.mark.parametrize(
     "setting",
     [
@@ -327,13 +335,14 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
 
 
 def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
-    # (16*p*alpha*p + 32) * pop_size bytes: clause draws plus per-output arrays
-    need = (16 * 2 * 0.5 * 2 + 32) * 1000
+    # (2*16*p*alpha*p + 32) * pop_size bytes: two generations' clause draws,
+    # since the solve draws one ahead, plus per-output arrays
+    need = (2 * 16 * 2 * 0.5 * 2 + 32) * 1000
     cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")
                     .replace("rde.pop_size=2000", "rde.pop_size=1000"))
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     assert run_cli(["rde", "--config", cfg, "--out", tmp_path / "o"]) == 2
-    assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "one RDE generation")
+    assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "two RDE generations")
     monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
     assert run_cli(["rde", "--config", cfg, "--out", tmp_path / "o"]) == 0
     capsys.readouterr()

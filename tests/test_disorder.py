@@ -6,7 +6,7 @@ import pytest
 from quadglass.disorder import DisorderSpec, _sample_shape, truncate_spec
 from quadglass.streams import stream
 
-from oracles import second_moment, truncated_gaussian_second_moment
+from oracles import numpy_direct_draws, second_moment, truncated_gaussian_second_moment
 
 ALL_FAMILIES = [
     DisorderSpec("rademacher"),
@@ -107,6 +107,34 @@ def test_reproducible_given_stream():
     a = _sample_shape(spec, (1000,), stream(5, "rep"))
     b = _sample_shape(spec, (1000,), stream(5, "rep"))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    DisorderSpec("rademacher"),
+    DisorderSpec("rademacher", truncation=1.5),
+    *(DisorderSpec("gaussian", scale) for scale in (1.0, 0.3, 2.5, 1e-3)),
+    DisorderSpec("gaussian", 1.0, 2.0),
+    DisorderSpec("uniform_symmetric", 1.5),
+    DisorderSpec("uniform_symmetric", 2.0, 1.5),
+    DisorderSpec("two_point_symmetric", 0.7),
+    DisorderSpec("two_point_symmetric", 0.7, 1.0),
+], ids=lambda s: f"{s.family}-{s.param}-{s.truncation}")
+def test_split_sampler_is_the_numpy_direct_draw(spec):
+    # the raw generator call then the law's arithmetic in place draws what
+    # numpy's own sampler of the law draws, and leaves the same state
+    rng, oracle_rng = stream(7, "split"), stream(7, "split")
+    got = _sample_shape(spec, (4000, 3), rng)
+    want = numpy_direct_draws(spec, (4000, 3), oracle_rng)
+    assert got.dtype == want.dtype == float
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_uniform_whose_width_overflows_is_rejected():
+    # numpy's uniform(-param, param) cannot draw past a width of 2*param = inf
+    DisorderSpec("uniform_symmetric", 8e307)
+    with pytest.raises(ValueError, match="2\\*param must be finite"):
+        DisorderSpec("uniform_symmetric", 1e308)
 
 
 def test_degenerate_and_invalid_specs_rejected():

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -293,19 +294,20 @@ def test_generation_past_float_range_raises_numerical_error():
 def test_look_ahead_solve_is_the_serial_loop(
     monkeypatch, par, spec, rate_scale, kw, converges
 ):
-    # the solve is the serial step-then-W1 loop: one step per generation
+    # the solve is the serial step-then-W1 loop; it draws one generation
+    # ahead, so a run that converges before max_gens draws one in vain
     oracle_rng = stream(30, "ahead")
     expected = serial_fixed_point(par, spec, rate_scale, oracle_rng, **kw)
-    real_step, n_steps = rde.step, []
+    real_draws, n_draws = rde._draw_weights, []
 
-    def counted_step(*args):
-        n_steps.append(None)
-        return real_step(*args)
+    def counted_draws(*args):
+        n_draws.append(None)
+        return real_draws(*args)
 
-    monkeypatch.setattr(rde, "step", counted_step)
+    monkeypatch.setattr(rde, "_draw_weights", counted_draws)
     rng = stream(30, "ahead")
     report = solve_fixed_point(par, spec, rate_scale, rng, **kw)
-    assert len(n_steps) == report.generations
+    assert len(n_draws) == min(report.generations + 1, kw["max_gens"])
     assert report.converged is expected.converged is converges
     assert report.generations == expected.generations
     assert report.gaps == expected.gaps
@@ -313,6 +315,66 @@ def test_look_ahead_solve_is_the_serial_loop(
     assert report.population.rate == expected.population.rate
     assert report.population.generation == expected.population.generation
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_look_ahead_solve_exits_cleanly_when_a_push_fails(monkeypatch):
+    push, calls = rde._push, []
+
+    def failing_push(*args):
+        calls.append(None)
+        if len(calls) == 4:
+            raise NumericalError("push 4 failed")
+        return push(*args)
+
+    monkeypatch.setattr(rde, "_push", failing_push)
+    par, kw = params_with(0.5, 0.5), dict(pop_size=2000, tol=1e-9, max_gens=30)
+    oracle_rng = stream(31, "fail")
+    with pytest.raises(NumericalError):
+        serial_fixed_point(par, RAD, 1.0, oracle_rng, **kw)
+    calls.clear()
+    baseline = threading.active_count()
+    rng = stream(31, "fail")
+    with pytest.raises(NumericalError, match="push 4"):
+        solve_fixed_point(par, RAD, 1.0, rng, **kw)
+    assert len(calls) == 4
+    assert threading.active_count() == baseline
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _failing_at(draw, n):
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == n:
+            raise MemoryError(f"{draw.__name__} {n} failed")
+        return draw(*args)
+
+    return failing
+
+
+@pytest.mark.parametrize("case", ["poisson-mean-too-large", "_draw_weights", "_draw_picks"])
+def test_look_ahead_solve_raises_what_the_serial_loop_raises_when_a_draw_fails(
+    monkeypatch, case
+):
+    # numpy's Poisson sampler rejects a mean of alpha*p*pop_size = 2e20; the
+    # other cases fail generation 3's draw on the helper or on this thread
+    large = case == "poisson-mean-too-large"
+    par = params_with(1e15, 0.5) if large else params_with(0.5)
+    kw = dict(pop_size=10**5 if large else 2000, tol=1e-9, max_gens=30)
+    real_draw = None if large else getattr(rde, case)
+    outcomes = []
+    for solve in (serial_fixed_point, solve_fixed_point):
+        if not large:
+            monkeypatch.setattr(rde, case, _failing_at(real_draw, 3))
+        baseline = threading.active_count()
+        rng = stream(35, "draw-fails")
+        with pytest.raises(Exception) as info:
+            solve(par, RAD, 1.0, rng, **kw)
+        assert threading.active_count() == baseline
+        outcomes.append((info.type, str(info.value), rng.bit_generator.state))
+    assert outcomes[0][0] is (ValueError if large else MemoryError)
+    assert outcomes[1] == outcomes[0]
 
 
 def test_concurrent_look_ahead_solves_each_match_the_serial_loop():
