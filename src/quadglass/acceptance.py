@@ -63,6 +63,11 @@ def _count(n, scale, floor=2):
     return max(floor, int(round(n * scale)))
 
 
+def _converged(passed, detail, unconverged):
+    """A criterion passes only on converged fixed points; its detail names the count."""
+    return passed and unconverged == 0, f"{detail} unconverged={unconverged}"
+
+
 def a1(seed, scale=1.0, workers=1):
     """Exact trivial limit at zero temperature."""
     t0 = time.perf_counter()
@@ -108,19 +113,21 @@ def a3(seed, scale=1.0, workers=1):
     row, limit = study.rows[0], study.limit.estimate
     se = combined_se(row.std_f / math.sqrt(n_seeds), limit.std_error)
     threshold = max(0.01, 3 * se)
-    return (
-        row.gap, threshold, row.gap < threshold,
-        f"mean_F={row.mean_f:.6f} limit={limit.value:.6f} se={se:.2e}",
+    passed, detail = _converged(
+        row.gap < threshold, f"mean_F={row.mean_f:.6f} limit={limit.value:.6f} se={se:.2e}",
+        study.limit.unconverged,
     )
+    return row.gap, threshold, passed, detail
 
 
 def a4(seed, scale=1.0, workers=1):
     """Pooled inverse diagonals converge to the fixed-point law in W1."""
     grid = [250, 500, 1000, 2000]
-    fixed = solve_fixed_point(
+    solved = solve_fixed_point(
         BASE_PARAMS, RADEMACHER, 1.0, stream(seed, "A4", "fp"),
         pop_size=_count(100_000, scale, floor=5000),
-    ).population
+    )
+    fixed = solved.population
     distances, slacks = [], []
     for n_sites in grid:
         reps = _count(20_000 // n_sites, scale)
@@ -147,9 +154,10 @@ def a4(seed, scale=1.0, workers=1):
         distances[i + 1] < distances[i] + combined_se(slacks[i], slacks[i + 1])
         for i in range(len(grid) - 1)
     )
-    passed = decreasing and distances[-1] < 0.02
-    detail = " ".join(
-        f"W1(N={n})={d:.4f}±{s:.4f}" for n, d, s in zip(grid, distances, slacks)
+    passed, detail = _converged(
+        decreasing and distances[-1] < 0.02,
+        " ".join(f"W1(N={n})={d:.4f}±{s:.4f}" for n, d, s in zip(grid, distances, slacks)),
+        int(not solved.converged),
     )
     return distances[-1], 0.02, passed, detail
 
@@ -205,8 +213,11 @@ def a7(seed, scale=1.0, workers=1):
         _count(200_000, scale, floor=20_000), stream(seed, "A7", "scan"),
     )
     certified = scan.q is not None
-    passed = gap < 2e-3 and certified
-    return gap, 2e-3, passed, f"q={scan.q}" if certified else "no q certified"
+    passed, detail = _converged(
+        gap < 2e-3 and certified, f"q={scan.q}" if certified else "no q certified",
+        int(not top.converged) + int(not bottom.converged),
+    )
+    return gap, 2e-3, passed, detail
 
 
 def a8(seed, scale=1.0, workers=1):
@@ -309,16 +320,18 @@ def a12(seed, scale=1.0, workers=1):
     pairs = iterate_pair(
         BASE_PARAMS, RADEMACHER, 200, pop_size, stream(seed, "A12", "pair")
     )
-    fixed = solve_fixed_point(
+    solved = solve_fixed_point(
         BASE_PARAMS, RADEMACHER, 1.0, stream(seed, "A12", "fp"), pop_size=pop_size
-    ).population
+    )
     x_marginal = Population(np.minimum(pairs[:, 1], 1.0))
-    gap = wasserstein(x_marginal, fixed)
+    gap = wasserstein(x_marginal, solved.population)
     u = pairs[:, 0]
     u_se = jackknife_se(u)
     z = abs(u.mean() - 1.0) / u_se if u_se > 0 else 0.0
-    passed = gap < 0.01 and z < 4
-    return gap, 0.01, passed, f"EU={u.mean():.5f} z={z:.2f}"
+    passed, detail = _converged(
+        gap < 0.01 and z < 4, f"EU={u.mean():.5f} z={z:.2f}", int(not solved.converged)
+    )
+    return gap, 0.01, passed, detail
 
 
 def a13(seed, scale=1.0, workers=1):
@@ -328,21 +341,20 @@ def a13(seed, scale=1.0, workers=1):
         pop_size=_count(100_000, scale, floor=10_000),
         n_mc=_count(200_000, scale, floor=20_000),
     )
-    values, ses = {}, {}
+    values, ses, unconverged = {}, {}, 0
     for c in (1.0, 2.0, 4.0, math.inf):
         spec = DisorderSpec("gaussian", 1.0, truncation=c)
         res = limiting_free_energy(params, spec, 12, stream(seed, "A13", str(c)), **kw)
         values[c], ses[c] = res.estimate.value, res.estimate.std_error
+        unconverged += res.unconverged
     gaps = {c: abs(values[c] - values[math.inf]) for c in (1.0, 2.0, 4.0)}
     slack12 = combined_se(ses[1.0], ses[2.0])
     slack24 = combined_se(ses[2.0], ses[4.0])
-    passed = (
-        gaps[2.0] < gaps[1.0] + slack12 and gaps[4.0] < gaps[2.0] + slack24
+    passed, detail = _converged(
+        gaps[2.0] < gaps[1.0] + slack12 and gaps[4.0] < gaps[2.0] + slack24,
+        f"gaps c=1:{gaps[1.0]:.4f} c=2:{gaps[2.0]:.4f} c=4:{gaps[4.0]:.4f}", unconverged,
     )
-    return (
-        gaps[4.0], gaps[2.0], passed,
-        f"gaps c=1:{gaps[1.0]:.4f} c=2:{gaps[2.0]:.4f} c=4:{gaps[4.0]:.4f}",
-    )
+    return gaps[4.0], gaps[2.0], passed, detail
 
 
 # criterion id -> (description, function): the one place either is written

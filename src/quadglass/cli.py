@@ -301,7 +301,8 @@ def _allocations(kind, options, raw, workers):
     (``parallel_map`` factors one per worker, ``dump`` none), an owner,
     outer weight, p-1 interior weights and values in an RDE generation.
     A fixed-point solve holds two generations' draws at once, since it
-    draws one generation ahead.
+    draws one generation ahead while it pushes the twin, and six
+    per-output arrays: the population, its pushes and sorted copies.
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
@@ -323,7 +324,7 @@ def _allocations(kind, options, raw, workers):
         pop = options["rde.pop_size"]
         rate = alpha * p * options.get("rde.rate_scale", 1.0)
         rows.append((f"rde.pop_size={pop}{at_alpha}", "two RDE generations' draws",
-                     rate * pop, (2 * 16.0 * p * rate + 32.0) * pop))
+                     rate * pop, (2 * 16.0 * p * rate + 48.0) * pop))
     if "free_energy.n_mc" in options:
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
         rows.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 0, 24.0 * p * n_mc))
@@ -366,6 +367,19 @@ def _model_pieces(options):
 
 def _warn_unconverged(kind, detail, where) -> None:
     print(f"warning: {kind} did not converge ({detail}); {where}", file=sys.stderr)
+
+
+def _gap_text(gap, floor) -> str:
+    """A solve's final windowed W1 gap against its noise floor."""
+    return f"W1 gap {gap:.3g} over floor {floor:.3g}"
+
+
+def _unconverged_gaps(result) -> str:
+    """The final gap and floor of each unconverged solve behind a limit."""
+    solves = [(f"x={n.x:.4g}", n.gap, n.floor) for n in result.nodes if not n.converged]
+    if result.x1_converged is False:
+        solves.append(("x=1", result.x1_gap, result.x1_floor))
+    return ", ".join(f"{x}: {_gap_text(gap, floor)}" for x, gap, floor in solves)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -425,13 +439,16 @@ def _run_rde(config: ExperimentConfig):
         max_gens=opts["rde.max_gens"],
     )
     write_rows(config.out_dir / "rde_trajectory.csv", [
-        ("generation", "w1_gap"), *((i + 1, gap) for i, gap in enumerate(report.gaps)),
+        ("generation", "w1_gap", "floor"),
+        *zip(range(1, report.generations + 1), report.gaps, report.floors),
     ], sep=",")
     dump_population(report.population, config.out_dir / "population.txt")
     _write_json(
         config.out_dir / "rde_summary.json",
         {
             "converged": report.converged,
+            "gap": report.gap,
+            "floor": report.floor,
             "generations": report.generations,
             "tol": opts["rde.tol"],
             "population_mean": report.population.mean(),
@@ -439,8 +456,9 @@ def _run_rde(config: ExperimentConfig):
         },
     )
     if not report.converged:
-        _warn_unconverged("rde", f"W1 gap {report.gaps[-1]:.3g} after {report.generations} "
-                          "generations", "rde_summary.json has converged=false")
+        _warn_unconverged("rde", f"{_gap_text(report.gap, report.floor)} after "
+                          f"{report.generations} generations",
+                          "rde_summary.json has converged=false")
     return ["rde_trajectory.csv", "population.txt", "rde_summary.json"]
 
 
@@ -464,11 +482,15 @@ def _run_free_energy(config: ExperimentConfig):
                     "edge_term": node.edge_term,
                     "se": node.std_error,
                     "converged": node.converged,
+                    "gap": node.gap,
+                    "floor": node.floor,
                 }
                 for node in result.nodes
             ],
             "h_term": result.h_term,
             "x1_converged": result.x1_converged,
+            "x1_gap": result.x1_gap,
+            "x1_floor": result.x1_floor,
             "converged": result.converged,
             "config_digest": config.digest(),
         },
@@ -477,7 +499,8 @@ def _run_free_energy(config: ExperimentConfig):
         x1 = {True: "; x=1 solve converged", False: "; x=1 solve unconverged", None: ""}
         _warn_unconverged("free-energy", "unconverged quadrature nodes: "
                           f"{len(result.failed_nodes)} of {len(result.nodes)}"
-                          f"{x1[result.x1_converged]}", "free_energy.json has converged=false")
+                          f"{x1[result.x1_converged]}",
+                          f"{_unconverged_gaps(result)}; free_energy.json has converged=false")
     return ["free_energy.json"]
 
 
@@ -500,7 +523,8 @@ def _run_convergence(config: ExperimentConfig):
     ], sep=",")
     if not limit.converged:
         _warn_unconverged("convergence", "its limiting free energy is unconverged",
-                          "convergence.csv has limit_converged=false")
+                          f"{_unconverged_gaps(limit)}; convergence.csv has "
+                          "limit_converged=false")
     return ["convergence.csv"]
 
 

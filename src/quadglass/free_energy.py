@@ -57,26 +57,36 @@ class NodeResult:
     edge_term: float
     std_error: float
     converged: bool
+    gap: float  # windowed W1 gap and noise floor of the node's solve
+    floor: float
 
 
 @dataclass(frozen=True)
 class LimitResult:
     """Limiting free-energy estimate with its per-node breakdown.
 
-    ``x1_converged`` is the flag of the x = 1 solve behind ``h_term``,
-    or None when no such solve runs (h = 0, or beta = 0 where X(1) = 1
-    exactly); ``converged`` covers the nodes and that solve.
+    ``x1_converged``, ``x1_gap`` and ``x1_floor`` describe the x = 1
+    solve behind ``h_term``, and are None when no such solve runs
+    (h = 0, or beta = 0 where X(1) = 1 exactly); ``converged`` covers
+    the nodes and that solve.
     """
 
     estimate: Estimate
     nodes: tuple[NodeResult, ...]
     h_term: float
     x1_converged: bool | None
+    x1_gap: float | None
+    x1_floor: float | None
     converged: bool
 
     @property
     def failed_nodes(self) -> tuple[float, ...]:
         return tuple(n.x for n in self.nodes if not n.converged)
+
+    @property
+    def unconverged(self) -> int:
+        """How many of the fixed-point solves behind the estimate did not converge."""
+        return len(self.failed_nodes) + (self.x1_converged is False)
 
 
 def edge_term(
@@ -125,7 +135,9 @@ def limiting_free_energy(
     h = params.h
     xs, weights = gauss_legendre(n_nodes)
     if params.beta == 0:
-        return LimitResult(Estimate(h * h / 2.0, 0.0), (), h * h / 2.0, None, True)
+        return LimitResult(
+            Estimate(h * h / 2.0, 0.0), (), h * h / 2.0, None, None, None, True
+        )
 
     # one stream per sweep point (the nodes, then x=1), one per node for MC
     streams = substreams(rng, 2 * n_nodes + 1)
@@ -146,22 +158,22 @@ def limiting_free_energy(
             )
             nodes.append(NodeResult(
                 float(x), float(params.alpha * x * params.p), term.value,
-                term.std_error, report.converged,
+                term.std_error, report.converged, report.gap, report.floor,
             ))
             se_parts.append(float(weights[j]) * params.alpha / 2.0 * term.std_error)
     integral = float(np.sum(weights * np.array([n.edge_term for n in nodes])))
 
-    h_term, x1_converged = 0.0, None
+    h_term, x1 = 0.0, (None, None, None)
     if h != 0.0:
         top = reports[-1].population
-        x1_converged = reports[-1].converged
+        x1 = (reports[-1].converged, reports[-1].gap, reports[-1].floor)
         h_term = h * h / 2.0 * top.mean()
         se_parts.append(h * h / 2.0 * jackknife_se(top.values))
 
     value = h_term + params.alpha / 2.0 * integral
     estimate = Estimate(value, combined_se(*se_parts))
     converged = all(r.converged for r in reports)
-    return LimitResult(estimate, tuple(nodes), h_term, x1_converged, converged)
+    return LimitResult(estimate, tuple(nodes), h_term, *x1, converged)
 
 
 @dataclass(frozen=True)

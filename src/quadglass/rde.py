@@ -31,6 +31,15 @@ draw made for a generation the loop does not run is undone, so the
 report and the generator's final state equal those of :func:`step`
 then :func:`wasserstein` per generation.
 
+The solve stops at its own noise floor.  Generation g also makes a
+twin: a second :func:`step` of generation g-1's population on a private
+generator jumped off the caller's, so the caller's stream is left as
+the trajectory alone leaves it.  Two pushes of one population differ
+by sampling noise only, so the twin's W1 to generation g, the floor, is
+the gap a stationary chain shows at this population size; the stopping
+rule (:func:`_stops`) compares the gaps with the floors and checks the
+population mean for drift.
+
 Under y = -log x the map is conjugate to one that contracts in the
 Wasserstein-q metric for q large enough, which is what makes the fixed
 point unique; :func:`contraction_factor` estimates that modulus and
@@ -39,6 +48,7 @@ point unique; :func:`contraction_factor` estimates that modulus and
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -87,15 +97,31 @@ class Population:
 
 @dataclass(frozen=True)
 class RdeReport:
-    """Outcome of a fixed-point run: final population and gap trajectory."""
+    """Outcome of a fixed-point run: final population, gaps and floors per generation."""
 
     population: Population
     gaps: tuple[float, ...]
+    floors: tuple[float, ...]
     converged: bool
 
     @property
     def generations(self) -> int:
         return len(self.gaps)
+
+    @property
+    def gap(self) -> float:
+        """Mean W1 gap over the stopping rule's window (the last generations)."""
+        return _window_mean(self.gaps)
+
+    @property
+    def floor(self) -> float:
+        """Mean noise floor over the same window."""
+        return _window_mean(self.floors)
+
+
+def _window_mean(values) -> float:
+    tail = values[-CONVERGENCE_WINDOW:]
+    return float(np.mean(tail)) if tail else math.nan
 
 
 def delta_population(value: float, size: int, rate: float = 0.0) -> Population:
@@ -233,11 +259,25 @@ def _sorted_distance(x, y):
 # fixed-point iteration
 
 
-def _stops(gaps, tol):
-    """The stopping rule: the last ``CONVERGENCE_WINDOW`` gaps lie below ``tol``."""
-    return len(gaps) >= CONVERGENCE_WINDOW and all(
-        g < tol for g in gaps[-CONVERGENCE_WINDOW:]
-    )
+def _stops(gaps, floors, means, mean_ses, tol):
+    """The stopping rule over the last ``CONVERGENCE_WINDOW`` generations.
+
+    With d = gap - floor per generation, the mean of d must be at most
+    2 SE above 0, and below ``tol`` by 2 SE.  The population mean's
+    least-squares change across the window must lie within 2 SE of 0,
+    its SE taken from each generation's ``mean_ses`` as if independent.
+    The comparisons with 2 SE are not strict: at beta = 0 every gap,
+    floor and SE is 0, and the rule stops at the window.
+    """
+    w = CONVERGENCE_WINDOW
+    if len(gaps) < w:
+        return False
+    excess = np.subtract(gaps[-w:], floors[-w:])
+    mean, se = excess.mean(), excess.std(ddof=1) / np.sqrt(w)
+    t = np.arange(w) - (w - 1) / 2.0  # generations centred on the window
+    change = (w - 1) * float(t @ np.asarray(means[-w:])) / float(t @ t)
+    change_se = (w - 1) * float(np.sqrt(np.mean(np.square(mean_ses[-w:])) / (t @ t)))
+    return bool(mean <= 2 * se and mean + 2 * se < tol and abs(change) <= 2 * change_se)
 
 
 def solve_fixed_point(
@@ -250,21 +290,23 @@ def solve_fixed_point(
     max_gens: int = DEFAULT_MAX_GENS,
     init: Population | None = None,
 ) -> RdeReport:
-    """Iterate the push-forward until the W1 gap stays below ``tol``.
+    """Iterate the push-forward until the W1 gap sits at its noise floor.
 
-    Convergence requires ``CONVERGENCE_WINDOW`` consecutive
-    generation-to-generation gaps below ``tol``; hitting ``max_gens``
-    first returns the report with ``converged=False`` rather than
-    raising.  Note the gap has a sampling floor of order
-    pop_size**-0.5, so a tight tol with a small population can be
-    unattainable by design.
+    Generation g also pushes generation g-1's population a second time,
+    the twin, on a private generator jumped off ``rng``; its W1 to
+    generation g is the floor, the gap a stationary chain shows.  The
+    solve stops by :func:`_stops`, where ``tol`` caps the mean gap in
+    excess of the floor, so a population whose floor lies above ``tol``
+    can converge.  Hitting ``max_gens`` first returns the report with
+    ``converged=False`` rather than raising.
 
     One helper thread draws generation g+1's raw weights while this
-    thread pushes generation g and measures its gap.  When the loop
-    ends, by convergence, at ``max_gens`` or by an exception, a draw
-    made for a generation it does not run is undone, so the report and
-    the final state of ``rng`` equal those of :func:`step` then
-    :func:`wasserstein` per generation.
+    thread pushes generation g and its twin and measures both gaps.
+    When the loop ends, by convergence, at ``max_gens`` or by an
+    exception, a draw made for a generation it does not run is undone,
+    so the report and the final state of ``rng`` equal those of
+    :func:`step`, the twin's :func:`step` and :func:`wasserstein` per
+    generation.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -272,8 +314,13 @@ def solve_fixed_point(
     current = (
         delta_population(1.0, pop_size, rate) if init is None else init
     )
+    # jumped() copies rng's state: rng and its seed sequence stay untouched
+    twin_rng = np.random.Generator(rng.bit_generator.jumped())
     previous = np.sort(current.values)
     gaps: list[float] = []
+    floors: list[float] = []
+    means: list[float] = []
+    mean_ses: list[float] = []
     converged = False
     with ThreadPoolExecutor(max_workers=1) as helper:
 
@@ -292,17 +339,24 @@ def solve_fixed_point(
                 picks = _draw_picks(clauses, current.size, rng)
                 if len(gaps) + 1 < max_gens:
                     pending = draw_ahead()
-                current = _push(current, params, disorder, clauses, picks)
+                pushed = _push(current, params, disorder, clauses, picks)
+                del job, clauses, picks  # the twin's draws take their place
+                twin = np.sort(step(current, params, disorder, rate_scale, pop_size,
+                                    twin_rng).values)
+                current = pushed
                 ordered = np.sort(current.values)
                 gaps.append(_sorted_distance(previous, ordered))
+                floors.append(_sorted_distance(twin, ordered))
+                means.append(float(ordered.mean()))
+                mean_ses.append(float(ordered.std()) / math.sqrt(ordered.size))
                 previous = ordered
-                converged = _stops(gaps, tol)
+                converged = _stops(gaps, floors, means, mean_ses, tol)
         finally:
             if pending is not None:  # drawn for a generation the loop does not run
                 state, job = pending
                 wait([job])
                 rng.bit_generator.state = state
-    return RdeReport(current, tuple(gaps), converged)
+    return RdeReport(current, tuple(gaps), tuple(floors), converged)
 
 
 # ---------------------------------------------------------------------------

@@ -450,7 +450,14 @@ def out_of_place_step(values, params, spec, rate_scale, out_size, rng):
 def serial_fixed_point(
     params, disorder, rate_scale, rng, pop_size, tol, max_gens, init=None
 ):
-    """The fixed-point loop written out: ``step`` then W1 per generation."""
+    """The fixed-point loop written out: ``step``, the twin's ``step``, then W1.
+
+    The twin pushes the same population on a generator jumped off
+    ``rng``.  The stop, over the last ``CONVERGENCE_WINDOW`` generations:
+    the mean of gap - floor is at most 2 SE and below ``tol`` by 2 SE,
+    and the fitted change of the population mean across the window is
+    within 2 SE of 0.
+    """
     from quadglass.rde import (
         CONVERGENCE_WINDOW,
         RdeReport,
@@ -459,18 +466,30 @@ def serial_fixed_point(
         wasserstein,
     )
 
+    w = CONVERGENCE_WINDOW
     rate = params.alpha * rate_scale * params.p
     current = delta_population(1.0, pop_size, rate) if init is None else init
-    gaps = []
+    twin_rng = np.random.Generator(rng.bit_generator.jumped())
+    gaps, floors, means, mean_ses = [], [], [], []
     for _ in range(max_gens):
         new = step(current, params, disorder, rate_scale, pop_size, rng)
+        twin = step(current, params, disorder, rate_scale, pop_size, twin_rng)
         gaps.append(wasserstein(current, new))
+        floors.append(wasserstein(twin, new))
+        means.append(new.mean())
+        mean_ses.append(new.values.std() / math.sqrt(new.size))
         current = new
-        if len(gaps) >= CONVERGENCE_WINDOW and all(
-            g < tol for g in gaps[-CONVERGENCE_WINDOW:]
-        ):
-            return RdeReport(current, tuple(gaps), True)
-    return RdeReport(current, tuple(gaps), False)
+        if len(gaps) < w:
+            continue
+        excess = np.array(gaps[-w:]) - np.array(floors[-w:])
+        se = excess.std(ddof=1) / math.sqrt(w)
+        change = np.polyfit(np.arange(w), means[-w:], 1)[0] * (w - 1)
+        spread = sum((k - (w - 1) / 2) ** 2 for k in range(w))
+        change_se = math.sqrt(np.mean(np.square(mean_ses[-w:])) / spread) * (w - 1)
+        if (excess.mean() <= 2 * se and excess.mean() + 2 * se < tol
+                and abs(change) <= 2 * change_se):
+            return RdeReport(current, tuple(gaps), tuple(floors), True)
+    return RdeReport(current, tuple(gaps), tuple(floors), False)
 
 
 def load_population(path):

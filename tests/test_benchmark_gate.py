@@ -1,13 +1,15 @@
-"""The benchmark's own correctness gate, run against the current package.
+"""The benchmark's own correctness gates, run against the current package.
 
 ``perfbench/workloads.py`` checks the model entry points it times
 (``log_det``, ``ones_quadratic_form``, ``finite_free_energy`` and
-``inverse_diagonal(model, sites)``) against numpy.  Running that gate
-here catches a change to those entry points before a benchmark run
-does; the benchmark itself is only read.
+``inverse_diagonal(model, sites)``) against numpy, and checks the
+limit workload's ``free_energy.json``.  Running those gates here
+catches a change that would fail a benchmark run before the run does;
+the benchmark itself is only read.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -36,3 +38,14 @@ def test_model_gate_finds_no_problem(workloads, params):
         getattr(workloads, params), workloads.RADEMACHER, 300, stream(118, "gate", params)
     )
     assert problems == []
+
+
+def test_limit_workload_converges_every_node_inside_its_band(workloads, tmp_path):
+    # the workload's own config and pinned CLI seed, through the CLI
+    workload = workloads.LimitGaussStall(tmp_path, seed=0, workers=1)
+    workload.setup()
+    (op,) = workload.job()
+    assert op.problems == []
+    assert op.ok == op.attempted == 3
+    # the workload counts nodes only; the x = 1 solve converges too
+    assert json.loads((tmp_path / "op0" / "free_energy.json").read_text())["converged"]

@@ -9,7 +9,7 @@ import pytest
 from quadglass import acceptance, cli, free_energy
 from quadglass.disorder import DisorderSpec
 from quadglass.model import FactorModel, ModelParams, dump_model, finite_free_energy, load_model
-from quadglass.rde import Population, dump_population
+from quadglass.rde import CONVERGENCE_WINDOW, Population, dump_population
 
 from oracles import load_population
 
@@ -335,9 +335,10 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
 
 
 def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
-    # (2*16*p*alpha*p + 32) * pop_size bytes: two generations' clause draws,
-    # since the solve draws one ahead, plus per-output arrays
-    need = (2 * 16 * 2 * 0.5 * 2 + 32) * 1000
+    # (2*16*p*alpha*p + 48) * pop_size bytes: two generations' clause draws,
+    # since the solve draws one ahead while it pushes the twin, plus six
+    # per-output arrays
+    need = (2 * 16 * 2 * 0.5 * 2 + 48) * 1000
     cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")
                     .replace("rde.pop_size=2000", "rde.pop_size=1000"))
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
@@ -594,13 +595,18 @@ def test_rde_outputs_trajectory_and_population(tmp_path):
     out = tmp_path / "rde"
     assert run_cli(["rde", "--config", cfg, "--out", out]) == 0
     lines = (out / "rde_trajectory.csv").read_text().splitlines()
-    assert lines[0] == "generation,w1_gap"
-    assert len(lines) == 21
-    gaps = [float(line.split(",")[1]) for line in lines[1:]]
-    assert all(g >= 0 for g in gaps)
+    summary = json.loads((out / "rde_summary.json").read_text())
+    generations = summary["generations"]
+    assert lines[0] == "generation,w1_gap,floor"
+    assert len(lines) == generations + 1
+    rows = [[float(x) for x in line.split(",")[1:]] for line in lines[1:]]
+    assert all(gap >= 0 and floor >= 0 for gap, floor in rows)
+    window = rows[-CONVERGENCE_WINDOW:]
+    assert summary["gap"] == pytest.approx(np.mean([gap for gap, _ in window]), rel=1e-12)
+    assert summary["floor"] == pytest.approx(np.mean([floor for _, floor in window]), rel=1e-12)
     pop = load_population(out / "population.txt")
     assert pop.size == 3000
-    assert pop.generation == 20
+    assert pop.generation == generations
 
 
 def test_free_energy_json_schema(tmp_path):
@@ -624,12 +630,15 @@ def test_free_energy_json_schema(tmp_path):
     assert run_cli(["free-energy", "--config", cfg, "--out", out]) == 0
     payload = json.loads((out / "free_energy.json").read_text())
     assert set(payload) == {
-        "value", "std_error", "nodes", "h_term", "x1_converged", "converged",
-        "config_digest",
+        "value", "std_error", "nodes", "h_term", "x1_converged", "x1_gap", "x1_floor",
+        "converged", "config_digest",
     }
     assert isinstance(payload["x1_converged"], bool)
+    assert payload["x1_gap"] >= 0 and payload["x1_floor"] >= 0
     assert len(payload["nodes"]) == 4
-    assert set(payload["nodes"][0]) == {"x", "rate", "edge_term", "se", "converged"}
+    assert set(payload["nodes"][0]) == {
+        "x", "rate", "edge_term", "se", "converged", "gap", "floor",
+    }
     assert math.isfinite(payload["value"])
 
 

@@ -268,6 +268,58 @@ def test_non_convergence_reports_flag_not_exception():
     assert report.generations == 12
 
 
+def test_planted_drift_is_not_converged(monkeypatch):
+    # every output moves down by `drift` per generation, twin included, from
+    # a converged start: each gap stays below tol (so a rule of ten gaps below
+    # tol in a row would stop), but the population mean moves by far more
+    # than its SE across the window
+    drift, par, kw = 1e-3, params_with(0.5, 0.25), dict(pop_size=20_000, tol=1e-2)
+    start = solve_fixed_point(par, RAD, 1.0, stream(36, "drift-start"), **kw).population
+    push = rde._push
+
+    def drifting_push(pop, *args):
+        out = push(pop, *args)
+        shift = drift * (out.generation - start.generation)
+        return Population(out.values - shift, out.rate, out.generation)
+
+    monkeypatch.setattr(rde, "_push", drifting_push)
+    report = solve_fixed_point(par, RAD, 1.0, stream(36, "drift"), max_gens=30, init=start, **kw)
+    assert all(g < kw["tol"] for g in report.gaps)
+    assert not report.converged
+    assert report.generations == 30
+
+
+def test_generation_counts_are_stable_across_seeds():
+    # the A13 model at c = 2, where the floor (about 2.6e-3 at this size)
+    # lies above tol, so a rule of ten gaps below tol in a row would run to
+    # max_gens
+    par, spec = params_with(0.5, 0.5, h=1.0), DisorderSpec("gaussian", 1.0, 2.0)
+    reports = [
+        solve_fixed_point(par, spec, 1.0, stream(seed, "seed-stability"), pop_size=20_000)
+        for seed in range(12)
+    ]
+    assert all(r.converged for r in reports)
+    generations = [r.generations for r in reports]
+    assert max(generations) <= 3 * np.median(generations)
+
+
+def test_twin_leaves_the_trajectory_as_the_plain_loop_draws_it():
+    # the populations up to the stop are those of step then W1 alone
+    par, spec = params_with(0.5, 0.5, h=1.0), DisorderSpec("gaussian", 1.0, 2.0)
+    rng = stream(37, "trajectory")
+    report = solve_fixed_point(par, spec, 1.0, rng, pop_size=10_000)
+    plain_rng = stream(37, "trajectory")
+    current, gaps = delta_population(1.0, 10_000, 1.0), []
+    for _ in range(report.generations):
+        new = step(current, par, spec, 1.0, 10_000, plain_rng)
+        gaps.append(wasserstein(current, new))
+        current = new
+    assert report.converged
+    assert report.gaps == tuple(gaps)
+    assert report.population.values.tobytes() == current.values.tobytes()
+    assert rng.bit_generator.state == plain_rng.bit_generator.state
+
+
 def test_generation_past_float_range_raises_numerical_error():
     # 2*beta = 2e307 is finite; 2*beta*z^2 overflows for |z| > 3
     with pytest.raises(NumericalError, match="generation 1 "):
@@ -281,7 +333,7 @@ def test_generation_past_float_range_raises_numerical_error():
         (params_with(0.5, 0.5, p=2), DisorderSpec("gaussian", 1.0, 2.0), 0.7,
          dict(pop_size=4000, tol=1e-2, max_gens=60), True),
         (params_with(0.8, 0.5, p=3), RAD, 1.0,
-         dict(pop_size=3000, tol=1e-3, max_gens=25), False),
+         dict(pop_size=3000, tol=1e-3, max_gens=9), False),
         (params_with(1.0, 0.5, p=1), DisorderSpec("uniform_symmetric", 1.5), 0.5,
          dict(pop_size=3000, tol=2e-2, max_gens=60), True),
         (params_with(1.0, 1.0, p=2), DisorderSpec("two_point_symmetric", 0.7), 1.0,
@@ -294,23 +346,26 @@ def test_generation_past_float_range_raises_numerical_error():
 def test_look_ahead_solve_is_the_serial_loop(
     monkeypatch, par, spec, rate_scale, kw, converges
 ):
-    # the solve is the serial step-then-W1 loop; it draws one generation
-    # ahead, so a run that converges before max_gens draws one in vain
+    # the solve is the serial loop of step, twin step and W1; it draws one
+    # generation ahead, so a run that converges before max_gens draws one in
+    # vain.  The twin draws on its own generator, so only draws on rng count.
     oracle_rng = stream(30, "ahead")
     expected = serial_fixed_point(par, spec, rate_scale, oracle_rng, **kw)
     real_draws, n_draws = rde._draw_weights, []
+    rng = stream(30, "ahead")
 
     def counted_draws(*args):
-        n_draws.append(None)
+        if args[-1] is rng:
+            n_draws.append(None)
         return real_draws(*args)
 
     monkeypatch.setattr(rde, "_draw_weights", counted_draws)
-    rng = stream(30, "ahead")
     report = solve_fixed_point(par, spec, rate_scale, rng, **kw)
     assert len(n_draws) == min(report.generations + 1, kw["max_gens"])
     assert report.converged is expected.converged is converges
     assert report.generations == expected.generations
     assert report.gaps == expected.gaps
+    assert report.floors == expected.floors
     assert report.population.values.tobytes() == expected.population.values.tobytes()
     assert report.population.rate == expected.population.rate
     assert report.population.generation == expected.population.generation
@@ -318,6 +373,8 @@ def test_look_ahead_solve_is_the_serial_loop(
 
 
 def test_look_ahead_solve_exits_cleanly_when_a_push_fails(monkeypatch):
+    # pushes alternate between the trajectory and its twin: push 4 is the
+    # twin of generation 2
     push, calls = rde._push, []
 
     def failing_push(*args):
@@ -341,13 +398,15 @@ def test_look_ahead_solve_exits_cleanly_when_a_push_fails(monkeypatch):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def _failing_at(draw, n):
+def _failing_at(draw, n, rng):
+    """``draw`` that fails at its ``n``-th call on ``rng``; the twin's calls do not count."""
     calls = []
 
     def failing(*args):
-        calls.append(None)
-        if len(calls) == n:
-            raise MemoryError(f"{draw.__name__} {n} failed")
+        if args[-1] is rng:
+            calls.append(None)
+            if len(calls) == n:
+                raise MemoryError(f"{draw.__name__} {n} failed")
         return draw(*args)
 
     return failing
@@ -365,10 +424,10 @@ def test_look_ahead_solve_raises_what_the_serial_loop_raises_when_a_draw_fails(
     real_draw = None if large else getattr(rde, case)
     outcomes = []
     for solve in (serial_fixed_point, solve_fixed_point):
-        if not large:
-            monkeypatch.setattr(rde, case, _failing_at(real_draw, 3))
-        baseline = threading.active_count()
         rng = stream(35, "draw-fails")
+        if not large:
+            monkeypatch.setattr(rde, case, _failing_at(real_draw, 3, rng))
+        baseline = threading.active_count()
         with pytest.raises(Exception) as info:
             solve(par, RAD, 1.0, rng, **kw)
         assert threading.active_count() == baseline
