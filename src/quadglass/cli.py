@@ -300,9 +300,10 @@ def _allocations(kind, options, raw, workers):
     A clause holds 16*p bytes: p sites and p weights in a realization
     (``parallel_map`` factors one per worker, ``dump`` none), an owner,
     outer weight, p-1 interior weights and values in an RDE generation.
-    A fixed-point solve holds two generations' draws at once, since it
-    draws one generation ahead while it pushes the twin, and six
-    per-output arrays: the population, its pushes and sorted copies.
+    A fixed-point solve holds one generation's draws, the push's gather
+    and denominators, about 20*p bytes per clause against the 2*16*p
+    counted, and six per-output arrays: the population, its pushes and
+    sorted copies.
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
@@ -323,7 +324,7 @@ def _allocations(kind, options, raw, workers):
     if "rde.pop_size" in options:
         pop = options["rde.pop_size"]
         rate = alpha * p * options.get("rde.rate_scale", 1.0)
-        rows.append((f"rde.pop_size={pop}{at_alpha}", "two RDE generations' draws",
+        rows.append((f"rde.pop_size={pop}{at_alpha}", "an RDE generation's draws and push",
                      rate * pop, (2 * 16.0 * p * rate + 48.0) * pop))
     if "free_energy.n_mc" in options:
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]

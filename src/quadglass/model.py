@@ -185,9 +185,9 @@ def _clauses(disorder, mean, n_sites, width, rng):
 
     Besides realizations, ``rde.contraction_factor`` and ``rde.pair_step``
     draw their clauses here at width 1: the one site is the clause's owner
-    among ``n_sites`` outputs.  An RDE generation's draw half
-    (``rde._draw_owners`` and ``rde._draw_weights``) makes the same
-    generator calls and leaves the weights' arithmetic to ``rde._push``.
+    among ``n_sites`` outputs.  An RDE generation, ``rde.step``, makes
+    the same generator calls and then turns the raw weights into the
+    law's weights with its own arithmetic.
     """
     m = int(rng.poisson(mean))
     sites = _distinct_tuples(rng, n_sites, m, width)

@@ -16,20 +16,9 @@ out_size) clauses with uniform owners among the outputs, drawn in the
 order of the sampler that builds a finite realization
 (:func:`model._clauses`).
 
-A generation is two halves.  The draw half makes its generator calls
-in this order: the clause count and the owners (:func:`_draw_owners`),
-the raw weights (:func:`_draw_weights`) and the resample indices
-(:func:`_draw_picks`).  The push half, :func:`_push`, does all the
-arithmetic; :func:`step` is the one after the other.  No draw reads the
-population's values, so :func:`solve_fixed_point` draws generation
-g+1's raw weights, most of a generation's generator time, on one helper
-thread while it pushes generation g and measures its W1 gap.  The
-weights land in buffers this thread allocated, since memory the helper
-allocated would stay in its own malloc arena after the solve.  The
-generator is called in the serial order with the serial sizes, and a
-draw made for a generation the loop does not run is undone, so the
-report and the generator's final state equal those of :func:`step`
-then :func:`wasserstein` per generation.
+One generation is :func:`step`, which makes those generator calls, the
+clause count, the owners and the raw weights, then draws the resample
+indices and pushes the population through the draws in place.
 
 The solve stops at its own noise floor.  Generation g also makes a
 twin: a second :func:`step` of generation g-1's population on a private
@@ -49,9 +38,7 @@ point unique; :func:`contraction_factor` estimates that modulus and
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,71 +120,9 @@ def delta_population(value: float, size: int, rate: float = 0.0) -> Population:
 # one generation of the push-forward
 
 
-class _Clauses(NamedTuple):
-    """One generation's clauses as drawn, before any arithmetic."""
-
-    rate: float
-    out_size: int
-    owners: np.ndarray  # (m,) output index of each clause
-    zeta: np.ndarray  # (m,) raw draws of the weight at the owner
-    xi: np.ndarray  # (m, p-1) raw draws of the interior weights
-
-
 def _index_dtype(n):
     """int32 for indices below ``n`` when they fit; it draws the values int64 would."""
     return np.int32 if n <= 2**31 else np.int64
-
-
-def _draw_owners(params, rate_scale, out_size, rng) -> _Clauses:
-    """A generation's first generator calls: the clause count m, then the owners.
-
-    The weight buffers are allocated here, empty, for :func:`_draw_weights`.
-    """
-    if not 0 < rate_scale <= 1:
-        raise ValueError("rate_scale must lie in (0, 1]")
-    if out_size < 1:
-        raise ValueError("out_size must be at least 1")
-    rate = params.alpha * rate_scale * params.p
-    m = int(rng.poisson(rate * out_size))
-    owners = rng.integers(0, out_size, size=m, dtype=_index_dtype(out_size))
-    return _Clauses(rate, out_size, owners, np.empty(m), np.empty((m, params.p - 1)))
-
-
-def _draw_weights(clauses: _Clauses, disorder, rng) -> _Clauses:
-    """The raw weight draws, written into the clauses' buffers."""
-    _raw_draws(disorder, clauses.zeta, rng)
-    _raw_draws(disorder, clauses.xi, rng)
-    return clauses
-
-
-def _draw_picks(clauses: _Clauses, in_size, rng) -> np.ndarray:
-    """A generation's last generator call: resample indices among ``in_size`` values."""
-    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
-    return rng.integers(0, in_size, size=clauses.xi.shape, dtype=_index_dtype(in_size))
-
-
-def _push(pop, params, disorder, clauses: _Clauses, picks) -> Population:
-    """Push ``pop`` through one generation's draws, overwriting the weight buffers.
-
-    The arithmetic runs in place, with the IEEE operations of the
-    one-line expression ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.
-    """
-    with _float_range(f"generation {pop.generation + 1} at rate {clauses.rate:.6g}"):
-        zeta = _weights(disorder, clauses.zeta)
-        xi = _weights(disorder, clauses.xi)
-        np.square(xi, out=xi)
-        xi *= pop.values[picks]
-        two_beta = 2.0 * params.beta
-        denom = np.sum(xi, axis=1)
-        denom *= two_beta
-        denom += 1.0
-        np.square(zeta, out=zeta)
-        zeta *= two_beta
-        zeta /= denom
-        # not in place: with no clause drawn, bincount returns int64 zeros
-        totals = np.bincount(clauses.owners, weights=zeta, minlength=clauses.out_size) + 1.0
-        np.divide(1.0, totals, out=totals)
-    return Population(totals, clauses.rate, pop.generation + 1)
 
 
 def step(
@@ -213,11 +138,41 @@ def step(
     Every output value is an independent draw of the displayed random
     variable with the X's resampled uniformly (with replacement) from
     ``pop``.  Outputs always lie in (0, 1]; entries whose clause count
-    is zero come out exactly 1.  A generation that overflows or makes a
-    nan, and so would leave (0, 1], raises :class:`model.NumericalError`.
+    is zero come out exactly 1.  The generator is called for the clause
+    count, the owners, the raw outer and interior weights, then the
+    resample indices.  The arithmetic runs in place on the draws, with
+    the IEEE operations of the one-line expression
+    ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.  A
+    generation that overflows or makes a nan, and so would leave
+    (0, 1], raises :class:`model.NumericalError`.
     """
-    clauses = _draw_weights(_draw_owners(params, rate_scale, out_size, rng), disorder, rng)
-    return _push(pop, params, disorder, clauses, _draw_picks(clauses, pop.size, rng))
+    if not 0 < rate_scale <= 1:
+        raise ValueError("rate_scale must lie in (0, 1]")
+    if out_size < 1:
+        raise ValueError("out_size must be at least 1")
+    rate = params.alpha * rate_scale * params.p
+    m = int(rng.poisson(rate * out_size))
+    owners = rng.integers(0, out_size, size=m, dtype=_index_dtype(out_size))
+    zeta = _raw_draws(disorder, np.empty(m), rng)
+    xi = _raw_draws(disorder, np.empty((m, params.p - 1)), rng)
+    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
+    picks = rng.integers(0, pop.size, size=xi.shape, dtype=_index_dtype(pop.size))
+    with _float_range(f"generation {pop.generation + 1} at rate {rate:.6g}"):
+        zeta = _weights(disorder, zeta)
+        xi = _weights(disorder, xi)
+        np.square(xi, out=xi)
+        xi *= pop.values[picks]
+        two_beta = 2.0 * params.beta
+        denom = np.sum(xi, axis=1)
+        denom *= two_beta
+        denom += 1.0
+        np.square(zeta, out=zeta)
+        zeta *= two_beta
+        zeta /= denom
+        # not in place: with no clause drawn, bincount returns int64 zeros
+        totals = np.bincount(owners, weights=zeta, minlength=out_size) + 1.0
+        np.divide(1.0, totals, out=totals)
+    return Population(totals, rate, pop.generation + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +247,16 @@ def solve_fixed_point(
 ) -> RdeReport:
     """Iterate the push-forward until the W1 gap sits at its noise floor.
 
-    Generation g also pushes generation g-1's population a second time,
-    the twin, on a private generator jumped off ``rng``; its W1 to
-    generation g is the floor, the gap a stationary chain shows.  The
-    solve stops by :func:`_stops`, where ``tol`` caps the mean gap in
-    excess of the floor, so a population whose floor lies above ``tol``
-    can converge.  Hitting ``max_gens`` first returns the report with
-    ``converged=False`` rather than raising.
-
-    One helper thread draws generation g+1's raw weights while this
-    thread pushes generation g and its twin and measures both gaps.
-    When the loop ends, by convergence, at ``max_gens`` or by an
-    exception, a draw made for a generation it does not run is undone,
-    so the report and the final state of ``rng`` equal those of
-    :func:`step`, the twin's :func:`step` and :func:`wasserstein` per
-    generation.
+    Each generation is :func:`step` on ``rng``.  Generation g also pushes
+    generation g-1's population a second time, the twin, on a private
+    generator jumped off ``rng``; its W1 to generation g is the floor,
+    the gap a stationary chain shows.  The solve stops by :func:`_stops`,
+    where ``tol`` caps the mean gap in excess of the floor, so a
+    population whose floor lies above ``tol`` can converge.  Hitting
+    ``max_gens`` first returns the report with ``converged=False``
+    rather than raising.
     """
-    if tol <= 0:
+    if not tol > 0:  # nan fails too
         raise ValueError("tol must be positive")
     rate = params.alpha * rate_scale * params.p
     current = (
@@ -322,40 +270,17 @@ def solve_fixed_point(
     means: list[float] = []
     mean_ses: list[float] = []
     converged = False
-    with ThreadPoolExecutor(max_workers=1) as helper:
-
-        def draw_ahead():
-            # rng's state before the generation's draws, to undo them if the
-            # loop ends first; nothing else calls rng while the helper draws
-            state = rng.bit_generator.state
-            clauses = _draw_owners(params, rate_scale, pop_size, rng)
-            return state, helper.submit(_draw_weights, clauses, disorder, rng)
-
-        pending = draw_ahead() if max_gens > 0 else None
-        try:
-            while pending is not None and not converged:
-                job, pending = pending[1], None
-                clauses = job.result()
-                picks = _draw_picks(clauses, current.size, rng)
-                if len(gaps) + 1 < max_gens:
-                    pending = draw_ahead()
-                pushed = _push(current, params, disorder, clauses, picks)
-                del job, clauses, picks  # the twin's draws take their place
-                twin = np.sort(step(current, params, disorder, rate_scale, pop_size,
-                                    twin_rng).values)
-                current = pushed
-                ordered = np.sort(current.values)
-                gaps.append(_sorted_distance(previous, ordered))
-                floors.append(_sorted_distance(twin, ordered))
-                means.append(float(ordered.mean()))
-                mean_ses.append(float(ordered.std()) / math.sqrt(ordered.size))
-                previous = ordered
-                converged = _stops(gaps, floors, means, mean_ses, tol)
-        finally:
-            if pending is not None:  # drawn for a generation the loop does not run
-                state, job = pending
-                wait([job])
-                rng.bit_generator.state = state
+    while len(gaps) < max_gens and not converged:
+        pushed = step(current, params, disorder, rate_scale, pop_size, rng)
+        twin = np.sort(step(current, params, disorder, rate_scale, pop_size, twin_rng).values)
+        current = pushed
+        ordered = np.sort(current.values)
+        gaps.append(_sorted_distance(previous, ordered))
+        floors.append(_sorted_distance(twin, ordered))
+        means.append(float(ordered.mean()))
+        mean_ses.append(float(ordered.std()) / math.sqrt(ordered.size))
+        previous = ordered
+        converged = _stops(gaps, floors, means, mean_ses, tol)
     return RdeReport(current, tuple(gaps), tuple(floors), converged)
 
 

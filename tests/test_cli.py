@@ -335,15 +335,15 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
 
 
 def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
-    # (2*16*p*alpha*p + 48) * pop_size bytes: two generations' clause draws,
-    # since the solve draws one ahead while it pushes the twin, plus six
-    # per-output arrays
+    # (2*16*p*alpha*p + 48) * pop_size bytes: a generation's clause draws
+    # with the push's gather and denominators, about 20*p bytes per clause
+    # against the 2*16*p counted, plus six per-output arrays
     need = (2 * 16 * 2 * 0.5 * 2 + 48) * 1000
     cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")
                     .replace("rde.pop_size=2000", "rde.pop_size=1000"))
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
     assert run_cli(["rde", "--config", cfg, "--out", tmp_path / "o"]) == 2
-    assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "two RDE generations")
+    assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "an RDE generation's draws")
     monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
     assert run_cli(["rde", "--config", cfg, "--out", tmp_path / "o"]) == 0
     capsys.readouterr()

@@ -275,14 +275,14 @@ def test_planted_drift_is_not_converged(monkeypatch):
     # than its SE across the window
     drift, par, kw = 1e-3, params_with(0.5, 0.25), dict(pop_size=20_000, tol=1e-2)
     start = solve_fixed_point(par, RAD, 1.0, stream(36, "drift-start"), **kw).population
-    push = rde._push
+    real_step = rde.step
 
-    def drifting_push(pop, *args):
-        out = push(pop, *args)
+    def drifting_step(pop, *args):
+        out = real_step(pop, *args)
         shift = drift * (out.generation - start.generation)
         return Population(out.values - shift, out.rate, out.generation)
 
-    monkeypatch.setattr(rde, "_push", drifting_push)
+    monkeypatch.setattr(rde, "step", drifting_step)
     report = solve_fixed_point(par, RAD, 1.0, stream(36, "drift"), max_gens=30, init=start, **kw)
     assert all(g < kw["tol"] for g in report.gaps)
     assert not report.converged
@@ -346,22 +346,22 @@ def test_generation_past_float_range_raises_numerical_error():
 def test_look_ahead_solve_is_the_serial_loop(
     monkeypatch, par, spec, rate_scale, kw, converges
 ):
-    # the solve is the serial loop of step, twin step and W1; it draws one
-    # generation ahead, so a run that converges before max_gens draws one in
-    # vain.  The twin draws on its own generator, so only draws on rng count.
+    # the solve is the serial loop of step, twin step and W1, and draws no
+    # generation in vain.  The twin draws on its own generator, so only
+    # steps on rng count.
     oracle_rng = stream(30, "ahead")
     expected = serial_fixed_point(par, spec, rate_scale, oracle_rng, **kw)
-    real_draws, n_draws = rde._draw_weights, []
+    real_step, n_steps = rde.step, []
     rng = stream(30, "ahead")
 
-    def counted_draws(*args):
+    def counted_step(*args):
         if args[-1] is rng:
-            n_draws.append(None)
-        return real_draws(*args)
+            n_steps.append(None)
+        return real_step(*args)
 
-    monkeypatch.setattr(rde, "_draw_weights", counted_draws)
+    monkeypatch.setattr(rde, "step", counted_step)
     report = solve_fixed_point(par, spec, rate_scale, rng, **kw)
-    assert len(n_draws) == min(report.generations + 1, kw["max_gens"])
+    assert len(n_steps) == report.generations
     assert report.converged is expected.converged is converges
     assert report.generations == expected.generations
     assert report.gaps == expected.gaps
@@ -372,18 +372,18 @@ def test_look_ahead_solve_is_the_serial_loop(
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def test_look_ahead_solve_exits_cleanly_when_a_push_fails(monkeypatch):
-    # pushes alternate between the trajectory and its twin: push 4 is the
+def test_solve_exits_cleanly_when_a_push_fails(monkeypatch):
+    # steps alternate between the trajectory and its twin: step 4 is the
     # twin of generation 2
-    push, calls = rde._push, []
+    real_step, calls = rde.step, []
 
-    def failing_push(*args):
+    def failing_step(*args):
         calls.append(None)
         if len(calls) == 4:
             raise NumericalError("push 4 failed")
-        return push(*args)
+        return real_step(*args)
 
-    monkeypatch.setattr(rde, "_push", failing_push)
+    monkeypatch.setattr(rde, "step", failing_step)
     par, kw = params_with(0.5, 0.5), dict(pop_size=2000, tol=1e-9, max_gens=30)
     oracle_rng = stream(31, "fail")
     with pytest.raises(NumericalError):
@@ -412,21 +412,21 @@ def _failing_at(draw, n, rng):
     return failing
 
 
-@pytest.mark.parametrize("case", ["poisson-mean-too-large", "_draw_weights", "_draw_picks"])
-def test_look_ahead_solve_raises_what_the_serial_loop_raises_when_a_draw_fails(
+@pytest.mark.parametrize("case", ["poisson-mean-too-large", "step"])
+def test_solve_raises_as_the_serial_loop_when_a_draw_fails(
     monkeypatch, case
 ):
     # numpy's Poisson sampler rejects a mean of alpha*p*pop_size = 2e20; the
-    # other cases fail generation 3's draw on the helper or on this thread
+    # other case fails generation 3's step on rng
     large = case == "poisson-mean-too-large"
     par = params_with(1e15, 0.5) if large else params_with(0.5)
     kw = dict(pop_size=10**5 if large else 2000, tol=1e-9, max_gens=30)
-    real_draw = None if large else getattr(rde, case)
+    real_step = rde.step
     outcomes = []
     for solve in (serial_fixed_point, solve_fixed_point):
         rng = stream(35, "draw-fails")
         if not large:
-            monkeypatch.setattr(rde, case, _failing_at(real_draw, 3, rng))
+            monkeypatch.setattr(rde, "step", _failing_at(real_step, 3, rng))
         baseline = threading.active_count()
         with pytest.raises(Exception) as info:
             solve(par, RAD, 1.0, rng, **kw)
@@ -462,6 +462,15 @@ def test_look_ahead_solve_leaves_rng_untouched_on_bad_rate_scale():
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="rate_scale"):
         solve_fixed_point(params_with(), RAD, 1.5, rng, pop_size=100)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_solve_rejects_a_tol_that_is_not_positive(tol):
+    rng = stream(33, "bad-tol")
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="tol"):
+        solve_fixed_point(params_with(), RAD, 1.0, rng, pop_size=100, tol=tol, max_gens=40)
     assert rng.bit_generator.state == before
 
 
