@@ -60,41 +60,30 @@ class DisorderSpec:
 
 
 def _sample_shape(spec, shape, rng):
-    """Draws of ``spec`` in an array of ``shape``: :func:`_raw_draws` then :func:`_weights`."""
-    return _weights(spec, _raw_draws(spec, np.empty(shape), rng))
+    """Draws of ``spec`` in an array of ``shape``.
 
-
-def _raw_draws(spec, out, rng):
-    """Fill the float array ``out`` by the law's one generator call and return it."""
-    if spec.family == "gaussian":
-        rng.standard_normal(out=out)
-    elif spec.family == "uniform_symmetric":
-        rng.random(out=out)
-    else:  # a sign bit for the two-point families
-        out[...] = rng.integers(0, 2, size=out.shape)
-    return out
-
-
-def _weights(spec, raw):
-    """Turn :func:`_raw_draws` output into the law's weights, in place, and return it.
-
-    The operations are those of ``rng.normal(0, param)``,
-    ``rng.uniform(-param, param)`` and ``2*bit - 1``, so the weights equal
+    One generator call fills the array; the law's arithmetic then runs
+    in place.  The operations are those of ``rng.normal(0, param)``,
+    ``rng.uniform(-param, param)`` and ``2*bit - 1``, so the draws equal
     a direct draw of the law bit for bit.
     """
+    out = np.empty(shape)
     if spec.family == "gaussian":
-        raw *= spec.param
+        rng.standard_normal(out=out)
+        out *= spec.param
     elif spec.family == "uniform_symmetric":
-        raw *= 2.0 * spec.param  # numpy's high - low, exact while finite
-        raw -= spec.param
-    else:
-        raw *= 2.0
-        raw -= 1.0
+        rng.random(out=out)
+        out *= 2.0 * spec.param  # numpy's high - low, exact while finite
+        out -= spec.param
+    else:  # a sign bit for the two-point families
+        out[...] = rng.integers(0, 2, size=out.shape)
+        out *= 2.0
+        out -= 1.0
         if spec.family == "two_point_symmetric":
-            raw *= spec.param
+            out *= spec.param
     if math.isfinite(spec.truncation):
-        raw[np.abs(raw) > spec.truncation] = 0.0
-    return raw
+        out[np.abs(out) > spec.truncation] = 0.0
+    return out
 
 
 def truncate_spec(spec: DisorderSpec, c: float) -> DisorderSpec:

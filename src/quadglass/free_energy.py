@@ -77,7 +77,6 @@ class LimitResult:
     x1_converged: bool | None
     x1_gap: float | None
     x1_floor: float | None
-    converged: bool
 
     @property
     def failed_nodes(self) -> tuple[float, ...]:
@@ -87,6 +86,10 @@ class LimitResult:
     def unconverged(self) -> int:
         """How many of the fixed-point solves behind the estimate did not converge."""
         return len(self.failed_nodes) + (self.x1_converged is False)
+
+    @property
+    def converged(self) -> bool:
+        return self.unconverged == 0
 
 
 def edge_term(
@@ -136,7 +139,7 @@ def limiting_free_energy(
     xs, weights = gauss_legendre(n_nodes)
     if params.beta == 0:
         return LimitResult(
-            Estimate(h * h / 2.0, 0.0), (), h * h / 2.0, None, None, None, True
+            Estimate(h * h / 2.0, 0.0), (), h * h / 2.0, None, None, None
         )
 
     # one stream per sweep point (the nodes, then x=1), one per node for MC
@@ -172,8 +175,7 @@ def limiting_free_energy(
 
     value = h_term + params.alpha / 2.0 * integral
     estimate = Estimate(value, combined_se(*se_parts))
-    converged = all(r.converged for r in reports)
-    return LimitResult(estimate, tuple(nodes), h_term, *x1, converged)
+    return LimitResult(estimate, tuple(nodes), h_term, *x1)
 
 
 @dataclass(frozen=True)

@@ -183,11 +183,9 @@ def _rows_with_duplicates(rows):
 def _clauses(disorder, mean, n_sites, width, rng):
     """Poisson(mean) clauses: the count m, then (m, width) distinct sites, then weights.
 
-    Besides realizations, ``rde.contraction_factor`` and ``rde.pair_step``
-    draw their clauses here at width 1: the one site is the clause's owner
-    among ``n_sites`` outputs.  An RDE generation, ``rde.step``, makes
-    the same generator calls and then turns the raw weights into the
-    law's weights with its own arithmetic.
+    Besides realizations, ``rde.step``, ``rde.contraction_factor`` and
+    ``rde.pair_step`` draw their clauses here at width 1: the one site is
+    the clause's owner among ``n_sites`` outputs.
     """
     m = int(rng.poisson(mean))
     sites = _distinct_tuples(rng, n_sites, m, width)

@@ -12,13 +12,11 @@ synchronously from the previous snapshot, so the update is a pure
 push-forward with clean fixed-point semantics.
 
 By Poisson splitting, one generation's clauses are Poisson(rate *
-out_size) clauses with uniform owners among the outputs, drawn in the
-order of the sampler that builds a finite realization
-(:func:`model._clauses`).
-
-One generation is :func:`step`, which makes those generator calls, the
-clause count, the owners and the raw weights, then draws the resample
-indices and pushes the population through the draws in place.
+out_size) clauses with uniform owners among the outputs.  One
+generation is :func:`step`: it draws them through the sampler that
+builds a finite realization, :func:`model._clauses` at width 1 (the
+one site is the clause's owner), then the interior weights and the
+resample indices, and pushes the population through the draws in place.
 
 The solve stops at its own noise floor.  Generation g also makes a
 twin: a second :func:`step` of generation g-1's population on a private
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderSpec, _raw_draws, _sample_shape, _weights
+from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
 from .model import ModelParams, _clauses, _float_range, write_rows
 
@@ -120,11 +118,6 @@ def delta_population(value: float, size: int, rate: float = 0.0) -> Population:
 # one generation of the push-forward
 
 
-def _index_dtype(n):
-    """int32 for indices below ``n`` when they fit; it draws the values int64 would."""
-    return np.int32 if n <= 2**31 else np.int64
-
-
 def step(
     pop: Population,
     params: ModelParams,
@@ -138,8 +131,9 @@ def step(
     Every output value is an independent draw of the displayed random
     variable with the X's resampled uniformly (with replacement) from
     ``pop``.  Outputs always lie in (0, 1]; entries whose clause count
-    is zero come out exactly 1.  The generator is called for the clause
-    count, the owners, the raw outer and interior weights, then the
+    is zero come out exactly 1.  The clause count, the owners and the
+    outer weights come from :func:`model._clauses` at width 1, then the
+    interior weights from :func:`disorder._sample_shape`, then the
     resample indices.  The arithmetic runs in place on the draws, with
     the IEEE operations of the one-line expression
     ``1/(1 + bincount(2b z^2 / (1 + 2b sum_r X_r x_r^2)))``.  A
@@ -151,15 +145,12 @@ def step(
     if out_size < 1:
         raise ValueError("out_size must be at least 1")
     rate = params.alpha * rate_scale * params.p
-    m = int(rng.poisson(rate * out_size))
-    owners = rng.integers(0, out_size, size=m, dtype=_index_dtype(out_size))
-    zeta = _raw_draws(disorder, np.empty(m), rng)
-    xi = _raw_draws(disorder, np.empty((m, params.p - 1)), rng)
-    # at p = 1, xi has no columns: the resample draws nothing and denom is 1
-    picks = rng.integers(0, pop.size, size=xi.shape, dtype=_index_dtype(pop.size))
     with _float_range(f"generation {pop.generation + 1} at rate {rate:.6g}"):
-        zeta = _weights(disorder, zeta)
-        xi = _weights(disorder, xi)
+        owners, zeta = _clauses(disorder, rate * out_size, out_size, 1, rng)
+        owners, zeta = owners[:, 0], zeta[:, 0]
+        xi = _sample_shape(disorder, (zeta.size, params.p - 1), rng)
+        # at p = 1, xi has no columns: the resample draws nothing and denom is 1
+        picks = rng.integers(0, pop.size, size=xi.shape)
         np.square(xi, out=xi)
         xi *= pop.values[picks]
         two_beta = 2.0 * params.beta

@@ -83,6 +83,72 @@ def test_fixed_point_outputs_byte_identical_across_worker_counts(tmp_path, kind,
     assert outputs[0] and outputs[0] == outputs[1]
 
 
+# SHA-256 of every output but the manifest at three small configs.  A
+# change that moves the streams on purpose records new digests and names
+# the moved outputs.
+GOLDEN = {
+    "rde": (
+        """
+        experiment.seed=12
+        model.alpha=0.6
+        model.beta=0.5
+        model.h=1.0
+        model.p=3
+        disorder.family=uniform_symmetric
+        disorder.param=1.5
+        disorder.truncation=1.2
+        rde.pop_size=2000
+        rde.max_gens=40
+        """,
+        {
+            "population.txt":
+                "79503b931c2f7cd185b6d69a6df15a0471a201b3c5b370a6fc3d7a1b6c80e2f5",
+            "rde_summary.json":
+                "6f715093e65d24f1da2be0e6ddf6a6e2e0442d2cce39ea7cb90becf62984c22b",
+            "rde_trajectory.csv":
+                "47c536b5e15ed335c52b8c533624ae11a870741947c1917bde7ce349216d24d3",
+        },
+    ),
+    "free-energy": (
+        RDE_SMALL + "quadrature.nodes=2\nfree_energy.n_mc=2000\n",
+        {
+            "free_energy.json":
+                "cf1cd2c9e201bdeaebb800dc5dfa416e4cf30023b89fafa138bc3f720c170008",
+        },
+    ),
+    "dump": (
+        """
+        experiment.seed=12
+        model.alpha=0.8
+        model.beta=0.5
+        model.h=1.0
+        model.p=3
+        disorder.family=two_point_symmetric
+        disorder.param=0.7
+        disorder.truncation=1.0
+        dump.n_sites=200
+        """,
+        {
+            "model.txt":
+                "2bf7f1a89e3593ec7a38aa207447ea189d559be6726e6384bb08e7d662d20e15",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", GOLDEN)
+def test_outputs_match_the_recorded_digests(tmp_path, kind):
+    text, digests = GOLDEN[kind]
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run_cli([kind, "--config", cfg, "--out", out]) == 0
+    got = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in out.iterdir() if f.name != "manifest.json"
+    }
+    assert got == digests
+
+
 def test_manifest_lists_every_output_with_correct_hash(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -336,7 +402,7 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
 
 def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
     # (2*16*p*alpha*p + 48) * pop_size bytes: a generation's clause draws
-    # with the push's gather and denominators, about 20*p bytes per clause
+    # with the push's gather and denominators, at most 24*p bytes per clause
     # against the 2*16*p counted, plus six per-output arrays
     need = (2 * 16 * 2 * 0.5 * 2 + 48) * 1000
     cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")

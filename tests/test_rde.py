@@ -436,7 +436,7 @@ def test_solve_raises_as_the_serial_loop_when_a_draw_fails(
     assert outcomes[1] == outcomes[0]
 
 
-def test_concurrent_look_ahead_solves_each_match_the_serial_loop():
+def test_concurrent_solves_each_match_the_serial_loop():
     # more solving threads than cores under fast thread switching: a draw
     # landing in the wrong solve or generator shows
     par, kw = params_with(0.5, 0.5, p=3), dict(pop_size=1500, tol=1e-9, max_gens=20)
@@ -457,7 +457,7 @@ def test_concurrent_look_ahead_solves_each_match_the_serial_loop():
         assert report.population.values.tobytes() == expected.population.values.tobytes()
 
 
-def test_look_ahead_solve_leaves_rng_untouched_on_bad_rate_scale():
+def test_solve_leaves_rng_untouched_on_bad_rate_scale():
     rng = stream(32, "bad")
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="rate_scale"):
@@ -613,6 +613,26 @@ def test_pair_step_marginal_tracks_single_fixed_point():
     report = solve_fixed_point(par, RAD, 1.0, stream(53, "pairfp"), pop_size=10**5)
     x_marginal = Population(np.minimum(pairs[:, 1], 1.0))
     assert wasserstein(x_marginal, report.population) < 0.01
+
+
+@pytest.mark.parametrize("spec", [
+    RAD, DisorderSpec("gaussian", 1.0, 2.0), DisorderSpec("uniform_symmetric", 1.5),
+], ids=lambda s: s.family)
+def test_pair_step_x_column_is_step_on_the_same_draws(spec):
+    # A12's premise, one generation at a time: from equal streams the X
+    # column of the coupled recursion is the variance map.  Only +-1 weights
+    # make (2b x^2) X and (x^2 X) 2b round alike.
+    base = stream(55, "pairs")
+    pairs = np.column_stack([base.uniform(-1.0, 1.0, 900), base.uniform(0.05, 1.0, 900)])
+    par = params_with(0.9, 0.7)
+    rng, step_rng = stream(55, "pair-step"), stream(55, "pair-step")
+    x = pair_step(pairs, par, spec, 1500, rng)[:, 1]
+    want = step(Population(pairs[:, 1]), par, spec, 1.0, 1500, step_rng).values
+    assert rng.bit_generator.state == step_rng.bit_generator.state
+    if spec.family == "rademacher":
+        assert x.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_array_max_ulp(x, want, maxulp=4)
 
 
 def test_pair_step_requires_arity_two():
