@@ -303,8 +303,9 @@ def _allocations(kind, options, raw, workers):
     A fixed-point solve holds one generation's draws, the push's gather
     and denominators, at most 24*p bytes per clause against the 2*16*p
     counted (tracemalloc, pop 10^5: 44 B at p = 2, 64 at p = 3, 232 at
-    p = 10), and six per-output arrays: the population, its pushes and
-    sorted copies.
+    p = 10), and seven per-output arrays: the population, its pushes and
+    sorted copies, and the warm start.  An edge term peaks at (24*p + 8)
+    bytes per draw (tracemalloc, n_mc 2*10^5: 32 B at p = 1, 248 at p = 10).
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
@@ -326,10 +327,10 @@ def _allocations(kind, options, raw, workers):
         pop = options["rde.pop_size"]
         rate = alpha * p * options.get("rde.rate_scale", 1.0)
         rows.append((f"rde.pop_size={pop}{at_alpha}", "an RDE generation's draws and push",
-                     rate * pop, (2 * 16.0 * p * rate + 48.0) * pop))
+                     rate * pop, (2 * 16.0 * p * rate + 56.0) * pop))
     if "free_energy.n_mc" in options:
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
-        rows.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 0, 24.0 * p * n_mc))
+        rows.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 0, (24.0 * p + 8) * n_mc))
         rows.append((f"quadrature.nodes={nodes}", "the Gauss-Legendre rule's companion-matrix "
                      "entries", 0, 8.0 * nodes * nodes))
     return rows

@@ -11,9 +11,9 @@ Gauss-Legendre rule on (0, 1), set by its node count ``n_nodes``, beats
 the Monte Carlo noise floor immediately; the x = 0 endpoint is never
 evaluated because the nodes are interior.  The fixed points are solved
 in one sequential sweep of increasing rate, each started from the
-previous point's population.  When h != 0 the field term needs X(1), so
-x = 1 is the sweep's last point, solved on stream ``n_nodes`` right
-after the last node.
+previous point's population, and nothing older is kept.  When h != 0
+the field term needs X(1), so x = 1 is the sweep's last point, solved
+on stream ``n_nodes`` right after the last node.
 
 This module also runs finite-size-to-limit convergence studies.
 """
@@ -32,7 +32,6 @@ from .rde import (
     DEFAULT_POP_SIZE,
     DEFAULT_TOL,
     Population,
-    RdeReport,
     solve_fixed_point,
 )
 from .stats import slope_fit
@@ -131,9 +130,10 @@ def limiting_free_energy(
     h != 0, x = 1 for the field term.  Sweep point j is solved on
     substream j (so x = 1 is on substream ``n_nodes``) and warm-started
     from point j-1's population (the first from the point mass at 1);
-    node i's edge term draws from substream ``n_nodes + 1 + i``.  Errors
-    are treated as independent (disjoint streams); a point that fails to
-    converge still contributes, and the result flags it.
+    no older point is kept.  Node i's edge term draws from substream
+    ``n_nodes + 1 + i``.  Errors are treated as independent (disjoint
+    streams); a point that fails to converge still contributes, and the
+    result flags it.
     """
     h = params.h
     xs, weights = gauss_legendre(n_nodes)
@@ -146,15 +146,12 @@ def limiting_free_energy(
     streams = substreams(rng, 2 * n_nodes + 1)
     sweep = list(xs) + ([1.0] if h != 0.0 else [])
 
-    reports: list[RdeReport] = []
-    nodes = []
-    se_parts = []
+    report, nodes, se_parts = None, [], []
     for j, x in enumerate(sweep):
         report = solve_fixed_point(
             params, disorder, float(x), streams[j], pop_size=pop_size, tol=tol,
-            max_gens=max_gens, init=reports[-1].population if reports else None,
+            max_gens=max_gens, init=report.population if report else None,
         )
-        reports.append(report)
         if j < n_nodes:  # x = 1 enters the field term only
             term = edge_term(
                 report.population, params, disorder, n_mc, streams[n_nodes + 1 + j]
@@ -168,8 +165,8 @@ def limiting_free_energy(
 
     h_term, x1 = 0.0, (None, None, None)
     if h != 0.0:
-        top = reports[-1].population
-        x1 = (reports[-1].converged, reports[-1].gap, reports[-1].floor)
+        top = report.population
+        x1 = (report.converged, report.gap, report.floor)
         h_term = h * h / 2.0 * top.mean()
         se_parts.append(h * h / 2.0 * jackknife_se(top.values))
 

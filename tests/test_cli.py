@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -401,10 +402,10 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
 
 
 def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
-    # (2*16*p*alpha*p + 48) * pop_size bytes: a generation's clause draws
+    # (2*16*p*alpha*p + 56) * pop_size bytes: a generation's clause draws
     # with the push's gather and denominators, at most 24*p bytes per clause
-    # against the 2*16*p counted, plus six per-output arrays
-    need = (2 * 16 * 2 * 0.5 * 2 + 48) * 1000
+    # against the 2*16*p counted, plus seven per-output arrays
+    need = (2 * 16 * 2 * 0.5 * 2 + 56) * 1000
     cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")
                     .replace("rde.pop_size=2000", "rde.pop_size=1000"))
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
@@ -424,6 +425,53 @@ def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
     assert_one_config_error(capsys.readouterr().err, "simulate.n_sites", "2 factored")
     monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
     assert run_cli(args) == 0
+
+
+def _guarded(kind, text, setting):
+    """A config's options and the bytes the guard counts on the row of ``setting``."""
+    raw = cli.parse_config_text(text)
+    options = cli.build_config(kind, raw).options
+    (need,) = [need for key, _, _, need in cli._allocations(kind, options, raw, 1)
+               if key.startswith(setting + "=")]
+    return options, need
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_memory_guard_counts_one_edge_term(p):
+    # (24*p + 8) * n_mc bytes: the weights, the picked values and their
+    # product, then the sums
+    options, need = _guarded(
+        "free-energy", RDE_SMALL.replace("model.p=2", f"model.p={p}")
+        + "quadrature.nodes=2\nfree_energy.n_mc=200000\n", "free_energy.n_mc",
+    )
+    params, spec = cli._model_pieces(options)
+    pop, rng = Population(np.linspace(0.1, 1.0, 1000)), np.random.default_rng(24)
+    peak = _traced_peak(lambda: free_energy.edge_term(pop, params, spec, 200_000, rng))
+    assert peak <= need + 64 * 1024
+
+
+def test_memory_guard_counts_what_a_limit_holds():
+    # at vanishing rate a limit holds seven arrays per output: the population,
+    # its pushes and sorted copies, and the warm start of the solve
+    options, need = _guarded(
+        "free-energy", BASE_RDE.replace("model.alpha=0.5", "model.alpha=0.02")
+        .replace("model.p=2", "model.p=1").replace("rde.pop_size=2000", "rde.pop_size=200000")
+        + "quadrature.nodes=4\nfree_energy.n_mc=2000\n", "rde.pop_size",
+    )
+    params, spec = cli._model_pieces(options)
+    peak = _traced_peak(lambda: free_energy.limiting_free_energy(
+        params, spec, 4, np.random.default_rng(24), pop_size=200_000, n_mc=2000
+    ))
+    assert peak <= need + 64 * 1024
 
 
 @pytest.mark.parametrize(

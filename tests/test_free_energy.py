@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -173,6 +176,42 @@ def test_sweep_solves_nodes_then_x1_each_warm_started(monkeypatch, h):
         assert res.h_term == h * h / 2 * calls[-1][2].population.mean()
     else:
         assert res.h_term == 0.0
+
+
+def test_sweep_holds_one_fixed_point_at_a_time(monkeypatch):
+    # when a sweep point starts, of the earlier points' populations only
+    # its warm start is still alive
+    real, populations, alive = free_energy.solve_fixed_point, [], []
+
+    def spy(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in populations))
+        report = real(*args, **kwargs)
+        populations.append(weakref.ref(report.population))
+        return report
+
+    monkeypatch.setattr(free_energy, "solve_fixed_point", spy)
+    limiting_free_energy(
+        A3ISH, RAD, 4, stream(22, "hold"), pop_size=500, n_mc=500, max_gens=5
+    )
+    assert alive == [0, 1, 1, 1, 1]
+
+
+def test_limit_peak_memory_does_not_grow_with_nodes():
+    # A13's model: the sweep's peak is one solve's, whatever the node count
+    params, spec = ModelParams(0.5, 0.5, 1.0, 2), DisorderSpec("gaussian", 1.0, 2.0)
+    peaks = {}
+    for n_nodes in (2, 16):
+        tracemalloc.start()
+        try:
+            limiting_free_energy(
+                params, spec, n_nodes, stream(23, "peak"), pop_size=20_000,
+                n_mc=20_000, max_gens=12,
+            )
+            peaks[n_nodes] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] <= 1.1 * peaks[2]
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ def test_generation_past_float_range_raises_numerical_error():
     ids=["gaussian-c2-p2-converges", "rademacher-p3-at-max-gens", "uniform-p1",
          "warm-start-other-size"],
 )
-def test_look_ahead_solve_is_the_serial_loop(
+def test_solve_is_the_serial_loop(
     monkeypatch, par, spec, rate_scale, kw, converges
 ):
     # the solve is the serial loop of step, twin step and W1, and draws no

@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one perfbench workload, merged into a BENCH file.
+
+    python3 tools/bench.py --parent DIR --workload W --pairs N --out BENCH_<pr>.json
+
+Run from anywhere; the change is the checkout this script lives in, and
+``--parent`` is a checkout of the parent commit.  For seeds 1..N the
+script runs ``perfbench/run.py --workload W --seed s --trace 0`` once in
+each checkout, with ``run_seconds`` from BENCHMARK.json; the side that
+runs first alternates from pair to pair.  It then runs the workload once
+with ``--trace 1`` in the change.  It reads each run's last stdout line
+and merges one entry for W into ``--out``: every pair's end-to-end
+metrics and ``correct``, per metric the parent's median and IQR, the
+change's median and the number of pairs in which the change read lower,
+and the traced line.  Other workloads' entries in ``--out`` are kept.
+The standard library is all it needs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = tuple(m["name"] for m in SPEC["end_to_end"])
+RUN_TIMEOUT_S = 600
+
+
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """The last stdout line of one perfbench run in ``checkout``."""
+    cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
+                             "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        sys.exit(f"{' '.join(cmd)} in {checkout} printed nothing "
+                 f"(exit {proc.returncode}):\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def reading(line: dict) -> dict:
+    """One run's end-to-end metric values and its ``correct`` flag."""
+    values = {name: line["metrics"][name]["value"] for name in METRICS}
+    return {**values, "correct": line["correct"]}
+
+
+def summary(pairs: list[dict]) -> dict:
+    """Per metric: the parent's median and IQR, the change's median, pairs it read lower."""
+    out = {}
+    for name in METRICS:
+        parent = [pair["parent"][name] for pair in pairs]
+        change = [pair["change"][name] for pair in pairs]
+        if len(parent) > 1:
+            q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        else:
+            q1 = q3 = parent[0]
+        out[name] = {
+            "parent_median": statistics.median(parent),
+            "parent_iqr": q3 - q1,
+            "change_median": statistics.median(change),
+            "change_lower": sum(c < p for p, c in zip(parent, change)),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="a checkout of the parent commit")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+
+    pairs = []
+    for seed in range(1, args.pairs + 1):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = reading(run(sides[side], args.workload, seed, 0))
+        print(json.dumps(pair), file=sys.stderr, flush=True)
+        pairs.append(pair)
+
+    merged = json.loads(args.out.read_text()) if args.out.exists() else {}
+    merged[args.workload] = {
+        "pairs": pairs,
+        "summary": summary(pairs),
+        "traced": run(ROOT, args.workload, 1, 1),
+    }
+    args.out.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
