@@ -297,15 +297,18 @@ def _entries(setting, n_sites, n_clauses, p, held):
 def _allocations(kind, options, raw, workers):
     """Rows (setting, what, clause-count mean, bytes) of each large allocation of a kind.
 
-    A clause holds 16*p bytes: p sites and p weights in a realization
-    (``parallel_map`` factors one per worker, ``dump`` none), an owner,
-    outer weight, p-1 interior weights and values in an RDE generation.
-    A fixed-point solve holds one generation's draws, the push's gather
-    and denominators, at most 24*p bytes per clause against the 2*16*p
-    counted (tracemalloc, pop 10^5: 44 B at p = 2, 64 at p = 3, 232 at
-    p = 10), and seven per-output arrays: the population, its pushes and
-    sorted copies, and the warm start.  An edge term peaks at (24*p + 8)
-    bytes per draw (tracemalloc, n_mc 2*10^5: 32 B at p = 1, 248 at p = 10).
+    A clause holds 16*p bytes in a realization: p sites and p weights
+    (``parallel_map`` factors one per worker, ``dump`` none).  An RDE
+    step peaks at 24*p bytes per clause: its draws, the push's gather
+    and denominators (tracemalloc, pop 10^5: 44 B at p = 2, 64 at
+    p = 3, 232 at p = 10).  A fixed-point solve runs two steps at once,
+    the trajectory's and the twin's, so its row counts 2*24*p bytes per
+    clause (tracemalloc, whole solves: 72 B at p = 2 and 118 at p = 3
+    at alpha = 1, 460 at p = 10 at alpha = 0.5) and seven arrays per
+    output: the warm start, the population and its sorted copy, and on
+    each thread a push with its bincount or its sorted copy.  An edge
+    term peaks at (24*p + 8) bytes per draw (tracemalloc, n_mc 2*10^5:
+    32 B at p = 1, 248 at p = 10) and holds the node's population.
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
@@ -327,10 +330,11 @@ def _allocations(kind, options, raw, workers):
         pop = options["rde.pop_size"]
         rate = alpha * p * options.get("rde.rate_scale", 1.0)
         rows.append((f"rde.pop_size={pop}{at_alpha}", "an RDE generation's draws and push",
-                     rate * pop, (2 * 16.0 * p * rate + 56.0) * pop))
+                     rate * pop, (2 * 24.0 * p * rate + 56.0) * pop))
     if "free_energy.n_mc" in options:
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
-        rows.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 0, (24.0 * p + 8) * n_mc))
+        rows.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 0,
+                     (24.0 * p + 8) * n_mc + 8.0 * pop))
         rows.append((f"quadrature.nodes={nodes}", "the Gauss-Legendre rule's companion-matrix "
                      "entries", 0, 8.0 * nodes * nodes))
     return rows
@@ -667,7 +671,11 @@ def main(argv=None) -> int:
         )
         p.add_argument("--seed", type=int, help="override experiment.seed")
         p.add_argument("--out", type=Path, help="output directory (default ./out)")
-        p.add_argument("--workers", type=int, help="parallelism cap (default: cores)")
+        p.add_argument(
+            "--workers", type=int,
+            help="cap on the realization fan-out (default: cores); each fixed-point "
+                 "solve also runs its twin on one helper thread",
+        )
     args = parser.parse_args(argv)
     return run_command(
         args.kind, args.config, out_dir=args.out, seed=args.seed, workers=args.workers

@@ -25,7 +25,10 @@ the trajectory alone leaves it.  Two pushes of one population differ
 by sampling noise only, so the twin's W1 to generation g, the floor, is
 the gap a stationary chain shows at this population size; the stopping
 rule (:func:`_stops`) compares the gaps with the floors and checks the
-population mean for drift.
+population mean for drift.  The twin's push and sort run on one helper
+thread per solve while the calling thread pushes the trajectory.  Each
+draws only on its own generator, so no output and no generator state
+depends on how the two threads are scheduled.
 
 Under y = -log x the map is conjugate to one that contracts in the
 Wasserstein-q metric for q large enough, which is what makes the fixed
@@ -36,6 +39,7 @@ point unique; :func:`contraction_factor` estimates that modulus and
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,11 +245,14 @@ def solve_fixed_point(
     Each generation is :func:`step` on ``rng``.  Generation g also pushes
     generation g-1's population a second time, the twin, on a private
     generator jumped off ``rng``; its W1 to generation g is the floor,
-    the gap a stationary chain shows.  The solve stops by :func:`_stops`,
-    where ``tol`` caps the mean gap in excess of the floor, so a
-    population whose floor lies above ``tol`` can converge.  Hitting
-    ``max_gens`` first returns the report with ``converged=False``
-    rather than raising.
+    the gap a stationary chain shows.  The twin runs on one helper
+    thread, opened for the solve and joined before it returns or
+    raises; it draws only on its own generator, so the report and
+    ``rng``'s final state are the serial loop's at any thread timing.
+    The solve stops by :func:`_stops`, where ``tol`` caps the mean gap
+    in excess of the floor, so a population whose floor lies above
+    ``tol`` can converge.  Hitting ``max_gens`` first returns the
+    report with ``converged=False`` rather than raising.
     """
     if not tol > 0:  # nan fails too
         raise ValueError("tol must be positive")
@@ -261,18 +268,26 @@ def solve_fixed_point(
     means: list[float] = []
     mean_ses: list[float] = []
     converged = False
-    while len(gaps) < max_gens and not converged:
-        pushed = step(current, params, disorder, rate_scale, pop_size, rng)
-        twin = np.sort(step(current, params, disorder, rate_scale, pop_size, twin_rng).values)
-        current = pushed
-        ordered = np.sort(current.values)
-        gaps.append(_sorted_distance(previous, ordered))
-        floors.append(_sorted_distance(twin, ordered))
-        means.append(float(ordered.mean()))
-        mean_ses.append(float(ordered.std()) / math.sqrt(ordered.size))
-        previous = ordered
-        converged = _stops(gaps, floors, means, mean_ses, tol)
+    # leaving the block, by a stop or an error, waits for the twin in flight
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rde-twin") as helper:
+        while len(gaps) < max_gens and not converged:
+            twin = helper.submit(
+                _sorted_push, current, params, disorder, rate_scale, pop_size, twin_rng
+            )
+            current = step(current, params, disorder, rate_scale, pop_size, rng)
+            ordered = np.sort(current.values)
+            floors.append(_sorted_distance(twin.result(), ordered))
+            gaps.append(_sorted_distance(previous, ordered))
+            means.append(float(ordered.mean()))
+            mean_ses.append(float(ordered.std()) / math.sqrt(ordered.size))
+            previous = ordered
+            converged = _stops(gaps, floors, means, mean_ses, tol)
     return RdeReport(current, tuple(gaps), tuple(floors), converged)
+
+
+def _sorted_push(*args):
+    """The sorted values of ``step(*args)``: the twin's work on the helper thread."""
+    return np.sort(step(*args).values)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from quadglass import acceptance, cli, free_energy
 from quadglass.disorder import DisorderSpec
 from quadglass.model import FactorModel, ModelParams, dump_model, finite_free_energy, load_model
-from quadglass.rde import CONVERGENCE_WINDOW, Population, dump_population
+from quadglass.rde import CONVERGENCE_WINDOW, Population, dump_population, solve_fixed_point
 
 from oracles import load_population
 
@@ -402,10 +402,10 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
 
 
 def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
-    # (2*16*p*alpha*p + 56) * pop_size bytes: a generation's clause draws
-    # with the push's gather and denominators, at most 24*p bytes per clause
-    # against the 2*16*p counted, plus seven per-output arrays
-    need = (2 * 16 * 2 * 0.5 * 2 + 56) * 1000
+    # (2*24*p*alpha*p + 56) * pop_size bytes: the trajectory's and the twin's
+    # clause draws with their pushes' gathers and denominators, at most 24*p
+    # bytes per clause each, plus seven per-output arrays
+    need = (2 * 24 * 2 * 0.5 * 2 + 56) * 1000
     cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")
                     .replace("rde.pop_size=2000", "rde.pop_size=1000"))
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
@@ -445,6 +445,22 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+def test_memory_guard_counts_two_concurrent_pushes():
+    # clause-heavy: two clauses per output, the trajectory's and the twin's
+    # pushes at once, and the warm start allocated inside the trace
+    options, need = _guarded(
+        "rde", RDE_SMALL.replace("model.alpha=0.5", "model.alpha=1.0")
+        .replace("disorder.truncation=2.0", "").replace("rde.pop_size=2000", "rde.pop_size=100000"),
+        "rde.pop_size",
+    )
+    params, spec = cli._model_pieces(options)
+    peak = _traced_peak(lambda: solve_fixed_point(
+        params, spec, 1.0, np.random.default_rng(25), pop_size=100_000, tol=1e-9,
+        max_gens=12, init=Population(np.linspace(0.05, 1.0, 100_000)),
+    ))
+    assert peak <= need + 64 * 1024
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_memory_guard_counts_one_edge_term(p):
     # (24*p + 8) * n_mc bytes: the weights, the picked values and their
@@ -470,6 +486,21 @@ def test_memory_guard_counts_what_a_limit_holds():
     params, spec = cli._model_pieces(options)
     peak = _traced_peak(lambda: free_energy.limiting_free_energy(
         params, spec, 4, np.random.default_rng(24), pop_size=200_000, n_mc=2000
+    ))
+    assert peak <= need + 64 * 1024
+
+
+def test_memory_guard_counts_the_population_an_edge_term_reads():
+    # the edge term's (24*p + 8) bytes per draw come on top of the node's
+    # population, 8 bytes per output
+    options, need = _guarded(
+        "free-energy", BASE_RDE.replace("model.alpha=0.5", "model.alpha=0.02")
+        .replace("rde.pop_size=2000", "rde.pop_size=200000")
+        + "quadrature.nodes=2\nfree_energy.n_mc=1000000\n", "free_energy.n_mc",
+    )
+    params, spec = cli._model_pieces(options)
+    peak = _traced_peak(lambda: free_energy.limiting_free_energy(
+        params, spec, 2, np.random.default_rng(24), pop_size=200_000, n_mc=1_000_000
     ))
     assert peak <= need + 64 * 1024
 

@@ -373,40 +373,75 @@ def test_solve_is_the_serial_loop(
 
 
 def test_solve_exits_cleanly_when_a_push_fails(monkeypatch):
-    # steps alternate between the trajectory and its twin: step 4 is the
-    # twin of generation 2
+    # the twin of generation 2 fails: its generator is the one that is not rng
     real_step, calls = rde.step, []
-
-    def failing_step(*args):
-        calls.append(None)
-        if len(calls) == 4:
-            raise NumericalError("push 4 failed")
-        return real_step(*args)
-
-    monkeypatch.setattr(rde, "step", failing_step)
     par, kw = params_with(0.5, 0.5), dict(pop_size=2000, tol=1e-9, max_gens=30)
     oracle_rng = stream(31, "fail")
+    monkeypatch.setattr(rde, "step", _failing_at(
+        real_step, 2, lambda g: g is not oracle_rng, NumericalError))
     with pytest.raises(NumericalError):
         serial_fixed_point(par, RAD, 1.0, oracle_rng, **kw)
-    calls.clear()
     baseline = threading.active_count()
     rng = stream(31, "fail")
-    with pytest.raises(NumericalError, match="push 4"):
+    failing = _failing_at(real_step, 2, lambda g: g is not rng, NumericalError)
+
+    def counted_step(*args):
+        calls.append(None)
+        return failing(*args)
+
+    monkeypatch.setattr(rde, "step", counted_step)
+    with pytest.raises(NumericalError, match="step 2"):
         solve_fixed_point(par, RAD, 1.0, rng, **kw)
-    assert len(calls) == 4
+    assert len(calls) == 4  # both pushes of generations 1 and 2, and no more
     assert threading.active_count() == baseline
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def _failing_at(draw, n, rng):
-    """``draw`` that fails at its ``n``-th call on ``rng``; the twin's calls do not count."""
+def test_solve_exits_cleanly_when_the_trajectory_fails_while_the_twin_runs(monkeypatch):
+    # generation 2's trajectory push fails once its twin has started, and the
+    # twin goes on only after that failure: the solve waits for it, then raises
+    real_step = rde.step
+    par, kw = params_with(0.5, 0.5), dict(pop_size=2000, tol=1e-9, max_gens=30)
+    oracle_rng = stream(36, "fail")
+    monkeypatch.setattr(rde, "step", _failing_at(
+        real_step, 2, lambda g: g is oracle_rng, NumericalError))
+    with pytest.raises(NumericalError):
+        serial_fixed_point(par, RAD, 1.0, oracle_rng, **kw)
+    baseline = threading.active_count()
+    rng = stream(36, "fail")
+    twin_started, trajectory_failed = threading.Event(), threading.Event()
+    twins_done = []
+
+    def racing_step(pop, *args):
+        if pop.generation == 1 and args[-1] is rng:
+            assert twin_started.wait(60)
+            trajectory_failed.set()
+            raise NumericalError("trajectory push 2 failed")
+        if pop.generation == 1:
+            twin_started.set()
+            trajectory_failed.wait(60)
+        pushed = real_step(pop, *args)
+        if args[-1] is not rng:
+            twins_done.append(pop.generation + 1)
+        return pushed
+
+    monkeypatch.setattr(rde, "step", racing_step)
+    with pytest.raises(NumericalError, match="trajectory push 2"):
+        solve_fixed_point(par, RAD, 1.0, rng, **kw)
+    assert twins_done == [1, 2]
+    assert threading.active_count() == baseline
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _failing_at(draw, n, on, error=MemoryError):
+    """``draw`` that fails at its ``n``-th call on a generator that ``on`` picks."""
     calls = []
 
     def failing(*args):
-        if args[-1] is rng:
+        if on(args[-1]):
             calls.append(None)
             if len(calls) == n:
-                raise MemoryError(f"{draw.__name__} {n} failed")
+                raise error(f"{draw.__name__} {n} failed")
         return draw(*args)
 
     return failing
@@ -426,7 +461,7 @@ def test_solve_raises_as_the_serial_loop_when_a_draw_fails(
     for solve in (serial_fixed_point, solve_fixed_point):
         rng = stream(35, "draw-fails")
         if not large:
-            monkeypatch.setattr(rde, "step", _failing_at(real_step, 3, rng))
+            monkeypatch.setattr(rde, "step", _failing_at(real_step, 3, lambda g: g is rng))
         baseline = threading.active_count()
         with pytest.raises(Exception) as info:
             solve(par, RAD, 1.0, rng, **kw)
