@@ -121,7 +121,7 @@ KEY_SPECS = {
     "simulate.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "simulate.replicates": (_int, None, lambda v: v >= 1, "at least 1"),
     "rde.rate_scale": (_float, 1.0, _unit, "in (0, 1]"),
-    "rde.pop_size": (_int, DEFAULT_POP_SIZE, lambda v: v >= 1, "at least 1"),
+    "rde.pop_size": (_int, DEFAULT_POP_SIZE, lambda v: v >= 2, "at least 2"),
     "rde.tol": (_float, DEFAULT_TOL, _positive, "positive"),
     "rde.max_gens": (_int, DEFAULT_MAX_GENS, lambda v: v >= 1, "at least 1"),
     "quadrature.kind": (str, "gauss", lambda v: v == "gauss", "gauss"),
@@ -301,14 +301,15 @@ def _allocations(kind, options, raw, workers):
     (``parallel_map`` factors one per worker, ``dump`` none).  An RDE
     step peaks at 24*p bytes per clause: its draws, the push's gather
     and denominators (tracemalloc, pop 10^5: 44 B at p = 2, 64 at
-    p = 3, 232 at p = 10).  A fixed-point solve runs two steps at once,
-    the trajectory's and the twin's, so its row counts 2*24*p bytes per
-    clause (tracemalloc, whole solves: 72 B at p = 2 and 118 at p = 3
-    at alpha = 1, 460 at p = 10 at alpha = 0.5) and seven arrays per
-    output: the warm start, the population and its sorted copy, and on
-    each thread a push with its bincount or its sorted copy.  An edge
-    term peaks at (24*p + 8) bytes per draw (tracemalloc, n_mc 2*10^5:
-    32 B at p = 1, 248 at p = 10) and holds the node's population.
+    p = 3, 232 at p = 10).  A fixed-point solve runs one step at a
+    time, so its row counts 24*p bytes per clause and six arrays per
+    output: the warm start, the population and its sorted copy, and the
+    push with its bincount, or its sorted copy and its two sorted halves
+    (tracemalloc, whole solves at pop 10^5: 11.2 MB at p = 2 and 21.7 MB
+    at p = 3 at alpha = 1, 118.7 MB at p = 10 at alpha = 0.5, against
+    14.4, 26.4 and 124.8 MB counted; 44 B per output at vanishing rate).
+    An edge term peaks at (24*p + 8) bytes per draw (tracemalloc, n_mc
+    2*10^5: 32 B at p = 1, 248 at p = 10) and holds the node's population.
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
@@ -330,7 +331,7 @@ def _allocations(kind, options, raw, workers):
         pop = options["rde.pop_size"]
         rate = alpha * p * options.get("rde.rate_scale", 1.0)
         rows.append((f"rde.pop_size={pop}{at_alpha}", "an RDE generation's draws and push",
-                     rate * pop, (2 * 24.0 * p * rate + 56.0) * pop))
+                     rate * pop, (24.0 * p * rate + 48.0) * pop))
     if "free_energy.n_mc" in options:
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
         rows.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 0,
@@ -673,8 +674,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, help="output directory (default ./out)")
         p.add_argument(
             "--workers", type=int,
-            help="cap on the realization fan-out (default: cores); each fixed-point "
-                 "solve also runs its twin on one helper thread",
+            help="cap on the realization fan-out (default: cores)",
         )
     args = parser.parse_args(argv)
     return run_command(

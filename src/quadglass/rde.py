@@ -18,17 +18,15 @@ builds a finite realization, :func:`model._clauses` at width 1 (the
 one site is the clause's owner), then the interior weights and the
 resample indices, and pushes the population through the draws in place.
 
-The solve stops at its own noise floor.  Generation g also makes a
-twin: a second :func:`step` of generation g-1's population on a private
-generator jumped off the caller's, so the caller's stream is left as
-the trajectory alone leaves it.  Two pushes of one population differ
-by sampling noise only, so the twin's W1 to generation g, the floor, is
-the gap a stationary chain shows at this population size; the stopping
-rule (:func:`_stops`) compares the gaps with the floors and checks the
-population mean for drift.  The twin's push and sort run on one helper
-thread per solve while the calling thread pushes the trajectory.  Each
-draws only on its own generator, so no output and no generator state
-depends on how the two threads are scheduled.
+The solve stops at its own noise floor.  Given generation g-1, the
+outputs of one :func:`step` are independent, so the two halves of
+generation g are two independent pushes of generation g-1.  In one
+dimension, sqrt(n) times the W1 between two independent empirical laws
+of size n has a limit (del Barrio, Gine and Matran 1999; Bobkov and
+Ledoux 2019), so the halves' W1 over sqrt(2), the floor, estimates the
+W1 between two pushes of size n: the gap a stationary chain shows at
+this population size.  The stopping rule (:func:`_stops`) compares the
+gaps with the floors and checks the population mean for drift.
 
 Under y = -log x the map is conjugate to one that contracts in the
 Wasserstein-q metric for q large enough, which is what makes the fixed
@@ -39,7 +37,6 @@ point unique; :func:`contraction_factor` estimates that modulus and
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,52 +239,43 @@ def solve_fixed_point(
 ) -> RdeReport:
     """Iterate the push-forward until the W1 gap sits at its noise floor.
 
-    Each generation is :func:`step` on ``rng``.  Generation g also pushes
-    generation g-1's population a second time, the twin, on a private
-    generator jumped off ``rng``; its W1 to generation g is the floor,
-    the gap a stationary chain shows.  The twin runs on one helper
-    thread, opened for the solve and joined before it returns or
-    raises; it draws only on its own generator, so the report and
-    ``rng``'s final state are the serial loop's at any thread timing.
-    The solve stops by :func:`_stops`, where ``tol`` caps the mean gap
-    in excess of the floor, so a population whose floor lies above
-    ``tol`` can converge.  Hitting ``max_gens`` first returns the
-    report with ``converged=False`` rather than raising.
+    Each generation is one :func:`step` on ``rng``, the only generator
+    the solve draws on.  Its floor is the W1 between its first and
+    second halves of ``pop_size // 2`` outputs each (an odd population
+    leaves its last output out), divided by sqrt(2): the gap between
+    two independent pushes of the previous generation.  The solve stops
+    by :func:`_stops`, where ``tol`` caps the mean gap in excess of the
+    floor, so a population whose floor lies above ``tol`` can converge.
+    Hitting ``max_gens`` first returns the report with
+    ``converged=False`` rather than raising.
     """
     if not tol > 0:  # nan fails too
         raise ValueError("tol must be positive")
+    if pop_size < 2:
+        raise ValueError("pop_size must be at least 2: the floor splits it in halves")
     rate = params.alpha * rate_scale * params.p
     current = (
         delta_population(1.0, pop_size, rate) if init is None else init
     )
-    # jumped() copies rng's state: rng and its seed sequence stay untouched
-    twin_rng = np.random.Generator(rng.bit_generator.jumped())
+    half = pop_size // 2
     previous = np.sort(current.values)
     gaps: list[float] = []
     floors: list[float] = []
     means: list[float] = []
     mean_ses: list[float] = []
     converged = False
-    # leaving the block, by a stop or an error, waits for the twin in flight
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="rde-twin") as helper:
-        while len(gaps) < max_gens and not converged:
-            twin = helper.submit(
-                _sorted_push, current, params, disorder, rate_scale, pop_size, twin_rng
-            )
-            current = step(current, params, disorder, rate_scale, pop_size, rng)
-            ordered = np.sort(current.values)
-            floors.append(_sorted_distance(twin.result(), ordered))
-            gaps.append(_sorted_distance(previous, ordered))
-            means.append(float(ordered.mean()))
-            mean_ses.append(float(ordered.std()) / math.sqrt(ordered.size))
-            previous = ordered
-            converged = _stops(gaps, floors, means, mean_ses, tol)
+    while len(gaps) < max_gens and not converged:
+        current = step(current, params, disorder, rate_scale, pop_size, rng)
+        values = current.values
+        ordered = np.sort(values)
+        floors.append(_sorted_distance(np.sort(values[:half]),
+                                       np.sort(values[half:2 * half])) / math.sqrt(2))
+        gaps.append(_sorted_distance(previous, ordered))
+        means.append(float(ordered.mean()))
+        mean_ses.append(float(ordered.std()) / math.sqrt(ordered.size))
+        previous = ordered
+        converged = _stops(gaps, floors, means, mean_ses, tol)
     return RdeReport(current, tuple(gaps), tuple(floors), converged)
-
-
-def _sorted_push(*args):
-    """The sorted values of ``step(*args)``: the twin's work on the helper thread."""
-    return np.sort(step(*args).values)
 
 
 # ---------------------------------------------------------------------------

@@ -450,16 +450,18 @@ def out_of_place_step(values, params, spec, rate_scale, out_size, rng):
 def serial_fixed_point(
     params, disorder, rate_scale, rng, pop_size, tol, max_gens, init=None
 ):
-    """The fixed-point loop written out: ``step``, the twin's ``step``, then W1.
+    """The fixed-point loop written out: ``step``, then W1 to the last
+    generation and between the new generation's two halves.
 
-    The twin pushes the same population on a generator jumped off
-    ``rng``.  The stop, over the last ``CONVERGENCE_WINDOW`` generations:
-    the mean of gap - floor is at most 2 SE and below ``tol`` by 2 SE,
-    and the fitted change of the population mean across the window is
-    within 2 SE of 0.
+    The halves hold ``pop_size // 2`` outputs each, and their W1 over
+    sqrt(2) is the floor.  The stop, over the last ``CONVERGENCE_WINDOW``
+    generations: the mean of gap - floor is at most 2 SE and below
+    ``tol`` by 2 SE, and the fitted change of the population mean across
+    the window is within 2 SE of 0.
     """
     from quadglass.rde import (
         CONVERGENCE_WINDOW,
+        Population,
         RdeReport,
         delta_population,
         step,
@@ -469,13 +471,13 @@ def serial_fixed_point(
     w = CONVERGENCE_WINDOW
     rate = params.alpha * rate_scale * params.p
     current = delta_population(1.0, pop_size, rate) if init is None else init
-    twin_rng = np.random.Generator(rng.bit_generator.jumped())
+    half = pop_size // 2
     gaps, floors, means, mean_ses = [], [], [], []
     for _ in range(max_gens):
         new = step(current, params, disorder, rate_scale, pop_size, rng)
-        twin = step(current, params, disorder, rate_scale, pop_size, twin_rng)
+        halves = Population(new.values[:half]), Population(new.values[half:2 * half])
         gaps.append(wasserstein(current, new))
-        floors.append(wasserstein(twin, new))
+        floors.append(wasserstein(*halves) / math.sqrt(2))
         means.append(new.mean())
         mean_ses.append(new.values.std() / math.sqrt(new.size))
         current = new

@@ -105,16 +105,16 @@ GOLDEN = {
             "population.txt":
                 "79503b931c2f7cd185b6d69a6df15a0471a201b3c5b370a6fc3d7a1b6c80e2f5",
             "rde_summary.json":
-                "6f715093e65d24f1da2be0e6ddf6a6e2e0442d2cce39ea7cb90becf62984c22b",
+                "d2c7f335750579683a29ba85c4519cb97158accd4e88a86a4caacb4a11312cba",
             "rde_trajectory.csv":
-                "47c536b5e15ed335c52b8c533624ae11a870741947c1917bde7ce349216d24d3",
+                "bbb0a1693f23a210c283eab99913a68b48504698d76b73dfb2d93250ae75b375",
         },
     ),
     "free-energy": (
         RDE_SMALL + "quadrature.nodes=2\nfree_energy.n_mc=2000\n",
         {
             "free_energy.json":
-                "cf1cd2c9e201bdeaebb800dc5dfa416e4cf30023b89fafa138bc3f720c170008",
+                "e7c050ed43774c9957d434cd9d5c9d8391652295b70fd0a24d9d8846e1fb689c",
         },
     ),
     "dump": (
@@ -236,6 +236,14 @@ def test_uniform_width_past_float_range_exits_2(tmp_path, capsys):
         "disorder.family=rademacher", "disorder.family=uniform_symmetric\ndisorder.param=1e308"))
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert_one_config_error(capsys.readouterr().err, "2*param")
+
+
+@pytest.mark.parametrize("kind, extra", [("rde", ""), ("free-energy", "quadrature.nodes=2\n")])
+def test_population_that_cannot_split_names_pop_size(tmp_path, capsys, kind, extra):
+    # the noise floor compares the two halves of each generation
+    cfg = write_cfg(tmp_path, RDE_SMALL.replace("rde.pop_size=2000", "rde.pop_size=1") + extra)
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert_one_config_error(capsys.readouterr().err, "rde.pop_size", "at least 2")
 
 
 @pytest.mark.parametrize(
@@ -402,10 +410,10 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
 
 
 def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
-    # (2*24*p*alpha*p + 56) * pop_size bytes: the trajectory's and the twin's
-    # clause draws with their pushes' gathers and denominators, at most 24*p
-    # bytes per clause each, plus seven per-output arrays
-    need = (2 * 24 * 2 * 0.5 * 2 + 56) * 1000
+    # (24*p*alpha*p + 48) * pop_size bytes: one push's clause draws with its
+    # gather and denominators, at most 24*p bytes per clause, plus six
+    # per-output arrays
+    need = (24 * 2 * 0.5 * 2 + 48) * 1000
     cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")
                     .replace("rde.pop_size=2000", "rde.pop_size=1000"))
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
@@ -445,9 +453,9 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_memory_guard_counts_two_concurrent_pushes():
-    # clause-heavy: two clauses per output, the trajectory's and the twin's
-    # pushes at once, and the warm start allocated inside the trace
+def test_memory_guard_counts_one_push():
+    # clause-heavy: two clauses per output, one push at a time, and the warm
+    # start allocated inside the trace
     options, need = _guarded(
         "rde", RDE_SMALL.replace("model.alpha=0.5", "model.alpha=1.0")
         .replace("disorder.truncation=2.0", "").replace("rde.pop_size=2000", "rde.pop_size=100000"),
@@ -476,8 +484,9 @@ def test_memory_guard_counts_one_edge_term(p):
 
 
 def test_memory_guard_counts_what_a_limit_holds():
-    # at vanishing rate a limit holds seven arrays per output: the population,
-    # its pushes and sorted copies, and the warm start of the solve
+    # at vanishing rate a limit holds six arrays per output: the population,
+    # its push and their sorted copies, the push's two sorted halves, and the
+    # warm start of the solve
     options, need = _guarded(
         "free-energy", BASE_RDE.replace("model.alpha=0.5", "model.alpha=0.02")
         .replace("model.p=2", "model.p=1").replace("rde.pop_size=2000", "rde.pop_size=200000")

@@ -1,13 +1,12 @@
 import gc
 import math
-import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from quadglass import free_energy, rde
+from quadglass import free_energy
 from quadglass.disorder import DisorderSpec
 from quadglass.estimate import combined_se, jackknife_se
 from quadglass.free_energy import (
@@ -198,28 +197,9 @@ def test_sweep_holds_one_fixed_point_at_a_time(monkeypatch):
     assert alive == [0, 1, 1, 1, 1]
 
 
-def test_limit_peak_memory_does_not_grow_with_nodes(monkeypatch):
-    # A13's model: the sweep's peak is one solve's, whatever the node count.
-    # How far the twin's push overlaps the trajectory's is up to the thread
-    # scheduler, so here each trajectory push waits for its twin's sorted
-    # push: every run then allocates in one order and peaks alike
+def test_limit_peak_memory_does_not_grow_with_nodes():
+    # A13's model: the sweep's peak is one solve's, whatever the node count
     params, spec = ModelParams(0.5, 0.5, 1.0, 2), DisorderSpec("gaussian", 1.0, 2.0)
-    real_push, real_step = rde._sorted_push, rde.step
-    caller, twin_done = threading.current_thread(), threading.Semaphore(0)
-
-    def twin_push(*args):
-        try:
-            return real_push(*args)
-        finally:
-            twin_done.release()
-
-    def step_after_twin(*args):
-        if threading.current_thread() is caller:
-            twin_done.acquire()
-        return real_step(*args)
-
-    monkeypatch.setattr(rde, "_sorted_push", twin_push)
-    monkeypatch.setattr(rde, "step", step_after_twin)
     peaks = {}
     for n_nodes in (2, 16):
         tracemalloc.start()

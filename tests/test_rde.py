@@ -269,8 +269,8 @@ def test_non_convergence_reports_flag_not_exception():
 
 
 def test_planted_drift_is_not_converged(monkeypatch):
-    # every output moves down by `drift` per generation, twin included, from
-    # a converged start: each gap stays below tol (so a rule of ten gaps below
+    # every output moves down by `drift` per generation, from a converged
+    # start: each gap stays below tol (so a rule of ten gaps below
     # tol in a row would stop), but the population mean moves by far more
     # than its SE across the window
     drift, par, kw = 1e-3, params_with(0.5, 0.25), dict(pop_size=20_000, tol=1e-2)
@@ -304,7 +304,8 @@ def test_generation_counts_are_stable_across_seeds():
 
 
 def test_twin_leaves_the_trajectory_as_the_plain_loop_draws_it():
-    # the populations up to the stop are those of step then W1 alone
+    # the populations up to the stop are those of step then W1 alone: the
+    # floor reads the new generation's halves and draws nothing of its own
     par, spec = params_with(0.5, 0.5, h=1.0), DisorderSpec("gaussian", 1.0, 2.0)
     rng = stream(37, "trajectory")
     report = solve_fixed_point(par, spec, 1.0, rng, pop_size=10_000)
@@ -318,6 +319,28 @@ def test_twin_leaves_the_trajectory_as_the_plain_loop_draws_it():
     assert report.gaps == tuple(gaps)
     assert report.population.values.tobytes() == current.values.tobytes()
     assert rng.bit_generator.state == plain_rng.bit_generator.state
+
+
+def test_halves_floor_reads_as_a_second_push_of_the_whole_population(monkeypatch):
+    # the floor of a second push, W1 from a push of generation g-1 on a
+    # jumped generator to generation g, written out beside the solve's
+    # halves floor on a stationary chain.  Over 200 generations, 60 seeds
+    # read halves/second push in [0.875, 1.095], and without the sqrt(2)
+    # in [1.24, 1.55]; at 30 generations the spread is 2.3 times wider
+    par, n, gens = params_with(0.5, 0.25, h=1.0), 20_000, 200
+    start = solve_fixed_point(par, RAD, 1.0, stream(38, "sqrt2-start"), pop_size=n).population
+    monkeypatch.setattr(rde, "_stops", lambda *args: False)
+    report = solve_fixed_point(par, RAD, 1.0, stream(38, "sqrt2"), pop_size=n,
+                               max_gens=gens, init=start)
+    rng = stream(38, "sqrt2")
+    second_rng = np.random.Generator(rng.bit_generator.jumped())
+    current, second_floors = start, []
+    for _ in range(gens):
+        second = out_of_place_step(current.values, par, RAD, 1.0, n, second_rng)
+        current = step(current, par, RAD, 1.0, n, rng)
+        second_floors.append(_quantile_distance(second, current.values))
+    assert report.population.values.tobytes() == current.values.tobytes()
+    assert 0.85 <= np.mean(report.floors) / np.mean(second_floors) <= 1.2
 
 
 def test_generation_past_float_range_raises_numerical_error():
@@ -339,16 +362,17 @@ def test_generation_past_float_range_raises_numerical_error():
         (params_with(1.0, 1.0, p=2), DisorderSpec("two_point_symmetric", 0.7), 1.0,
          dict(pop_size=2500, tol=1e-9, max_gens=15, init=delta_population(0.3, 4000)),
          False),
+        (params_with(0.5, 0.25, h=1.0, p=2), RAD, 1.0,
+         dict(pop_size=3001, tol=1e-2, max_gens=60), True),
     ],
     ids=["gaussian-c2-p2-converges", "rademacher-p3-at-max-gens", "uniform-p1",
-         "warm-start-other-size"],
+         "warm-start-other-size", "odd-size-drops-the-last-output"],
 )
 def test_solve_is_the_serial_loop(
     monkeypatch, par, spec, rate_scale, kw, converges
 ):
-    # the solve is the serial loop of step, twin step and W1, and draws no
-    # generation in vain.  The twin draws on its own generator, so only
-    # steps on rng count.
+    # the solve is the serial loop of step, the gap and the halves' floor, and
+    # draws no generation in vain
     oracle_rng = stream(30, "ahead")
     expected = serial_fixed_point(par, spec, rate_scale, oracle_rng, **kw)
     real_step, n_steps = rde.step, []
@@ -373,17 +397,17 @@ def test_solve_is_the_serial_loop(
 
 
 def test_solve_exits_cleanly_when_a_push_fails(monkeypatch):
-    # the twin of generation 2 fails: its generator is the one that is not rng
+    # generation 2's push fails
     real_step, calls = rde.step, []
     par, kw = params_with(0.5, 0.5), dict(pop_size=2000, tol=1e-9, max_gens=30)
     oracle_rng = stream(31, "fail")
     monkeypatch.setattr(rde, "step", _failing_at(
-        real_step, 2, lambda g: g is not oracle_rng, NumericalError))
+        real_step, 2, lambda g: g is oracle_rng, NumericalError))
     with pytest.raises(NumericalError):
         serial_fixed_point(par, RAD, 1.0, oracle_rng, **kw)
     baseline = threading.active_count()
     rng = stream(31, "fail")
-    failing = _failing_at(real_step, 2, lambda g: g is not rng, NumericalError)
+    failing = _failing_at(real_step, 2, lambda g: g is rng, NumericalError)
 
     def counted_step(*args):
         calls.append(None)
@@ -392,43 +416,7 @@ def test_solve_exits_cleanly_when_a_push_fails(monkeypatch):
     monkeypatch.setattr(rde, "step", counted_step)
     with pytest.raises(NumericalError, match="step 2"):
         solve_fixed_point(par, RAD, 1.0, rng, **kw)
-    assert len(calls) == 4  # both pushes of generations 1 and 2, and no more
-    assert threading.active_count() == baseline
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-def test_solve_exits_cleanly_when_the_trajectory_fails_while_the_twin_runs(monkeypatch):
-    # generation 2's trajectory push fails once its twin has started, and the
-    # twin goes on only after that failure: the solve waits for it, then raises
-    real_step = rde.step
-    par, kw = params_with(0.5, 0.5), dict(pop_size=2000, tol=1e-9, max_gens=30)
-    oracle_rng = stream(36, "fail")
-    monkeypatch.setattr(rde, "step", _failing_at(
-        real_step, 2, lambda g: g is oracle_rng, NumericalError))
-    with pytest.raises(NumericalError):
-        serial_fixed_point(par, RAD, 1.0, oracle_rng, **kw)
-    baseline = threading.active_count()
-    rng = stream(36, "fail")
-    twin_started, trajectory_failed = threading.Event(), threading.Event()
-    twins_done = []
-
-    def racing_step(pop, *args):
-        if pop.generation == 1 and args[-1] is rng:
-            assert twin_started.wait(60)
-            trajectory_failed.set()
-            raise NumericalError("trajectory push 2 failed")
-        if pop.generation == 1:
-            twin_started.set()
-            trajectory_failed.wait(60)
-        pushed = real_step(pop, *args)
-        if args[-1] is not rng:
-            twins_done.append(pop.generation + 1)
-        return pushed
-
-    monkeypatch.setattr(rde, "step", racing_step)
-    with pytest.raises(NumericalError, match="trajectory push 2"):
-        solve_fixed_point(par, RAD, 1.0, rng, **kw)
-    assert twins_done == [1, 2]
+    assert len(calls) == 2  # the pushes of generations 1 and 2, and no more
     assert threading.active_count() == baseline
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -497,6 +485,16 @@ def test_solve_leaves_rng_untouched_on_bad_rate_scale():
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="rate_scale"):
         solve_fixed_point(params_with(), RAD, 1.5, rng, pop_size=100)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("pop_size", [1, 0])
+def test_solve_rejects_a_population_that_cannot_split(pop_size):
+    # the floor compares two halves of pop_size // 2 outputs each
+    rng = stream(33, "bad-pop")
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="pop_size"):
+        solve_fixed_point(params_with(), RAD, 1.0, rng, pop_size=pop_size, max_gens=40)
     assert rng.bit_generator.state == before
 
 
