@@ -1,12 +1,12 @@
 """Validation criteria: every structural claim the package rests on.
 
-Each criterion is a pure function of (seed, scale, workers) returning
-what it measures, ``(measured, threshold, passed, detail)``; its id and
-description are written once, in :data:`CRITERIA`.  ``scale`` in (0, 1]
-shrinks replicate counts and population sizes proportionally for smoke
-runs; scale 1 is the full desk-scale configuration with the tolerances
-pinned below.  The same implementations back the pytest acceptance
-module and the command-line ``validate`` subcommand.
+Each criterion is a pure function of (seed, workers) returning what it
+measures, ``(measured, threshold, passed, detail)``; its id and
+description are written once, in :data:`CRITERIA`.  Every criterion
+runs at the one size its tolerance is pinned for, so a quick check runs
+a subset of the criteria, not smaller ones.  Worker count never changes
+a result.  The same implementations back the pytest acceptance module
+and the command-line ``validate`` subcommand.
 """
 
 from __future__ import annotations
@@ -59,16 +59,12 @@ class CriterionResult:
     detail: str
 
 
-def _count(n, scale, floor=2):
-    return max(floor, int(round(n * scale)))
-
-
 def _converged(passed, detail, unconverged):
     """A criterion passes only on converged fixed points; its detail names the count."""
     return passed and unconverged == 0, f"{detail} unconverged={unconverged}"
 
 
-def a1(seed, scale=1.0, workers=1):
+def a1(seed, workers=1):
     """Exact trivial limit at zero temperature."""
     t0 = time.perf_counter()
     params = ModelParams(1.0, 0.0, 1.3, 3)
@@ -83,17 +79,17 @@ def a1(seed, scale=1.0, workers=1):
     return diff, 1e-12, passed, "runtime under 1s" if elapsed < 1.0 else "runtime 1s or more"
 
 
-def a2(seed, scale=1.0, workers=1):
+def a2(seed, workers=1):
     """Arity-1 inverse diagonals reproduce the direct clause-sum law."""
     params = ModelParams(1.0, 0.5, 0.0, 1)
-    n_sites = _count(2000, scale, floor=200)
-    n_seeds = _count(10, scale)
+    n_sites = 2000
+    n_seeds = 10
     pooled = pooled_inverse_diagonals(
         params, RADEMACHER, n_sites, n_seeds, stream(seed, "A2", "pool"), workers
     )
     # at p = 1 one push of any population draws the exact per-site law
     # (matrix-free route)
-    n_draws = _count(10**6, scale, floor=10**5)
+    n_draws = 10**6
     direct = step(
         delta_population(1.0, 1), params, RADEMACHER, 1.0, n_draws,
         stream(seed, "A2", "direct"),
@@ -102,13 +98,12 @@ def a2(seed, scale=1.0, workers=1):
     return dist, 0.01, dist < 0.01, f"{pooled.size} pooled vs {n_draws} direct"
 
 
-def a3(seed, scale=1.0, workers=1):
+def a3(seed, workers=1):
     """Finite-size free energy meets the limiting estimate."""
-    n_seeds = _count(20, scale)
+    n_seeds = 20
     study = convergence_study(
-        BASE_PARAMS, RADEMACHER, [_count(2000, scale, floor=100)], n_seeds, 16,
-        stream(seed, "A3"), pop_size=_count(100_000, scale, floor=5000),
-        n_mc=_count(200_000, scale, floor=10_000), workers=workers,
+        BASE_PARAMS, RADEMACHER, [2000], n_seeds, 16, stream(seed, "A3"),
+        pop_size=100_000, n_mc=200_000, workers=workers,
     )
     row, limit = study.rows[0], study.limit.estimate
     se = combined_se(row.std_f / math.sqrt(n_seeds), limit.std_error)
@@ -120,17 +115,16 @@ def a3(seed, scale=1.0, workers=1):
     return row.gap, threshold, passed, detail
 
 
-def a4(seed, scale=1.0, workers=1):
+def a4(seed, workers=1):
     """Pooled inverse diagonals converge to the fixed-point law in W1."""
     grid = [250, 500, 1000, 2000]
     solved = solve_fixed_point(
-        BASE_PARAMS, RADEMACHER, 1.0, stream(seed, "A4", "fp"),
-        pop_size=_count(100_000, scale, floor=5000),
+        BASE_PARAMS, RADEMACHER, 1.0, stream(seed, "A4", "fp"), pop_size=100_000
     )
     fixed = solved.population
     distances, slacks = [], []
     for n_sites in grid:
-        reps = _count(20_000 // n_sites, scale)
+        reps = 20_000 // n_sites
         per_rep = over_realizations(
             lambda model: np.minimum(inverse_diagonal(model), 1.0),
             BASE_PARAMS, RADEMACHER, n_sites, reps,
@@ -162,12 +156,9 @@ def a4(seed, scale=1.0, workers=1):
     return distances[-1], 0.02, passed, detail
 
 
-def a5(seed, scale=1.0, workers=1):
+def a5(seed, workers=1):
     """Off-diagonal inverse entries are centered and square-bounded."""
-    report = offdiag_moments(
-        MOMENT_PARAMS, RADEMACHER, _count(500, scale, floor=50),
-        _count(500, scale, floor=50), stream(seed, "A5"),
-    )
+    report = offdiag_moments(MOMENT_PARAMS, RADEMACHER, 500, 500, stream(seed, "A5"))
     zs = []
     for est in (report.entry_12, report.product_12_13, report.product_12_34):
         zs.append(abs(est.value) / est.std_error if est.std_error > 0 else 0.0)
@@ -178,10 +169,10 @@ def a5(seed, scale=1.0, workers=1):
     )
 
 
-def a6(seed, scale=1.0, workers=1):
+def a6(seed, workers=1):
     """Free-energy fluctuations shrink like N^{-1/2}."""
     grid = [250, 1000, 4000]
-    seeds_per_n = _count(50, scale, floor=8)
+    seeds_per_n = 50
     stds = []
     for n_sites in grid:
         values = np.array(over_realizations(
@@ -194,10 +185,10 @@ def a6(seed, scale=1.0, workers=1):
     return slope, -0.5, passed, " ".join(f"std(N={n})={s:.2e}" for n, s in zip(grid, stds))
 
 
-def a7(seed, scale=1.0, workers=1):
+def a7(seed, workers=1):
     """Fixed point unique: extreme starts meet; a contractive q exists."""
     params = ModelParams(1.0, 1.0, 0.0, 2)
-    pop_size = _count(400_000, scale, floor=20_000)
+    pop_size = 400_000
     kw = dict(pop_size=pop_size, tol=1e-3, max_gens=200)
     top = solve_fixed_point(
         params, RADEMACHER, 1.0, stream(seed, "A7", "top"),
@@ -210,7 +201,7 @@ def a7(seed, scale=1.0, workers=1):
     gap = wasserstein(top.population, bottom.population)
     scan = find_contractive_q(
         params, RADEMACHER, [1, 2, 4, 8, 16, 32, 64, 128, 256],
-        _count(200_000, scale, floor=20_000), stream(seed, "A7", "scan"),
+        200_000, stream(seed, "A7", "scan"),
     )
     certified = scan.q is not None
     passed, detail = _converged(
@@ -220,9 +211,9 @@ def a7(seed, scale=1.0, workers=1):
     return gap, 2e-3, passed, detail
 
 
-def a8(seed, scale=1.0, workers=1):
+def a8(seed, workers=1):
     """Uniform-index and thinned-rate constructions agree in law."""
-    n = _count(10**6, scale, floor=10**4)
+    n = 10**6
     report = poisson_uniform_check(3.0, n, stream(seed, "A8"))
     target = (1 - math.exp(-3.0)) / 3.0
     z = abs(report.p_zero.value - target) / report.p_zero.std_error
@@ -230,10 +221,10 @@ def a8(seed, scale=1.0, workers=1):
     return report.tv_distance, 0.01, passed, f"p0 z-score {z:.2f}"
 
 
-def a9(seed, scale=1.0, workers=1):
+def a9(seed, workers=1):
     """Rank-R cavity residual is small and bound-dominated."""
-    n_splits = _count(1000, scale, floor=50)
-    n_sites = _count(2000, scale, floor=200)
+    n_splits = 1000
+    n_sites = 2000
     children = substreams(stream(seed, "A9"), n_splits)
 
     def one(child):
@@ -260,11 +251,10 @@ def a9(seed, scale=1.0, workers=1):
     )
 
 
-def a10(seed, scale=1.0, workers=1):
+def a10(seed, workers=1):
     """Leading inverse diagonals decorrelate."""
     report = independence_check(
-        MOMENT_PARAMS, RADEMACHER, _count(1000, scale, floor=100), 4,
-        _count(500, scale, floor=50), stream(seed, "A10"), workers,
+        MOMENT_PARAMS, RADEMACHER, 1000, 4, 500, stream(seed, "A10"), workers
     )
     off = np.abs(report.correlations[~np.eye(4, dtype=bool)])
     worst = float(off.max())
@@ -272,7 +262,7 @@ def a10(seed, scale=1.0, workers=1):
     return worst, threshold, worst < threshold, f"SE={report.std_error:.4f}"
 
 
-def a11(seed, scale=1.0, workers=1):
+def a11(seed, workers=1):
     """Byte-identical outputs for a fixed config at any worker count."""
     import tempfile
     from pathlib import Path
@@ -314,9 +304,9 @@ def a11(seed, scale=1.0, workers=1):
     return 0.0 if same else 1.0, 0.0, same, "workers 1 vs 4"
 
 
-def a12(seed, scale=1.0, workers=1):
+def a12(seed, workers=1):
     """Coupled-pair marginal matches the one-dimensional fixed point."""
-    pop_size = _count(100_000, scale, floor=10_000)
+    pop_size = 100_000
     pairs = iterate_pair(
         BASE_PARAMS, RADEMACHER, 200, pop_size, stream(seed, "A12", "pair")
     )
@@ -334,13 +324,10 @@ def a12(seed, scale=1.0, workers=1):
     return gap, 0.01, passed, detail
 
 
-def a13(seed, scale=1.0, workers=1):
+def a13(seed, workers=1):
     """Truncating the disorder perturbs the limit continuously."""
     params = ModelParams(0.5, 0.5, 1.0, 2)
-    kw = dict(
-        pop_size=_count(100_000, scale, floor=10_000),
-        n_mc=_count(200_000, scale, floor=20_000),
-    )
+    kw = dict(pop_size=100_000, n_mc=200_000)
     values, ses, unconverged = {}, {}, 0
     for c in (1.0, 2.0, 4.0, math.inf):
         spec = DisorderSpec("gaussian", 1.0, truncation=c)
@@ -375,15 +362,13 @@ CRITERIA = {
 }
 
 
-def run_criteria(
-    ids, seed: int = DEFAULT_SEED, scale: float = 1.0, workers: int = 1
-) -> list[CriterionResult]:
+def run_criteria(ids, seed: int = DEFAULT_SEED, workers: int = 1) -> list[CriterionResult]:
     """Run the criteria ``ids`` of :data:`CRITERIA` in order; errors become failing rows."""
     results = []
     for cid in ids:
         description, criterion = CRITERIA[cid]
         try:
-            row = criterion(seed, scale, workers)
+            row = criterion(seed, workers)
         except Exception as exc:  # a broken criterion must not stop the suite
             row = (math.nan, math.nan, False, repr(exc))
         results.append(CriterionResult(cid, description, *row))

@@ -47,7 +47,7 @@ KIND_KEYS = {
     "free-energy": ("experiment.seed", *_MODEL, *_LIMIT),
     "convergence": ("experiment.seed", *_MODEL, *_LIMIT, "convergence.n_grid",
                     "convergence.seeds_per_n"),
-    "validate": ("experiment.seed", "validate.criteria", "validate.scale"),
+    "validate": ("experiment.seed", "validate.criteria"),
     "dump": ("experiment.seed", *_MODEL, "dump.n_sites"),
     "load": ("experiment.seed", "load.path"),
 }
@@ -102,10 +102,6 @@ def _positive(x):
     return x > 0
 
 
-def _unit(x):
-    return 0 < x <= 1
-
-
 # key -> (parser, default or None if required by its kinds, precondition, description);
 # a precondition returns False or raises ConfigError to reject the value
 KEY_SPECS = {
@@ -120,7 +116,7 @@ KEY_SPECS = {
     "disorder.truncation": (_float, math.inf, _positive, "positive or inf"),
     "simulate.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "simulate.replicates": (_int, None, lambda v: v >= 1, "at least 1"),
-    "rde.rate_scale": (_float, 1.0, _unit, "in (0, 1]"),
+    "rde.rate_scale": (_float, 1.0, lambda v: 0 < v <= 1, "in (0, 1]"),
     "rde.pop_size": (_int, DEFAULT_POP_SIZE, lambda v: v >= 2, "at least 2"),
     "rde.tol": (_float, DEFAULT_TOL, _positive, "positive"),
     "rde.max_gens": (_int, DEFAULT_MAX_GENS, lambda v: v >= 1, "at least 1"),
@@ -131,7 +127,6 @@ KEY_SPECS = {
                            and min(v) >= 1, "comma list of distinct sizes"),
     "convergence.seeds_per_n": (_int, 10, lambda v: v >= 2, "at least 2"),
     "validate.criteria": (str, "all", _criteria_ids, "all or comma list like A1,A8"),
-    "validate.scale": (_float, 1.0, _unit, "in (0, 1]"),
     "dump.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "load.path": (str, None, lambda v: bool(v), "nonempty path"),
 }
@@ -537,10 +532,9 @@ def _run_convergence(config: ExperimentConfig):
 
 
 def _run_validate(config: ExperimentConfig):
-    opts = config.options
     results = run_criteria(
-        _criteria_ids(opts["validate.criteria"]), seed=config.seed,
-        scale=opts["validate.scale"], workers=config.workers,
+        _criteria_ids(config.options["validate.criteria"]), seed=config.seed,
+        workers=config.workers,
     )
     rows = [
         (r.cid, r.description, r.measured, r.threshold,

@@ -210,9 +210,12 @@ def _stops(gaps, floors, means, mean_ses, tol):
     """The stopping rule over the last ``CONVERGENCE_WINDOW`` generations.
 
     With d = gap - floor per generation, the mean of d must be at most
-    2 SE above 0, and below ``tol`` by 2 SE.  The population mean's
-    least-squares change across the window must lie within 2 SE of 0,
-    its SE taken from each generation's ``mean_ses`` as if independent.
+    2 SE above 0, and below ``tol`` by 2 SE: ``tol`` caps the window's
+    upper 2-SE bound on d.  A stationary chain meets that cap by chance
+    at any ``tol`` > 0, so it is not a precision guarantee.  The
+    population mean's least-squares change across the window must lie
+    within 2 SE of 0, its SE taken from each generation's ``mean_ses``
+    as if independent.
     The comparisons with 2 SE are not strict: at beta = 0 every gap,
     floor and SE is 0, and the rule stops at the window.
     """
@@ -244,8 +247,10 @@ def solve_fixed_point(
     second halves of ``pop_size // 2`` outputs each (an odd population
     leaves its last output out), divided by sqrt(2): the gap between
     two independent pushes of the previous generation.  The solve stops
-    by :func:`_stops`, where ``tol`` caps the mean gap in excess of the
-    floor, so a population whose floor lies above ``tol`` can converge.
+    by :func:`_stops`, where ``tol`` caps the window's upper 2-SE bound
+    on gap - floor, so a population whose floor lies above ``tol`` can
+    converge.  A stationary chain meets that cap by chance at any
+    ``tol`` > 0: it bounds the excess over the floor, not the precision.
     Hitting ``max_gens`` first returns the report with
     ``converged=False`` rather than raising.
     """

@@ -1,4 +1,4 @@
-"""Full-scale validation criteria, one test per criterion.
+"""The validation criteria, one test per criterion.
 
 Every criterion runs at its pinned tolerance and desk-scale size with
 the fixed suite seed; run with ``pytest -v tests/test_acceptance.py`` to

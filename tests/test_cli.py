@@ -84,9 +84,10 @@ def test_fixed_point_outputs_byte_identical_across_worker_counts(tmp_path, kind,
     assert outputs[0] and outputs[0] == outputs[1]
 
 
-# SHA-256 of every output but the manifest at three small configs.  A
+# SHA-256 of every output but the manifest at four small configs.  A
 # change that moves the streams on purpose records new digests and names
-# the moved outputs.
+# the moved outputs.  The validate subset leaves out A1, whose detail
+# depends on its wall time.
 GOLDEN = {
     "rde": (
         """
@@ -132,6 +133,15 @@ GOLDEN = {
         {
             "model.txt":
                 "2bf7f1a89e3593ec7a38aa207447ea189d559be6726e6384bb08e7d662d20e15",
+        },
+    ),
+    "validate": (
+        "experiment.seed=20260808\nvalidate.criteria=A2,A8,A11\n",
+        {
+            "validate.csv":
+                "3f07e5b691fddc3c4bf8ac16e99d4ddae4aa81e1060923f2ccc2eef2a0d81356",
+            "validate.json":
+                "44f45b41af7eb9bc447b3037aa36a04ffe92d21a706fb113b91fd180713eea54",
         },
     ),
 }
@@ -575,6 +585,7 @@ def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monk
         ("validate", b"validate.criteria= , \n", "o", (), ("validate.criteria",)),
         ("validate", b"validate.criteria=A1,A1\n", "o", (),
          ("validate.criteria", "A1 more than once")),
+        ("validate", b"validate.scale=0.2\n", "o", (), ("unknown config keys: validate.scale",)),
         ("free-energy", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o", (),
          ("rde.rate_scale",)),
         ("convergence", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o", (),
@@ -591,7 +602,7 @@ def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monk
         ("free-energy", BASE_LIMIT.replace("model.h=1.0", "model.h=1e200").encode(), "o", (),
          ("model.h", "h*h finite")),
     ],
-    ids=["criteria-empty", "criteria-only-commas", "criteria-repeated",
+    ids=["criteria-empty", "criteria-only-commas", "criteria-repeated", "scale-is-unknown",
          "free-energy-rate-scale", "convergence-rate-scale", "n-grid-all-equal",
          "n-grid-repeats", "config-not-utf8", "out-is-a-file", "out-under-a-file",
          "workers-zero", "workers-negative", "h-square-overflows"],
@@ -640,7 +651,7 @@ VALID = {
     "rde.rate_scale": "0.5", "rde.pop_size": "100", "rde.tol": "0.01", "rde.max_gens": "5",
     "quadrature.kind": "gauss", "quadrature.nodes": "2", "free_energy.n_mc": "100",
     "convergence.n_grid": "10,20", "convergence.seeds_per_n": "2", "validate.criteria": "A1",
-    "validate.scale": "0.1", "dump.n_sites": "10", "load.path": "model.txt",
+    "dump.n_sites": "10", "load.path": "model.txt",
 }
 UNREAD = [(kind, key) for kind in cli.KINDS for key in cli.KEY_SPECS
           if key != "experiment.kind" and key not in cli.KIND_KEYS[kind]]
@@ -919,7 +930,6 @@ def test_validate_subset_passes_and_writes_table(tmp_path, capsys):
         """
         experiment.seed=20260808
         validate.criteria=A1,A8,A11
-        validate.scale=0.2
         """,
         name="val.txt",
     )
@@ -948,41 +958,30 @@ def test_validate_outputs_repeat_byte_for_byte(tmp_path):
 
 def test_validate_json_holds_numpy_comparisons(tmp_path):
     # A10 compares against a numpy float, so its pass flag is a numpy bool
-    cfg = write_cfg(
-        tmp_path,
-        """
-        experiment.seed=20260808
-        validate.criteria=A10
-        validate.scale=0.1
-        """,
-        name="val.txt",
-    )
+    cfg = write_cfg(tmp_path, "experiment.seed=20260808\nvalidate.criteria=A10", name="val.txt")
     out = tmp_path / "val"
-    assert run_cli(["validate", "--config", cfg, "--out", out]) in (0, 3)
+    assert run_cli(["validate", "--config", cfg, "--out", out]) == 0
     payload = json.loads((out / "validate.json").read_text())
     assert [type(c["passed"]) for c in payload["criteria"]] == [bool]
 
 
-def test_validate_reports_failure_with_exit_3(tmp_path):
-    # A2's 0.01 tolerance is pinned at full scale; at scale 0.05 the pooled
-    # sample is far too small for it, giving a deterministic failing row
-    cfg = write_cfg(
-        tmp_path,
-        """
-        experiment.seed=20260808
-        validate.criteria=A2
-        validate.scale=0.05
-        """,
-        name="valfail.txt",
-    )
-    assert run_cli(["validate", "--config", cfg, "--out", tmp_path / "vf"]) == 3
+def test_validate_reports_failure_with_exit_3(tmp_path, capsys, monkeypatch):
+    description = acceptance.CRITERIA["A2"][0]
+    monkeypatch.setitem(acceptance.CRITERIA, "A2", (
+        description, lambda seed, workers: (1.0, 0.01, False, "planted")))
+    cfg = write_cfg(tmp_path, "validate.criteria=A2", name="valfail.txt")
+    out = tmp_path / "vf"
+    assert run_cli(["validate", "--config", cfg, "--out", out]) == 3
+    row = (out / "validate.csv").read_text().splitlines()[1]
+    assert row.split(",") == ["A2", description, "1", "0.01", "FAIL", "planted"]
+    assert "FAILED: A2" in capsys.readouterr().out
 
 
 def test_validate_crash_row_keeps_the_criterion_description(tmp_path, monkeypatch):
     description = acceptance.CRITERIA["A1"][0]
     exc = RuntimeError("criterion broke")
 
-    def broken(seed, scale, workers):
+    def broken(seed, workers):
         raise exc
 
     monkeypatch.setitem(acceptance.CRITERIA, "A1", (description, broken))

@@ -119,7 +119,7 @@ def test_reproducible_given_stream():
     DisorderSpec("two_point_symmetric", 0.7),
     DisorderSpec("two_point_symmetric", 0.7, 1.0),
 ], ids=lambda s: f"{s.family}-{s.param}-{s.truncation}")
-def test_split_sampler_is_the_numpy_direct_draw(spec):
+def test_sample_shape_is_the_numpy_direct_draw(spec):
     # the raw generator call then the law's arithmetic in place draws what
     # numpy's own sampler of the law draws, and leaves the same state
     rng, oracle_rng = stream(7, "split"), stream(7, "split")
