@@ -16,17 +16,17 @@ from quadglass import (
     stream,
     wasserstein,
 )
+from quadglass.rde import TOL
 
 params = ModelParams(alpha=1.0, beta=1.0, h=0.0, p=2)
 spec = DisorderSpec("rademacher")
 pop_size = 100_000
-tol = 1e-3
 
 report = solve_fixed_point(params, spec, rate_scale=1.0,
                            rng=stream(7, "demo-fp"), pop_size=pop_size,
-                           tol=tol, max_gens=150)
+                           max_gens=150)
 print(f"ran {report.generations} generations "
-      f"(converged flag: {report.converged}, tol {tol})")
+      f"(converged flag: {report.converged}, tol {TOL})")
 print("gap trajectory against the floor, the W1 between two pushes of one population:")
 for i in list(range(5)) + list(range(9, min(60, len(report.gaps)), 10)):
     print(f"  gen {i + 1:3d}   W1 gap {report.gaps[i]:.5f}   floor {report.floors[i]:.5f}")

@@ -13,6 +13,7 @@ from quadglass import (
     limiting_free_energy,
     stream,
 )
+from quadglass.stats import slope_fit
 
 params = ModelParams(alpha=0.5, beta=0.25, h=1.0, p=2)
 spec = DisorderSpec("rademacher")
@@ -35,5 +36,6 @@ print(f"{'N':>6} {'mean F_N':>12} {'std':>10} {'gap to limit':>13}")
 for row in study.rows:
     print(f"{row.n_sites:>6} {row.mean_f:>12.6f} {row.std_f:>10.2e} "
           f"{row.gap:>13.2e}")
-print(f"log-log slope of std vs N: {study.std_slope:.3f} "
+slope = slope_fit([row.n_sites for row in study.rows], [row.std_f for row in study.rows])
+print(f"log-log slope of std vs N: {slope:.3f} "
       f"(concentration at the ~N^-1/2 rate)")

@@ -189,7 +189,7 @@ def a7(seed, workers=1):
     """Fixed point unique: extreme starts meet; a contractive q exists."""
     params = ModelParams(1.0, 1.0, 0.0, 2)
     pop_size = 400_000
-    kw = dict(pop_size=pop_size, tol=1e-3, max_gens=200)
+    kw = dict(pop_size=pop_size, max_gens=200)
     top = solve_fixed_point(
         params, RADEMACHER, 1.0, stream(seed, "A7", "top"),
         init=delta_population(1.0, pop_size), **kw,

@@ -32,18 +32,18 @@ from .free_energy import DEFAULT_N_MC, DEFAULT_NODES, convergence_study, limitin
 from .model import (Factorization, ModelParams, NumericalError, dump_model, format_float,
                     load_model, sample_model, write_rows)
 from .parallel import default_workers, parallel_map
-from .rde import DEFAULT_MAX_GENS, DEFAULT_POP_SIZE, DEFAULT_TOL, dump_population, solve_fixed_point
+from .rde import DEFAULT_MAX_GENS, DEFAULT_POP_SIZE, dump_population, solve_fixed_point
 from .streams import stream
 
 _MODEL = ("model.alpha", "model.beta", "model.h", "model.p",
           "disorder.family", "disorder.param", "disorder.truncation")
-_RDE = ("rde.pop_size", "rde.tol", "rde.max_gens")
+_RDE = ("rde.pop_size", "rde.max_gens")
 _LIMIT = _RDE + ("quadrature.kind", "quadrature.nodes", "free_energy.n_mc")
 # kind -> every key it reads; a config setting any other key is rejected,
 # and the digest covers only these
 KIND_KEYS = {
     "simulate": ("experiment.seed", *_MODEL, "simulate.n_sites", "simulate.replicates"),
-    "rde": ("experiment.seed", *_MODEL, *_RDE, "rde.rate_scale"),
+    "rde": ("experiment.seed", *_MODEL, *_RDE),
     "free-energy": ("experiment.seed", *_MODEL, *_LIMIT),
     "convergence": ("experiment.seed", *_MODEL, *_LIMIT, "convergence.n_grid",
                     "convergence.seeds_per_n"),
@@ -98,10 +98,6 @@ def _criteria_ids(value):
     return ids
 
 
-def _positive(x):
-    return x > 0
-
-
 # key -> (parser, default or None if required by its kinds, precondition, description);
 # a precondition returns False or raises ConfigError to reject the value
 KEY_SPECS = {
@@ -113,12 +109,10 @@ KEY_SPECS = {
     "model.p": (_int, None, lambda v: v >= 1, "at least 1"),
     "disorder.family": (str, None, lambda v: v in FAMILIES, f"one of {FAMILIES}"),
     "disorder.param": (_float, 1.0, lambda v: 0 < v < math.inf, "finite and positive"),
-    "disorder.truncation": (_float, math.inf, _positive, "positive or inf"),
+    "disorder.truncation": (_float, math.inf, lambda v: v > 0, "positive or inf"),
     "simulate.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "simulate.replicates": (_int, None, lambda v: v >= 1, "at least 1"),
-    "rde.rate_scale": (_float, 1.0, lambda v: 0 < v <= 1, "in (0, 1]"),
     "rde.pop_size": (_int, DEFAULT_POP_SIZE, lambda v: v >= 2, "at least 2"),
-    "rde.tol": (_float, DEFAULT_TOL, _positive, "positive"),
     "rde.max_gens": (_int, DEFAULT_MAX_GENS, lambda v: v >= 1, "at least 1"),
     "quadrature.kind": (str, "gauss", lambda v: v == "gauss", "gauss"),
     "quadrature.nodes": (_int, DEFAULT_NODES, lambda v: v >= 1, "at least 1"),
@@ -324,7 +318,7 @@ def _allocations(kind, options, raw, workers):
                          item_bytes * copies))
     if "rde.pop_size" in options:
         pop = options["rde.pop_size"]
-        rate = alpha * p * options.get("rde.rate_scale", 1.0)
+        rate = alpha * p
         rows.append((f"rde.pop_size={pop}{at_alpha}", "an RDE generation's draws and push",
                      rate * pop, (24.0 * p * rate + 48.0) * pop))
     if "free_energy.n_mc" in options:
@@ -437,9 +431,8 @@ def _run_rde(config: ExperimentConfig):
     params, spec = _model_pieces(config.options)
     opts = config.options
     report = solve_fixed_point(
-        params, spec, opts["rde.rate_scale"], stream(config.seed, "rde"),
-        pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
-        max_gens=opts["rde.max_gens"],
+        params, spec, 1.0, stream(config.seed, "rde"),
+        pop_size=opts["rde.pop_size"], max_gens=opts["rde.max_gens"],
     )
     write_rows(config.out_dir / "rde_trajectory.csv", [
         ("generation", "w1_gap", "floor"),
@@ -453,7 +446,6 @@ def _run_rde(config: ExperimentConfig):
             "gap": report.gap,
             "floor": report.floor,
             "generations": report.generations,
-            "tol": opts["rde.tol"],
             "population_mean": report.population.mean(),
             "config_digest": config.digest(),
         },
@@ -470,8 +462,8 @@ def _run_free_energy(config: ExperimentConfig):
     opts = config.options
     result = limiting_free_energy(
         params, spec, opts["quadrature.nodes"], stream(config.seed, "free-energy"),
-        pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
-        n_mc=opts["free_energy.n_mc"], max_gens=opts["rde.max_gens"],
+        pop_size=opts["rde.pop_size"], n_mc=opts["free_energy.n_mc"],
+        max_gens=opts["rde.max_gens"],
     )
     _write_json(
         config.out_dir / "free_energy.json",
@@ -513,9 +505,8 @@ def _run_convergence(config: ExperimentConfig):
     study = convergence_study(
         params, spec, opts["convergence.n_grid"], opts["convergence.seeds_per_n"],
         opts["quadrature.nodes"], stream(config.seed, "convergence"),
-        pop_size=opts["rde.pop_size"], tol=opts["rde.tol"],
-        n_mc=opts["free_energy.n_mc"], max_gens=opts["rde.max_gens"],
-        workers=config.workers,
+        pop_size=opts["rde.pop_size"], n_mc=opts["free_energy.n_mc"],
+        max_gens=opts["rde.max_gens"], workers=config.workers,
     )
     limit = study.limit
     converged = "true" if limit.converged else "false"

@@ -30,11 +30,9 @@ from .model import ModelParams, _float_range, finite_free_energy, over_realizati
 from .rde import (
     DEFAULT_MAX_GENS,
     DEFAULT_POP_SIZE,
-    DEFAULT_TOL,
     Population,
     solve_fixed_point,
 )
-from .stats import slope_fit
 from .streams import substreams
 
 DEFAULT_NODES = 16
@@ -119,7 +117,6 @@ def limiting_free_energy(
     n_nodes: int,
     rng: np.random.Generator,
     pop_size: int = DEFAULT_POP_SIZE,
-    tol: float = DEFAULT_TOL,
     n_mc: int = DEFAULT_N_MC,
     max_gens: int = DEFAULT_MAX_GENS,
 ) -> LimitResult:
@@ -149,7 +146,7 @@ def limiting_free_energy(
     report, nodes, se_parts = None, [], []
     for j, x in enumerate(sweep):
         report = solve_fixed_point(
-            params, disorder, float(x), streams[j], pop_size=pop_size, tol=tol,
+            params, disorder, float(x), streams[j], pop_size=pop_size,
             max_gens=max_gens, init=report.population if report else None,
         )
         if j < n_nodes:  # x = 1 enters the field term only
@@ -189,7 +186,6 @@ class SizeRow:
 class ConvergenceStudy:
     rows: tuple[SizeRow, ...]
     limit: LimitResult
-    std_slope: float | None  # log-log slope of std_f vs N; None if any std is 0
 
 
 def convergence_study(
@@ -200,7 +196,6 @@ def convergence_study(
     n_nodes: int,
     rng: np.random.Generator,
     pop_size: int = DEFAULT_POP_SIZE,
-    tol: float = DEFAULT_TOL,
     n_mc: int = DEFAULT_N_MC,
     max_gens: int = DEFAULT_MAX_GENS,
     workers: int = 1,
@@ -208,10 +203,9 @@ def convergence_study(
     """Finite-size free energies against the limiting estimate.
 
     For each N, ``seeds_per_n`` independent realizations give the mean
-    and spread of F_N; the gap column is |mean - limit|.  The log-log
-    slope of the std column against N is the empirical concentration
-    rate.  ``n_nodes``, ``pop_size``, ``tol``, ``n_mc`` and ``max_gens``
-    go to :func:`limiting_free_energy`; ``workers`` fans the finite-size
+    and spread of F_N; the gap column is |mean - limit|.  ``n_nodes``,
+    ``pop_size``, ``n_mc`` and ``max_gens`` go to
+    :func:`limiting_free_energy`; ``workers`` fans the finite-size
     realizations out.
     """
     n_grid = [int(n) for n in n_grid]
@@ -221,8 +215,7 @@ def convergence_study(
         raise ValueError("seeds_per_n must be at least 2")
     limit_rng, sim_rng = substreams(rng, 2)
     limit = limiting_free_energy(
-        params, disorder, n_nodes, limit_rng, pop_size=pop_size, tol=tol, n_mc=n_mc,
-        max_gens=max_gens,
+        params, disorder, n_nodes, limit_rng, pop_size=pop_size, n_mc=n_mc, max_gens=max_gens,
     )
 
     rows = []
@@ -234,10 +227,4 @@ def convergence_study(
         mean_f = float(values.mean())
         std_f = float(values.std(ddof=1))
         rows.append(SizeRow(n_sites, mean_f, std_f, abs(mean_f - limit.estimate.value)))
-
-    stds = np.array([r.std_f for r in rows])
-    if len(rows) >= 3 and np.all(stds > 0):
-        std_slope = slope_fit(np.array(n_grid, dtype=float), stds)
-    else:
-        std_slope = None
-    return ConvergenceStudy(tuple(rows), limit, std_slope)
+    return ConvergenceStudy(tuple(rows), limit)

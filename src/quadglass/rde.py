@@ -46,8 +46,9 @@ from .estimate import Estimate, mc_estimate
 from .model import ModelParams, _clauses, _float_range, write_rows
 
 CONVERGENCE_WINDOW = 10
+# cap on the window's upper 2-SE bound on gap - floor (see _stops)
+TOL = 1e-3
 DEFAULT_POP_SIZE = 100_000
-DEFAULT_TOL = 1e-3
 DEFAULT_MAX_GENS = 500
 
 
@@ -206,13 +207,13 @@ def _sorted_distance(x, y):
 # fixed-point iteration
 
 
-def _stops(gaps, floors, means, mean_ses, tol):
+def _stops(gaps, floors, means, mean_ses):
     """The stopping rule over the last ``CONVERGENCE_WINDOW`` generations.
 
     With d = gap - floor per generation, the mean of d must be at most
-    2 SE above 0, and below ``tol`` by 2 SE: ``tol`` caps the window's
+    2 SE above 0, and below ``TOL`` by 2 SE: ``TOL`` caps the window's
     upper 2-SE bound on d.  A stationary chain meets that cap by chance
-    at any ``tol`` > 0, so it is not a precision guarantee.  The
+    at any positive cap, so it is not a precision guarantee.  The
     population mean's least-squares change across the window must lie
     within 2 SE of 0, its SE taken from each generation's ``mean_ses``
     as if independent.
@@ -227,7 +228,7 @@ def _stops(gaps, floors, means, mean_ses, tol):
     t = np.arange(w) - (w - 1) / 2.0  # generations centred on the window
     change = (w - 1) * float(t @ np.asarray(means[-w:])) / float(t @ t)
     change_se = (w - 1) * float(np.sqrt(np.mean(np.square(mean_ses[-w:])) / (t @ t)))
-    return bool(mean <= 2 * se and mean + 2 * se < tol and abs(change) <= 2 * change_se)
+    return bool(mean <= 2 * se and mean + 2 * se < TOL and abs(change) <= 2 * change_se)
 
 
 def solve_fixed_point(
@@ -236,7 +237,6 @@ def solve_fixed_point(
     rate_scale: float,
     rng: np.random.Generator,
     pop_size: int = DEFAULT_POP_SIZE,
-    tol: float = DEFAULT_TOL,
     max_gens: int = DEFAULT_MAX_GENS,
     init: Population | None = None,
 ) -> RdeReport:
@@ -247,15 +247,13 @@ def solve_fixed_point(
     second halves of ``pop_size // 2`` outputs each (an odd population
     leaves its last output out), divided by sqrt(2): the gap between
     two independent pushes of the previous generation.  The solve stops
-    by :func:`_stops`, where ``tol`` caps the window's upper 2-SE bound
-    on gap - floor, so a population whose floor lies above ``tol`` can
+    by :func:`_stops`, where ``TOL`` caps the window's upper 2-SE bound
+    on gap - floor, so a population whose floor lies above ``TOL`` can
     converge.  A stationary chain meets that cap by chance at any
-    ``tol`` > 0: it bounds the excess over the floor, not the precision.
+    positive cap: it bounds the excess over the floor, not the precision.
     Hitting ``max_gens`` first returns the report with
     ``converged=False`` rather than raising.
     """
-    if not tol > 0:  # nan fails too
-        raise ValueError("tol must be positive")
     if pop_size < 2:
         raise ValueError("pop_size must be at least 2: the floor splits it in halves")
     rate = params.alpha * rate_scale * params.p
@@ -279,7 +277,7 @@ def solve_fixed_point(
         means.append(float(ordered.mean()))
         mean_ses.append(float(ordered.std()) / math.sqrt(ordered.size))
         previous = ordered
-        converged = _stops(gaps, floors, means, mean_ses, tol)
+        converged = _stops(gaps, floors, means, mean_ses)
     return RdeReport(current, tuple(gaps), tuple(floors), converged)
 
 

@@ -3,9 +3,11 @@
 ``perfbench/workloads.py`` checks the model entry points it times
 (``log_det``, ``ones_quadratic_form``, ``finite_free_energy`` and
 ``inverse_diagonal(model, sites)``) against numpy, and checks the
-limit workload's ``free_energy.json``.  Running those gates here
-catches a change that would fail a benchmark run before the run does;
-the benchmark itself is only read.
+limit workload's ``free_energy.json``; each workload's set-up writes
+its configs, validates them through ``cli.build_config`` and warms them
+through the CLI.  Running those gates and set-ups here catches a change
+that would fail a benchmark run before the run does; the benchmark
+itself is only read.
 """
 
 import importlib.util
@@ -38,6 +40,11 @@ def test_model_gate_finds_no_problem(workloads, params):
         getattr(workloads, params), workloads.RADEMACHER, 300, stream(118, "gate", params)
     )
     assert problems == []
+
+
+@pytest.mark.parametrize("name", ["simulate-sub4k", "cavity-super2k", "limit-gauss-stall"])
+def test_workload_setup_runs_on_the_current_package(workloads, tmp_path, name):
+    workloads.WORKLOADS[name](tmp_path, seed=0, workers=1).setup()
 
 
 def test_limit_workload_converges_every_node_inside_its_band(workloads, tmp_path):

@@ -106,7 +106,7 @@ GOLDEN = {
             "population.txt":
                 "79503b931c2f7cd185b6d69a6df15a0471a201b3c5b370a6fc3d7a1b6c80e2f5",
             "rde_summary.json":
-                "d2c7f335750579683a29ba85c4519cb97158accd4e88a86a4caacb4a11312cba",
+                "6995a5e1ff7e296fbd1c4ac90d64120c442451438c06daa5412ebb3dd819b607",
             "rde_trajectory.csv":
                 "bbb0a1693f23a210c283eab99913a68b48504698d76b73dfb2d93250ae75b375",
         },
@@ -115,7 +115,7 @@ GOLDEN = {
         RDE_SMALL + "quadrature.nodes=2\nfree_energy.n_mc=2000\n",
         {
             "free_energy.json":
-                "e7c050ed43774c9957d434cd9d5c9d8391652295b70fd0a24d9d8846e1fb689c",
+                "0cb88fc0e80538aa5bb677eb5cd5e05e5e25bceeda5087a5d12b1275d5802d9f",
         },
     ),
     "dump": (
@@ -473,8 +473,8 @@ def test_memory_guard_counts_one_push():
     )
     params, spec = cli._model_pieces(options)
     peak = _traced_peak(lambda: solve_fixed_point(
-        params, spec, 1.0, np.random.default_rng(25), pop_size=100_000, tol=1e-9,
-        max_gens=12, init=Population(np.linspace(0.05, 1.0, 100_000)),
+        params, spec, 1.0, np.random.default_rng(25), pop_size=100_000, max_gens=12,
+        init=Population(np.linspace(0.05, 1.0, 100_000)),
     ))
     assert peak <= need + 64 * 1024
 
@@ -586,10 +586,14 @@ def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monk
         ("validate", b"validate.criteria=A1,A1\n", "o", (),
          ("validate.criteria", "A1 more than once")),
         ("validate", b"validate.scale=0.2\n", "o", (), ("unknown config keys: validate.scale",)),
+        ("rde", (BASE_RDE + "rde.tol=1e-3\n").encode(), "o", (),
+         ("unknown config keys: rde.tol",)),
+        ("rde", (BASE_RDE + "rde.rate_scale=0.3\n").encode(), "o", (),
+         ("unknown config keys: rde.rate_scale",)),
         ("free-energy", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o", (),
-         ("rde.rate_scale",)),
+         ("unknown config keys: rde.rate_scale",)),
         ("convergence", (BASE_CONV + "rde.rate_scale=0.3\n").encode(), "o", (),
-         ("rde.rate_scale",)),
+         ("unknown config keys: rde.rate_scale",)),
         ("convergence", BASE_CONV.replace("=20,40", "=20,20,20").encode(), "o", (),
          ("convergence.n_grid", "distinct")),
         ("convergence", BASE_CONV.replace("=20,40", "=20,20,40").encode(), "o", (),
@@ -603,9 +607,10 @@ def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monk
          ("model.h", "h*h finite")),
     ],
     ids=["criteria-empty", "criteria-only-commas", "criteria-repeated", "scale-is-unknown",
-         "free-energy-rate-scale", "convergence-rate-scale", "n-grid-all-equal",
-         "n-grid-repeats", "config-not-utf8", "out-is-a-file", "out-under-a-file",
-         "workers-zero", "workers-negative", "h-square-overflows"],
+         "tol-is-unknown", "rate-scale-is-unknown", "free-energy-rate-scale",
+         "convergence-rate-scale", "n-grid-all-equal", "n-grid-repeats", "config-not-utf8",
+         "out-is-a-file", "out-under-a-file", "workers-zero", "workers-negative",
+         "h-square-overflows"],
 )
 def test_unusable_cli_input_exits_2_naming_it(tmp_path, capsys, kind, config, out, flags,
                                               keys):
@@ -614,11 +619,6 @@ def test_unusable_cli_input_exits_2_naming_it(tmp_path, capsys, kind, config, ou
     (tmp_path / "blocker").write_text("a file, not a directory\n", encoding="utf-8")
     assert run_cli([kind, "--config", cfg, "--out", tmp_path / out, *flags]) == 2
     assert_one_config_error(capsys.readouterr().err, *keys)
-
-
-def test_rde_kind_reads_rate_scale():
-    raw = cli.parse_config_text(BASE_RDE + "rde.rate_scale=0.3")
-    assert cli.build_config("rde", raw).options["rde.rate_scale"] == 0.3
 
 
 def test_readme_model_passes_memory_guard():
@@ -648,7 +648,7 @@ VALID = {
     "experiment.seed": "1", "model.alpha": "0.5", "model.beta": "0.25", "model.h": "1.0",
     "model.p": "2", "disorder.family": "rademacher", "disorder.param": "1.0",
     "disorder.truncation": "inf", "simulate.n_sites": "10", "simulate.replicates": "2",
-    "rde.rate_scale": "0.5", "rde.pop_size": "100", "rde.tol": "0.01", "rde.max_gens": "5",
+    "rde.pop_size": "100", "rde.max_gens": "5",
     "quadrature.kind": "gauss", "quadrature.nodes": "2", "free_energy.n_mc": "100",
     "convergence.n_grid": "10,20", "convergence.seeds_per_n": "2", "validate.criteria": "A1",
     "dump.n_sites": "10", "load.path": "model.txt",
@@ -836,7 +836,7 @@ def test_unconverged_free_energy_reports_the_x1_solve(
     tmp_path, capsys, h, x1_flag, x1_text
 ):
     cfg = write_cfg(tmp_path, BASE_LIMIT.replace("model.h=1.0", f"model.h={h}")
-                    + "rde.tol=1e-9\nrde.max_gens=12\n")
+                    + f"rde.max_gens={CONVERGENCE_WINDOW - 1}\n")
     out = tmp_path / "fe"
     assert run_cli(["free-energy", "--config", cfg, "--out", out]) == 0
     payload = json.loads((out / "free_energy.json").read_text())

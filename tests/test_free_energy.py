@@ -145,7 +145,7 @@ def test_thinned_rates_stochastically_dominate():
 def test_unconverged_nodes_are_flagged_not_fatal():
     res = limiting_free_energy(
         ModelParams(1.0, 1.0, 1.0, 2), RAD, 3,
-        stream(20, "lfail"), pop_size=400, tol=1e-9, n_mc=5000, max_gens=8,
+        stream(20, "lfail"), pop_size=400, n_mc=5000, max_gens=8,
     )
     assert not res.converged
     assert len(res.failed_nodes) > 0
@@ -225,7 +225,6 @@ def test_zero_temperature_study_is_exact():
         stream(30, "cs0"), pop_size=1000, n_mc=1000,
     )
     assert all(r.gap == 0.0 and r.std_f == 0.0 for r in study.rows)
-    assert study.std_slope is None
 
 
 def test_study_tracks_the_limit_at_moderate_sizes():

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ def test_extreme_initializations_agree():
     # sampling floor (~1.5e-3 at this population size) and far below any
     # genuine second fixed point, which would separate at O(0.1)
     par = params_with(alpha=1.0, beta=1.0)
-    kw = dict(pop_size=10**5, tol=1e-3, max_gens=120)
+    kw = dict(pop_size=10**5, max_gens=120)
     top = solve_fixed_point(
         par, RAD, 1.0, stream(21, "hi"),
         init=delta_population(1.0, 10**5), **kw,
@@ -252,18 +253,17 @@ def test_fixed_point_p1_matches_direct_sampler():
 
 def test_converged_population_is_stable_under_one_more_step():
     par = params_with(alpha=0.5, beta=0.25)
-    tol = 1e-3
-    report = solve_fixed_point(par, RAD, 1.0, stream(25, "stab"), pop_size=10**5, tol=tol)
+    report = solve_fixed_point(par, RAD, 1.0, stream(25, "stab"), pop_size=10**5)
     assert report.converged
     pushed = step(report.population, par, RAD, 1.0, report.population.size, stream(26, "push"))
-    assert wasserstein(report.population, pushed) < 3 * tol
+    assert wasserstein(report.population, pushed) < 3 * rde.TOL
 
 
 def test_non_convergence_reports_flag_not_exception():
     # the stopping rule needs a full window, so no stream can stop this solve
     report = solve_fixed_point(
         params_with(alpha=1.0, beta=1.0), RAD, 1.0, stream(27, "nc"),
-        pop_size=500, tol=1e-9, max_gens=rde.CONVERGENCE_WINDOW - 1,
+        pop_size=500, max_gens=rde.CONVERGENCE_WINDOW - 1,
     )
     assert not report.converged
     assert report.generations == rde.CONVERGENCE_WINDOW - 1
@@ -271,10 +271,11 @@ def test_non_convergence_reports_flag_not_exception():
 
 def test_planted_drift_is_not_converged(monkeypatch):
     # every output moves down by `drift` per generation, from a converged
-    # start: each gap stays below tol (so a rule of ten gaps below
-    # tol in a row would stop), but the population mean moves by far more
+    # start: each gap stays below a cap of 1e-2 (so a rule of ten gaps below
+    # the cap in a row would stop), but the population mean moves by far more
     # than its SE across the window
-    drift, par, kw = 1e-3, params_with(0.5, 0.25), dict(pop_size=20_000, tol=1e-2)
+    monkeypatch.setattr(rde, "TOL", 1e-2)
+    drift, par, kw = 1e-3, params_with(0.5, 0.25), dict(pop_size=20_000)
     start = solve_fixed_point(par, RAD, 1.0, stream(36, "drift-start"), **kw).population
     real_step = rde.step
 
@@ -285,14 +286,14 @@ def test_planted_drift_is_not_converged(monkeypatch):
 
     monkeypatch.setattr(rde, "step", drifting_step)
     report = solve_fixed_point(par, RAD, 1.0, stream(36, "drift"), max_gens=30, init=start, **kw)
-    assert all(g < kw["tol"] for g in report.gaps)
+    assert all(g < rde.TOL for g in report.gaps)
     assert not report.converged
     assert report.generations == 30
 
 
 def test_generation_counts_are_stable_across_seeds():
     # the A13 model at c = 2, where the floor (about 2.6e-3 at this size)
-    # lies above tol, so a rule of ten gaps below tol in a row would run to
+    # lies above TOL, so a rule of ten gaps below TOL in a row would run to
     # max_gens
     par, spec = params_with(0.5, 0.5, h=1.0), DisorderSpec("gaussian", 1.0, 2.0)
     reports = [
@@ -334,30 +335,32 @@ def test_generation_past_float_range_raises_numerical_error():
 
 
 @pytest.mark.parametrize(
-    "par, spec, rate_scale, kw, converges",
+    "par, spec, rate_scale, tol, kw, converges",
     [
-        (params_with(0.5, 0.5, p=2), DisorderSpec("gaussian", 1.0, 2.0), 0.7,
-         dict(pop_size=4000, tol=1e-2, max_gens=60), True),
-        (params_with(0.8, 0.5, p=3), RAD, 1.0,
-         dict(pop_size=3000, tol=1e-3, max_gens=9), False),
-        (params_with(1.0, 0.5, p=1), DisorderSpec("uniform_symmetric", 1.5), 0.5,
-         dict(pop_size=3000, tol=2e-2, max_gens=60), True),
-        (params_with(1.0, 1.0, p=2), DisorderSpec("two_point_symmetric", 0.7), 1.0,
-         dict(pop_size=2500, tol=1e-9, max_gens=15, init=delta_population(0.3, 4000)),
+        (params_with(0.5, 0.5, p=2), DisorderSpec("gaussian", 1.0, 2.0), 0.7, 1e-2,
+         dict(pop_size=4000, max_gens=60), True),
+        (params_with(0.8, 0.5, p=3), RAD, 1.0, rde.TOL,
+         dict(pop_size=3000, max_gens=rde.CONVERGENCE_WINDOW - 1), False),
+        (params_with(1.0, 0.5, p=1), DisorderSpec("uniform_symmetric", 1.5), 0.5, 2e-2,
+         dict(pop_size=3000, max_gens=60), True),
+        (params_with(1.0, 1.0, p=2), DisorderSpec("two_point_symmetric", 0.7), 1.0, rde.TOL,
+         dict(pop_size=2500, max_gens=rde.CONVERGENCE_WINDOW - 1,
+              init=delta_population(0.3, 4000)),
          False),
-        (params_with(0.5, 0.25, h=1.0, p=2), RAD, 1.0,
-         dict(pop_size=3001, tol=1e-2, max_gens=60), True),
+        (params_with(0.5, 0.25, h=1.0, p=2), RAD, 1.0, 1e-2,
+         dict(pop_size=3001, max_gens=60), True),
     ],
     ids=["gaussian-c2-p2-converges", "rademacher-p3-at-max-gens", "uniform-p1",
          "warm-start-other-size", "odd-size-drops-the-last-output"],
 )
 def test_solve_is_the_serial_loop(
-    monkeypatch, par, spec, rate_scale, kw, converges
+    monkeypatch, par, spec, rate_scale, tol, kw, converges
 ):
     # the solve is the serial loop of step, the gap and the halves' floor, and
-    # draws no generation in vain
+    # draws no generation in vain; the unconverged cases stop short of a window
+    monkeypatch.setattr(rde, "TOL", tol)
     oracle_rng = stream(30, "ahead")
-    expected = serial_fixed_point(par, spec, rate_scale, oracle_rng, **kw)
+    expected = serial_fixed_point(par, spec, rate_scale, oracle_rng, tol=tol, **kw)
     real_step, n_steps = rde.step, []
     rng = stream(30, "ahead")
 
@@ -382,12 +385,12 @@ def test_solve_is_the_serial_loop(
 def test_solve_exits_cleanly_when_a_push_fails(monkeypatch):
     # generation 2's push fails
     real_step, calls = rde.step, []
-    par, kw = params_with(0.5, 0.5), dict(pop_size=2000, tol=1e-9, max_gens=30)
+    par, kw = params_with(0.5, 0.5), dict(pop_size=2000, max_gens=30)
     oracle_rng = stream(31, "fail")
     monkeypatch.setattr(rde, "step", _failing_at(
         real_step, 2, lambda g: g is oracle_rng, NumericalError))
     with pytest.raises(NumericalError):
-        serial_fixed_point(par, RAD, 1.0, oracle_rng, **kw)
+        serial_fixed_point(par, RAD, 1.0, oracle_rng, tol=rde.TOL, **kw)
     baseline = threading.active_count()
     rng = stream(31, "fail")
     failing = _failing_at(real_step, 2, lambda g: g is rng, NumericalError)
@@ -426,10 +429,10 @@ def test_solve_raises_as_the_serial_loop_when_a_draw_fails(
     # other case fails generation 3's step on rng
     large = case == "poisson-mean-too-large"
     par = params_with(1e15, 0.5) if large else params_with(0.5)
-    kw = dict(pop_size=10**5 if large else 2000, tol=1e-9, max_gens=30)
+    kw = dict(pop_size=10**5 if large else 2000, max_gens=30)
     real_step = rde.step
     outcomes = []
-    for solve in (serial_fixed_point, solve_fixed_point):
+    for solve in (partial(serial_fixed_point, tol=rde.TOL), solve_fixed_point):
         rng = stream(35, "draw-fails")
         if not large:
             monkeypatch.setattr(rde, "step", _failing_at(real_step, 3, lambda g: g is rng))
@@ -445,7 +448,7 @@ def test_solve_raises_as_the_serial_loop_when_a_draw_fails(
 def test_concurrent_solves_each_match_the_serial_loop():
     # more solving threads than cores under fast thread switching: a draw
     # landing in the wrong solve or generator shows
-    par, kw = params_with(0.5, 0.5, p=3), dict(pop_size=1500, tol=1e-9, max_gens=20)
+    par, kw = params_with(0.5, 0.5, p=3), dict(pop_size=1500, max_gens=20)
 
     def solve(i):
         return solve_fixed_point(par, RAD, 1.0, stream(34, str(i)), **kw)
@@ -458,7 +461,7 @@ def test_concurrent_solves_each_match_the_serial_loop():
     finally:
         sys.setswitchinterval(interval)
     for i, report in enumerate(reports):
-        expected = serial_fixed_point(par, RAD, 1.0, stream(34, str(i)), **kw)
+        expected = serial_fixed_point(par, RAD, 1.0, stream(34, str(i)), tol=rde.TOL, **kw)
         assert report.gaps == expected.gaps
         assert report.population.values.tobytes() == expected.population.values.tobytes()
 
@@ -478,15 +481,6 @@ def test_solve_rejects_a_population_that_cannot_split(pop_size):
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="pop_size"):
         solve_fixed_point(params_with(), RAD, 1.0, rng, pop_size=pop_size, max_gens=40)
-    assert rng.bit_generator.state == before
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
-def test_solve_rejects_a_tol_that_is_not_positive(tol):
-    rng = stream(33, "bad-tol")
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match="tol"):
-        solve_fixed_point(params_with(), RAD, 1.0, rng, pop_size=100, tol=tol, max_gens=40)
     assert rng.bit_generator.state == before
 
 
