@@ -22,9 +22,8 @@ params = ModelParams(alpha=1.0, beta=1.0, h=0.0, p=2)
 spec = DisorderSpec("rademacher")
 pop_size = 100_000
 
-report = solve_fixed_point(params, spec, rate_scale=1.0,
-                           rng=stream(7, "demo-fp"), pop_size=pop_size,
-                           max_gens=150)
+report = solve_fixed_point(params, spec, stream(7, "demo-fp"),
+                           pop_size=pop_size, max_gens=150)
 print(f"ran {report.generations} generations "
       f"(converged flag: {report.converged}, tol {TOL})")
 print("gap trajectory against the floor, the W1 between two pushes of one population:")
@@ -36,10 +35,10 @@ print(f"fixed-point population: mean {pop.mean():.4f}, "
 
 # uniqueness probe: start from opposite corners of (0, 1]
 print("\ntwo extreme initializations, independent randomness:")
-top = solve_fixed_point(params, spec, 1.0, stream(8, "demo-top"),
+top = solve_fixed_point(params, spec, stream(8, "demo-top"),
                         pop_size=pop_size, max_gens=120,
                         init=delta_population(1.0, pop_size))
-bottom = solve_fixed_point(params, spec, 1.0, stream(9, "demo-bottom"),
+bottom = solve_fixed_point(params, spec, stream(9, "demo-bottom"),
                            pop_size=pop_size, max_gens=120,
                            init=delta_population(0.05, pop_size))
 gap = wasserstein(top.population, bottom.population)

@@ -17,7 +17,6 @@ from quadglass import (
     offdiag_moments,
     poisson_uniform_check,
     stream,
-    substreams,
     woodbury_residual,
 )
 
@@ -34,7 +33,7 @@ print(f"bulk plus boundary: {split.bulk.n_clauses + split.n_boundary} clauses "
 # rank-R cavity update: residual vs its computable bound
 print("\ncavity residual at the last site, 200 splits at N=800:")
 residuals, bounds = [], []
-for child in substreams(stream(2, "demo-res"), 200):
+for child in stream(2, "demo-res").spawn(200):
     res = woodbury_residual(cavity_split(params, spec, 800, child))
     residuals.append(res.residual)
     bounds.append(res.bound)

@@ -20,7 +20,6 @@ from quadglass import (
     limiting_free_energy,
     solve_fixed_point,
     stream,
-    truncate_spec,
     wasserstein,
 )
 
@@ -31,17 +30,16 @@ print("coupled (U, X) recursion, 200 generations at population 10^5:")
 pairs = iterate_pair(params, rad, 200, 100_000, stream(11, "demo-pair"))
 u, x = pairs[:, 0], pairs[:, 1]
 print(f"  E U = {u.mean():+.5f} (symmetry pins it at 1), std {u.std():.4f}")
-fixed = solve_fixed_point(params, rad, 1.0, stream(12, "demo-pairfp"),
+fixed = solve_fixed_point(params, rad, stream(12, "demo-pairfp"),
                           pop_size=100_000).population
 marginal = Population(np.minimum(x, 1.0))
 print(f"  W1 between the X marginal and the one-dimensional fixed point: "
       f"{wasserstein(marginal, fixed):.5f}")
 
 print("\ntruncation continuity for gaussian disorder (limit at each level):")
-gauss = DisorderSpec("gaussian", 1.0)
 values = {}
 for c in (1.0, 2.0, 4.0, math.inf):
-    spec = gauss if math.isinf(c) else truncate_spec(gauss, c)
+    spec = DisorderSpec("gaussian", 1.0, truncation=c)
     res = limiting_free_energy(params, spec, 12, stream(13, "demo-tr", str(c)),
                                pop_size=50_000, n_mc=10**5)
     values[c] = res.estimate.value

@@ -7,7 +7,7 @@ the limiting free-energy formula, and ships a statistical harness that
 checks every structural identity the two are built on.
 """
 
-from .disorder import DisorderSpec, truncate_spec
+from .disorder import DisorderSpec
 from .free_energy import convergence_study, limiting_free_energy
 from .model import (
     Factorization,
@@ -26,7 +26,7 @@ from .rde import (
     wasserstein,
 )
 from .stats import poisson_uniform_check
-from .streams import stream, substreams
+from .streams import stream
 
 __version__ = "0.1.0"
 
@@ -47,8 +47,6 @@ __all__ = [
     "sample_model",
     "solve_fixed_point",
     "stream",
-    "substreams",
-    "truncate_spec",
     "wasserstein",
     "woodbury_residual",
 ]

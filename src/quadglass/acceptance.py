@@ -41,7 +41,7 @@ from .rde import (
     wasserstein,
 )
 from .stats import independence_check, poisson_uniform_check, pooled_inverse_diagonals, slope_fit
-from .streams import stream, substreams
+from .streams import stream
 
 RADEMACHER = DisorderSpec("rademacher")
 BASE_PARAMS = ModelParams(0.5, 0.25, 1.0, 2)      # shared by A3, A4, A6, A12
@@ -91,8 +91,7 @@ def a2(seed, workers=1):
     # (matrix-free route)
     n_draws = 10**6
     direct = step(
-        delta_population(1.0, 1), params, RADEMACHER, 1.0, n_draws,
-        stream(seed, "A2", "direct"),
+        delta_population(1.0, 1), params, RADEMACHER, n_draws, stream(seed, "A2", "direct")
     )
     dist = wasserstein(Population(np.minimum(pooled, 1.0)), direct)
     return dist, 0.01, dist < 0.01, f"{pooled.size} pooled vs {n_draws} direct"
@@ -119,7 +118,7 @@ def a4(seed, workers=1):
     """Pooled inverse diagonals converge to the fixed-point law in W1."""
     grid = [250, 500, 1000, 2000]
     solved = solve_fixed_point(
-        BASE_PARAMS, RADEMACHER, 1.0, stream(seed, "A4", "fp"), pop_size=100_000
+        BASE_PARAMS, RADEMACHER, stream(seed, "A4", "fp"), pop_size=100_000
     )
     fixed = solved.population
     distances, slacks = [], []
@@ -191,11 +190,11 @@ def a7(seed, workers=1):
     pop_size = 400_000
     kw = dict(pop_size=pop_size, max_gens=200)
     top = solve_fixed_point(
-        params, RADEMACHER, 1.0, stream(seed, "A7", "top"),
+        params, RADEMACHER, stream(seed, "A7", "top"),
         init=delta_population(1.0, pop_size), **kw,
     )
     bottom = solve_fixed_point(
-        params, RADEMACHER, 1.0, stream(seed, "A7", "bottom"),
+        params, RADEMACHER, stream(seed, "A7", "bottom"),
         init=delta_population(0.05, pop_size), **kw,
     )
     gap = wasserstein(top.population, bottom.population)
@@ -225,7 +224,7 @@ def a9(seed, workers=1):
     """Rank-R cavity residual is small and bound-dominated."""
     n_splits = 1000
     n_sites = 2000
-    children = substreams(stream(seed, "A9"), n_splits)
+    children = stream(seed, "A9").spawn(n_splits)
 
     def one(child):
         res = woodbury_residual(cavity_split(MOMENT_PARAMS, RADEMACHER, n_sites, child))
@@ -311,7 +310,7 @@ def a12(seed, workers=1):
         BASE_PARAMS, RADEMACHER, 200, pop_size, stream(seed, "A12", "pair")
     )
     solved = solve_fixed_point(
-        BASE_PARAMS, RADEMACHER, 1.0, stream(seed, "A12", "fp"), pop_size=pop_size
+        BASE_PARAMS, RADEMACHER, stream(seed, "A12", "fp"), pop_size=pop_size
     )
     x_marginal = Population(np.minimum(pairs[:, 1], 1.0))
     gap = wasserstein(x_marginal, solved.population)

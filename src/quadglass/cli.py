@@ -431,7 +431,7 @@ def _run_rde(config: ExperimentConfig):
     params, spec = _model_pieces(config.options)
     opts = config.options
     report = solve_fixed_point(
-        params, spec, 1.0, stream(config.seed, "rde"),
+        params, spec, stream(config.seed, "rde"),
         pop_size=opts["rde.pop_size"], max_gens=opts["rde.max_gens"],
     )
     write_rows(config.out_dir / "rde_trajectory.csv", [

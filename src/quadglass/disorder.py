@@ -5,7 +5,8 @@ symmetric distribution with finite second moment.  Four families are
 supported; symmetry is structural (each family is symmetric by
 construction) rather than asserted about user-supplied densities.
 
-Truncation at level ``c`` replaces a draw ``g`` by ``g * 1(|g| <= c)``:
+Truncation at level ``c``, ``DisorderSpec(family, param, truncation=c)``,
+replaces a draw ``g`` by ``g * 1(|g| <= c)``:
 out-of-range draws map to zero.  This is indicator multiplication, not
 rejection sampling — rejection would renormalize the law and change it.
 """
@@ -13,7 +14,7 @@ rejection sampling — rejection would renormalize the law and change it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +85,3 @@ def _sample_shape(spec, shape, rng):
     if math.isfinite(spec.truncation):
         out[np.abs(out) > spec.truncation] = 0.0
     return out
-
-
-def truncate_spec(spec: DisorderSpec, c: float) -> DisorderSpec:
-    """Spec whose draws are ``g * 1(|g| <= c)`` for ``g`` from ``spec``.
-
-    Stacking truncations keeps the tighter level (a zeroed draw stays
-    inside any level).  ``c = inf`` returns an identical spec.
-    """
-    if not c > 0:
-        raise ValueError("truncation level must be positive")
-    return replace(spec, truncation=min(spec.truncation, c))

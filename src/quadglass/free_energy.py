@@ -6,34 +6,36 @@ In the large-N limit the free energy is
 
 where for each x in (0, 1] the X(x) are i.i.d. from the fixed point of
 the variance-law map run at the thinned clause rate alpha*x*p, and the
-z_r are disorder draws.  The integrand is smooth in x, so a small
-Gauss-Legendre rule on (0, 1), set by its node count ``n_nodes``, beats
-the Monte Carlo noise floor immediately; the x = 0 endpoint is never
-evaluated because the nodes are interior.  The fixed points are solved
-in one sequential sweep of increasing rate, each started from the
-previous point's population, and nothing older is kept.  When h != 0
-the field term needs X(1), so x = 1 is the sweep's last point, solved
-on stream ``n_nodes`` right after the last node.
+z_r are disorder draws.  The map thinned to x is the map at edge
+density alpha*x, so point x is solved at
+``dataclasses.replace(params, alpha=params.alpha * x)``.  The integrand
+is smooth in x, so a small Gauss-Legendre rule on (0, 1), set by its
+node count ``n_nodes``, beats the Monte Carlo noise floor immediately;
+the x = 0 endpoint is never evaluated because the nodes are interior.
+The fixed points are solved in one sequential sweep of increasing rate,
+each started from the previous point's population, and nothing older
+is kept.  When h != 0 the field term needs X(1), so x = 1 is the
+sweep's last point, solved on stream ``n_nodes`` right after the last
+node.
 
 This module also runs finite-size-to-limit convergence studies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, combined_se, jackknife_se, mc_estimate
-from .model import ModelParams, _float_range, finite_free_energy, over_realizations
+from .model import ModelParams, NumericalError, _float_range, finite_free_energy, over_realizations
 from .rde import (
     DEFAULT_MAX_GENS,
     DEFAULT_POP_SIZE,
     Population,
     solve_fixed_point,
 )
-from .streams import substreams
 
 DEFAULT_NODES = 16
 DEFAULT_N_MC = 200_000
@@ -124,13 +126,15 @@ def limiting_free_energy(
 
     The integral runs over the ``n_nodes`` nodes of :func:`gauss_legendre`.
     The sweep runs the nodes in increasing rate order and then, when
-    h != 0, x = 1 for the field term.  Sweep point j is solved on
-    substream j (so x = 1 is on substream ``n_nodes``) and warm-started
-    from point j-1's population (the first from the point mass at 1);
-    no older point is kept.  Node i's edge term draws from substream
-    ``n_nodes + 1 + i``.  Errors are treated as independent (disjoint
-    streams); a point that fails to converge still contributes, and the
-    result flags it.
+    h != 0, x = 1 for the field term.  Sweep point x is solved at edge
+    density ``params.alpha * x`` on child stream j of ``rng.spawn`` (so
+    x = 1 is on child ``n_nodes``) and warm-started from point j-1's
+    population (the first from the point mass at 1); no older point is
+    kept.  Node i's edge term draws from child ``n_nodes + 1 + i``.
+    Errors are treated as independent (disjoint streams); a point that
+    fails to converge still contributes, and the result flags it.  A
+    subnormal alpha whose alpha*x rounds to 0 raises
+    :class:`model.NumericalError`.
     """
     h = params.h
     xs, weights = gauss_legendre(n_nodes)
@@ -139,15 +143,19 @@ def limiting_free_energy(
             Estimate(h * h / 2.0, 0.0), (), h * h / 2.0, None, None, None
         )
 
+    # only a subnormal alpha rounds alpha*x to 0, a density no ModelParams holds
+    if not params.alpha * xs[0] > 0:
+        raise NumericalError(f"the edge density alpha*x underflows to 0 at x = {xs[0]:.6g}")
     # one stream per sweep point (the nodes, then x=1), one per node for MC
-    streams = substreams(rng, 2 * n_nodes + 1)
+    streams = rng.spawn(2 * n_nodes + 1)
     sweep = list(xs) + ([1.0] if h != 0.0 else [])
 
     report, nodes, se_parts = None, [], []
     for j, x in enumerate(sweep):
         report = solve_fixed_point(
-            params, disorder, float(x), streams[j], pop_size=pop_size,
-            max_gens=max_gens, init=report.population if report else None,
+            replace(params, alpha=params.alpha * float(x)), disorder, streams[j],
+            pop_size=pop_size, max_gens=max_gens,
+            init=report.population if report else None,
         )
         if j < n_nodes:  # x = 1 enters the field term only
             term = edge_term(
@@ -213,14 +221,13 @@ def convergence_study(
         raise ValueError("n_grid must be nonempty")
     if seeds_per_n < 2:
         raise ValueError("seeds_per_n must be at least 2")
-    limit_rng, sim_rng = substreams(rng, 2)
+    limit_rng, sim_rng = rng.spawn(2)
     limit = limiting_free_energy(
         params, disorder, n_nodes, limit_rng, pop_size=pop_size, n_mc=n_mc, max_gens=max_gens,
     )
 
     rows = []
-    per_size_streams = substreams(sim_rng, len(n_grid))
-    for n_sites, size_rng in zip(n_grid, per_size_streams):
+    for n_sites, size_rng in zip(n_grid, sim_rng.spawn(len(n_grid))):
         values = np.array(over_realizations(
             finite_free_energy, params, disorder, n_sites, seeds_per_n, size_rng, workers
         ))

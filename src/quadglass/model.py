@@ -39,7 +39,6 @@ from scipy.sparse.linalg import splu
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
 from .parallel import parallel_map
-from .streams import substreams
 
 # entries of the Z[S_j, S_j] blocks that Factorization.inverse_diagonal
 # gathers in one pass, at a peak of about 40 bytes each; a depth of the
@@ -225,7 +224,7 @@ def over_realizations(
     """
     return parallel_map(
         lambda child: query(sample_model(params, disorder, n_sites, child)),
-        substreams(rng, n_replicates),
+        rng.spawn(n_replicates),
         workers,
     )
 

@@ -4,12 +4,14 @@ The cavity recursion maps a law mu on (0, 1] to the law of
 
     ( 1 + sum_{k<=R} 2*beta*z_k^2 / (1 + 2*beta * sum_{r<=p-1} X_{k,r} * x_{k,r}^2) )^{-1}
 
-with R Poisson(alpha*rate_scale*p), weights z, x i.i.d. from the
-disorder law, and X_{k,r} i.i.d. from mu.  Its fixed point is the
-limiting law of the spin variances.  Populations (large empirical
-samples) represent laws; one generation resamples the whole population
-synchronously from the previous snapshot, so the update is a pure
-push-forward with clean fixed-point semantics.
+with R Poisson(alpha*p), weights z, x i.i.d. from the disorder law,
+and X_{k,r} i.i.d. from mu.  Its fixed point is the limiting law of the
+spin variances.  The map thinned to rate x is the same map at edge
+density alpha*x, so a thinned solve passes
+``dataclasses.replace(params, alpha=params.alpha * x)``.  Populations
+(large empirical samples) represent laws; one generation resamples the
+whole population synchronously from the previous snapshot, so the
+update is a pure push-forward with clean fixed-point semantics.
 
 By Poisson splitting, one generation's clauses are Poisson(rate *
 out_size) clauses with uniform owners among the outputs.  One
@@ -43,7 +45,7 @@ import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
 from .estimate import Estimate, mc_estimate
-from .model import ModelParams, _clauses, _float_range, write_rows
+from .model import ModelParams, NumericalError, _clauses, _float_range, write_rows
 
 CONVERGENCE_WINDOW = 10
 # cap on the window's upper 2-SE bound on gap - floor (see _stops)
@@ -56,9 +58,8 @@ DEFAULT_MAX_GENS = 500
 class Population:
     """Fixed-size empirical sample of a variance law on (0, 1].
 
-    ``rate`` records the Poisson clause rate alpha*rate_scale*p the
-    population was built under; ``generation`` counts applications of
-    the map.
+    ``rate`` records the Poisson clause rate alpha*p the population
+    was built under; ``generation`` counts applications of the map.
     """
 
     values: np.ndarray
@@ -124,7 +125,6 @@ def step(
     pop: Population,
     params: ModelParams,
     disorder: DisorderSpec,
-    rate_scale: float,
     out_size: int,
     rng: np.random.Generator,
 ) -> Population:
@@ -142,12 +142,11 @@ def step(
     generation that overflows or makes a nan, and so would leave
     (0, 1], raises :class:`model.NumericalError`.
     """
-    if not 0 < rate_scale <= 1:
-        raise ValueError("rate_scale must lie in (0, 1]")
     if out_size < 1:
         raise ValueError("out_size must be at least 1")
-    rate = params.alpha * rate_scale * params.p
-    with _float_range(f"generation {pop.generation + 1} at rate {rate:.6g}"):
+    rate = params.alpha * params.p
+    what = f"generation {pop.generation + 1} at rate {rate:.6g}"
+    with _float_range(what):
         owners, zeta = _clauses(disorder, rate * out_size, out_size, 1, rng)
         owners, zeta = owners[:, 0], zeta[:, 0]
         xi = _sample_shape(disorder, (zeta.size, params.p - 1), rng)
@@ -164,6 +163,8 @@ def step(
         zeta /= denom
         # not in place: with no clause drawn, bincount returns int64 zeros
         totals = np.bincount(owners, weights=zeta, minlength=out_size) + 1.0
+        if not np.isfinite(totals).all():  # bincount is no ufunc: errstate misses it
+            raise NumericalError(f"{what} left the float range: a per-output sum overflowed")
         np.divide(1.0, totals, out=totals)
     return Population(totals, rate, pop.generation + 1)
 
@@ -181,13 +182,7 @@ def wasserstein(a: Population, b: Population) -> float:
     common grid; this reduces to the exact coupling when sizes agree and
     is consistent as sizes grow.
     """
-    return _quantile_distance(a.values, b.values)
-
-
-def _quantile_distance(x, y):
-    """W1 between the empirical laws of two arrays (see :func:`wasserstein`)."""
-    return _sorted_distance(np.sort(np.asarray(x, dtype=float)),
-                            np.sort(np.asarray(y, dtype=float)))
+    return _sorted_distance(np.sort(a.values), np.sort(b.values))
 
 
 def _sorted_distance(x, y):
@@ -234,7 +229,6 @@ def _stops(gaps, floors, means, mean_ses):
 def solve_fixed_point(
     params: ModelParams,
     disorder: DisorderSpec,
-    rate_scale: float,
     rng: np.random.Generator,
     pop_size: int = DEFAULT_POP_SIZE,
     max_gens: int = DEFAULT_MAX_GENS,
@@ -256,7 +250,7 @@ def solve_fixed_point(
     """
     if pop_size < 2:
         raise ValueError("pop_size must be at least 2: the floor splits it in halves")
-    rate = params.alpha * rate_scale * params.p
+    rate = params.alpha * params.p
     current = (
         delta_population(1.0, pop_size, rate) if init is None else init
     )
@@ -268,7 +262,7 @@ def solve_fixed_point(
     mean_ses: list[float] = []
     converged = False
     while len(gaps) < max_gens and not converged:
-        current = step(current, params, disorder, rate_scale, pop_size, rng)
+        current = step(current, params, disorder, pop_size, rng)
         values = current.values
         ordered = np.sort(values)
         floors.append(_sorted_distance(np.sort(values[:half]),

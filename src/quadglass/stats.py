@@ -1,9 +1,11 @@
 """Shared statistical estimators and distributional identity checks.
 
-House convention throughout the validation harness: a sampled statistic
-is "consistent with" a target when it falls within four standard errors
-of it.  The threshold is deliberately transparent; no formal hypothesis
-testing machinery is used.
+A sampled statistic is "consistent with" a target when it falls within
+four standard errors of it in criteria A5, A8, A10 and A12.  The other
+criteria set their own margins: A3 and A7 allow three standard errors,
+and A4 and A13 allow one combined standard error as slack between
+neighbouring levels.  The thresholds are deliberately transparent; no
+formal hypothesis testing machinery is used.
 """
 
 from __future__ import annotations

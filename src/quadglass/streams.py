@@ -54,15 +54,3 @@ def seed_sequence(seed: int, *labels: int | str) -> np.random.SeedSequence:
 def stream(seed: int, *labels: int | str) -> np.random.Generator:
     """Return a PCG64 generator keyed by (seed, labels)."""
     return np.random.Generator(np.random.PCG64(seed_sequence(seed, *labels)))
-
-
-def substreams(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``n`` independent child generators off ``rng`` in one call.
-
-    All children are derived from the parent's seed sequence, so handing
-    them to any number of workers in any order reproduces the same
-    per-index randomness.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return rng.spawn(n)

@@ -289,7 +289,7 @@ def direct_conjugate_from_zero_sampler(rate, beta, spec, p, n, rng):
     return np.log1p(np.bincount(owner, weights=zeta**2 / denom, minlength=n))
 
 
-def _generation_clauses(params, spec, rate_scale, out_size, rng):
+def _generation_clauses(params, spec, out_size, rng):
     """One generation's clauses in ``rde.step``'s draw order.
 
     The total count is one Poisson(rate * out_size) draw, then each clause
@@ -297,7 +297,7 @@ def _generation_clauses(params, spec, rate_scale, out_size, rng):
     """
     from quadglass.disorder import _sample_shape
 
-    rate = params.alpha * rate_scale * params.p
+    rate = params.alpha * params.p
     total = int(rng.poisson(rate * out_size))
     owner = rng.integers(0, out_size, size=total)
     zeta = _sample_shape(spec, (total,), rng)
@@ -305,7 +305,7 @@ def _generation_clauses(params, spec, rate_scale, out_size, rng):
     return owner, zeta, xi
 
 
-def conjugate_step(values, params, spec, rate_scale, out_size, rng):
+def conjugate_step(values, params, spec, out_size, rng):
     """One generation of the variance map conjugated by y = -log x.
 
     Array in, array out: each output is
@@ -317,7 +317,7 @@ def conjugate_step(values, params, spec, rate_scale, out_size, rng):
     if params.beta == 0:
         raise ValueError("conjugate map undefined at beta = 0")
     gamma = 1.0 / (2.0 * params.beta)
-    owner, zeta, xi = _generation_clauses(params, spec, rate_scale, out_size, rng)
+    owner, zeta, xi = _generation_clauses(params, spec, out_size, rng)
     if params.p > 1:
         picks = values[rng.integers(0, values.size, size=xi.shape)]
         denom = gamma + np.sum(xi**2 * np.exp(-picks), axis=1)
@@ -433,13 +433,13 @@ def poisson_uniform_p_zero(lam):
     return exp(-lam) / lam * total
 
 
-def out_of_place_step(values, params, spec, rate_scale, out_size, rng):
+def out_of_place_step(values, params, spec, out_size, rng):
     """One generation of the variance map as one expression per array.
 
     Draws in ``rde.step``'s order and evaluates its arithmetic on fresh
     arrays, so the two agree bit for bit.
     """
-    owner, zeta, xi = _generation_clauses(params, spec, rate_scale, out_size, rng)
+    owner, zeta, xi = _generation_clauses(params, spec, out_size, rng)
     picks = values[rng.integers(0, values.size, size=xi.shape)]
     two_beta = 2.0 * params.beta
     denom = 1.0 + two_beta * np.sum(picks * xi**2, axis=1)
@@ -448,7 +448,7 @@ def out_of_place_step(values, params, spec, rate_scale, out_size, rng):
 
 
 def serial_fixed_point(
-    params, disorder, rate_scale, rng, pop_size, tol, max_gens, init=None
+    params, disorder, rng, pop_size, tol, max_gens, init=None
 ):
     """The fixed-point loop written out: ``step``, then W1 to the last
     generation and between the new generation's two halves.
@@ -469,12 +469,12 @@ def serial_fixed_point(
     )
 
     w = CONVERGENCE_WINDOW
-    rate = params.alpha * rate_scale * params.p
+    rate = params.alpha * params.p
     current = delta_population(1.0, pop_size, rate) if init is None else init
     half = pop_size // 2
     gaps, floors, means, mean_ses = [], [], [], []
     for _ in range(max_gens):
-        new = step(current, params, disorder, rate_scale, pop_size, rng)
+        new = step(current, params, disorder, pop_size, rng)
         halves = Population(new.values[:half]), Population(new.values[half:2 * half])
         gaps.append(wasserstein(current, new))
         floors.append(wasserstein(*halves) / math.sqrt(2))

@@ -473,7 +473,7 @@ def test_memory_guard_counts_one_push():
     )
     params, spec = cli._model_pieces(options)
     peak = _traced_peak(lambda: solve_fixed_point(
-        params, spec, 1.0, np.random.default_rng(25), pop_size=100_000, max_gens=12,
+        params, spec, np.random.default_rng(25), pop_size=100_000, max_gens=12,
         init=Population(np.linspace(0.05, 1.0, 100_000)),
     ))
     assert peak <= need + 64 * 1024
@@ -886,18 +886,37 @@ def test_unconverged_fixed_point_warns_once(tmp_path, capsys, kind):
     assert flag in err
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("kind", ["rde", "free-energy", "convergence"])
+@pytest.mark.parametrize("kind, p", [
+    *((kind, p) for kind in ("rde", "free-energy", "convergence") for p in (2, 3)),
+    ("rde", 1), ("free-energy", 1),
+])
 def test_rde_generation_past_float_range_exits_4_without_traceback(tmp_path, capsys, kind, p):
-    # 2*beta is finite, but gaussian weights push 2*beta*z^2 past the float range
     base = {"rde": BASE_RDE, "free-energy": BASE_LIMIT, "convergence": BASE_CONV}[kind]
-    cfg = write_cfg(tmp_path, base.replace("model.beta=0.25", "model.beta=1e307")
-                    .replace("model.p=2", f"model.p={p}").replace("rademacher", "gaussian")
-                    .replace("rde.pop_size=2000", "rde.pop_size=200") + "rde.max_gens=5\n")
+    if p == 1:
+        # each +-1 clause adds a finite 2*beta = 1e308 to its owner's total,
+        # and an owner of two clauses sums past the float range
+        edits = {"model.beta=0.25": "model.beta=5e307", "model.alpha=0.5": "model.alpha=1.0",
+                 "model.p=2": "model.p=1", "rde.pop_size=2000": "rde.pop_size=1000"}
+    else:
+        # 2*beta is finite, but gaussian weights push 2*beta*z^2 past the float range
+        edits = {"model.beta=0.25": "model.beta=1e307", "model.p=2": f"model.p={p}",
+                 "rademacher": "gaussian", "rde.pop_size=2000": "rde.pop_size=200"}
+    for old, new in edits.items():
+        base = base.replace(old, new)
+    cfg = write_cfg(tmp_path, base + "rde.max_gens=5\n")
     assert run_cli([kind, "--config", cfg, "--out", tmp_path / "o"]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure in {kind}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_thinned_edge_density_that_underflows_exits_4(tmp_path, capsys):
+    # alpha = 5e-324 is positive, but alpha*x rounds to 0 at every node
+    cfg = write_cfg(tmp_path, BASE_LIMIT.replace("model.alpha=0.5", "model.alpha=5e-324"))
+    assert run_cli(["free-energy", "--config", cfg, "--out", tmp_path / "o"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in free-energy: the edge density alpha*x underflows")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("param", ["1e200", "1e154"])

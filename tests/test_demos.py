@@ -53,3 +53,12 @@ def test_cavity_demo_index_constructions_agree():
     match = re.search(r"total-variation distance\s+(\S+)", done.stdout)
     assert match is not None, done.stdout
     assert float(match.group(1)) < 0.005
+
+
+def test_pair_demo_x_marginal_meets_the_fixed_point():
+    # A12's bound on the X-marginal W1; this demo reads 0.0007
+    done = run_demo("05_pair_probe_and_truncation.py")
+    assert done.returncode == 0, done.stderr
+    match = re.search(r"one-dimensional fixed point:\s+(\S+)", done.stdout)
+    assert match is not None, done.stdout
+    assert float(match.group(1)) < 0.01

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadglass.disorder import DisorderSpec, _sample_shape, truncate_spec
+from quadglass.disorder import DisorderSpec, _sample_shape
 from quadglass.streams import stream
 
 from oracles import numpy_direct_draws, second_moment, truncated_gaussian_second_moment
@@ -56,17 +56,15 @@ def test_truncated_gaussian_second_moment_vs_quadrature_oracle():
 
 
 def test_truncation_identity_cases():
-    spec = DisorderSpec("gaussian", 1.0)
-    assert truncate_spec(spec, math.inf) == spec
-    rad = DisorderSpec("rademacher")
-    assert truncate_spec(rad, 2.0).truncation == 2.0
-    draws = _sample_shape(truncate_spec(rad, 2.0), (1000,), stream(3, "radtr"))
+    assert DisorderSpec("gaussian", 1.0, truncation=math.inf) == DisorderSpec("gaussian", 1.0)
+    rad = DisorderSpec("rademacher", truncation=2.0)
+    assert rad.truncation == 2.0
+    draws = _sample_shape(rad, (1000,), stream(3, "radtr"))
     assert set(np.unique(draws)) <= {-1.0, 1.0}
 
 
 def test_truncated_gaussian_moment_strictly_below_untruncated():
-    spec = DisorderSpec("gaussian", 1.0)
-    truncated = truncate_spec(spec, 1.0)
+    truncated = DisorderSpec("gaussian", 1.0, truncation=1.0)
     assert second_moment(truncated) < 1.0
     assert second_moment(truncated) == pytest.approx(
         truncated_gaussian_second_moment(1.0, 1.0), abs=1e-10
@@ -74,15 +72,14 @@ def test_truncated_gaussian_moment_strictly_below_untruncated():
 
 
 def test_truncation_monotone_in_level():
-    spec = DisorderSpec("gaussian", 1.0)
     levels = [0.5, 1.0, 2.0, 4.0, math.inf]
-    moments = [second_moment(truncate_spec(spec, c)) for c in levels]
+    moments = [second_moment(DisorderSpec("gaussian", 1.0, truncation=c)) for c in levels]
     assert all(a <= b + 1e-15 for a, b in zip(moments, moments[1:]))
 
 
 def test_truncated_uniform_second_moment():
     # mass outside [-c, c] collapses onto 0: integral of x^2/(2a) over [-c, c]
-    spec = truncate_spec(DisorderSpec("uniform_symmetric", 2.0), 1.5)
+    spec = DisorderSpec("uniform_symmetric", 2.0, truncation=1.5)
     assert second_moment(spec) == pytest.approx(1.5**3 / (3 * 2.0), rel=1e-14)
     n = 10**6
     draws = _sample_shape(spec, (n,), stream(6, "utr"))
@@ -95,11 +92,6 @@ def test_truncation_zeroes_out_of_range_draws():
     draws = _sample_shape(spec, (10**5,), stream(4, "trunc"))
     assert np.abs(draws).max() <= 1.0
     assert (draws == 0.0).mean() > 0.25  # two-sided tail mass ~0.317
-
-
-def test_stacked_truncation_keeps_tighter_level():
-    spec = truncate_spec(truncate_spec(DisorderSpec("gaussian", 1.0), 2.0), 3.0)
-    assert spec.truncation == 2.0
 
 
 def test_reproducible_given_stream():
@@ -149,5 +141,5 @@ def test_degenerate_and_invalid_specs_rejected():
             DisorderSpec("gaussian", param)
     with pytest.raises(ValueError):
         DisorderSpec("cauchy")
-    with pytest.raises(ValueError):
-        truncate_spec(DisorderSpec("gaussian"), 0.0)
+    with pytest.raises(ValueError, match="truncation must be positive"):
+        DisorderSpec("gaussian", truncation=0.0)

@@ -30,7 +30,7 @@ from quadglass.model import (
     sample_model,
     woodbury_residual,
 )
-from quadglass.streams import stream, substreams
+from quadglass.streams import stream
 
 from oracles import (
     closed_pattern_by_products,
@@ -229,7 +229,7 @@ def test_woodbury_residual_factors_the_bulk_only_with_interior_sites(factor_call
     seen = set()
     for p in (1, 2, 3):
         params = ModelParams(0.5, 0.5, 0.0, p)
-        for child in substreams(stream(9, "wcount", p), 10):
+        for child in stream(9, "wcount", p).spawn(10):
             split = cavity_split(params, RAD, 30, child)
             del factor_calls[:]
             woodbury_residual(split)
@@ -268,7 +268,7 @@ def test_inverse_diagonal_exact_where_cancellation_drops_fill_from_l():
         ModelParams(0.5, 0.25, 1.0, 2), ModelParams(1.0, 0.5, 0.0, 2),
         ModelParams(0.8, 0.5, 0.0, 3),
     ):
-        for child in substreams(stream(110, "zero-fill", params.p, str(params.alpha)), 30):
+        for child in stream(110, "zero-fill", params.p, str(params.alpha)).spawn(30):
             models.append(sample_model(params, RAD, 60, child))
     dropped = []  # whether SuperLU left entries the elimination needs out of L
     for model in models:

@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,8 +135,9 @@ def test_thinned_rates_stochastically_dominate():
     # fewer clauses -> larger variances: the population mean at a smaller
     # rate scale cannot sit below the full-rate mean
     par = ModelParams(0.5, 0.25, 0.0, 2)
-    low = solve_fixed_point(par, RAD, 0.3, stream(18, "dom1"), pop_size=10**5)
-    high = solve_fixed_point(par, RAD, 1.0, stream(19, "dom2"), pop_size=10**5)
+    low = solve_fixed_point(replace(par, alpha=par.alpha * 0.3), RAD, stream(18, "dom1"),
+                            pop_size=10**5)
+    high = solve_fixed_point(par, RAD, stream(19, "dom2"), pop_size=10**5)
     se = combined_se(
         jackknife_se(low.population.values), jackknife_se(high.population.values)
     )
@@ -159,15 +161,18 @@ def test_sweep_solves_nodes_then_x1_each_warm_started(monkeypatch, h):
 
     def spy(*args, **kwargs):
         report = real(*args, **kwargs)
-        calls.append((args[2], kwargs["init"], report))
+        calls.append((args[0], kwargs["init"], report))
         return report
 
     monkeypatch.setattr(free_energy, "solve_fixed_point", spy)
-    res = limiting_free_energy(
-        ModelParams(0.5, 0.25, h, 2), RAD, 3, stream(21, "sweep"),
-        pop_size=500, n_mc=500, max_gens=5,
-    )
-    assert [rate for rate, _, _ in calls] == list(gauss_legendre(3)[0]) + ([1.0] if h else [])
+    par = ModelParams(0.5, 0.25, h, 2)
+    res = limiting_free_energy(par, RAD, 3, stream(21, "sweep"), pop_size=500, n_mc=500,
+                               max_gens=5)
+    # sweep point x solves the same model at edge density alpha * x
+    sweep = list(gauss_legendre(3)[0]) + ([1.0] if h else [])
+    assert [params for params, _, _ in calls] == [
+        ModelParams(par.alpha * float(x), par.beta, par.h, par.p) for x in sweep
+    ]
     assert calls[0][1] is None
     for (_, _, previous), (_, init, _) in zip(calls, calls[1:]):
         assert init is previous.population

@@ -24,7 +24,7 @@ from quadglass.model import (
     sample_model,
     woodbury_residual,
 )
-from quadglass.streams import stream, substreams
+from quadglass.streams import stream
 
 from oracles import (
     boundary_clauses,
@@ -63,7 +63,7 @@ def test_clause_count_is_poisson():
     params = ModelParams(1.0, 0.5, 0.0, 2)
     counts = [
         sample_model(params, RAD, 1000, child).n_clauses
-        for child in substreams(stream(1, "poisson"), 200)
+        for child in stream(1, "poisson").spawn(200)
     ]
     assert abs(np.mean(counts) - 1000) < 4 * math.sqrt(1000) / math.sqrt(200)
 
@@ -158,7 +158,7 @@ def test_logdet_matches_eigenvalue_oracle():
 
 def test_logdet_incremental_agrees_on_100_instances():
     rng = stream(22, "dual")
-    for child in substreams(rng, 100):
+    for child in rng.spawn(100):
         n = int(child.integers(5, 201))
         params = ModelParams(0.5, float(child.uniform(0.1, 1.0)), 0.0, 2)
         model = sample_model(params, RAD, n, child)
@@ -320,7 +320,7 @@ def test_split_counts_add_up_to_full_rate():
         s.bulk.n_clauses + s.n_boundary
         for s in (
             cavity_split(params, RAD, 200, child)
-            for child in substreams(stream(70, "split"), 300)
+            for child in stream(70, "split").spawn(300)
         )
     ]
     se = math.sqrt(200.0 / 300.0)
@@ -339,17 +339,17 @@ def test_reassembled_free_energy_matches_direct_in_law():
     # so the replicate count sets the resolvable threshold
     params = ModelParams(1.0, 0.5, 1.0, 2)
     n, reps = 200, 2000
-    rng_a, rng_b = substreams(stream(72, "law"), 2)
+    rng_a, rng_b = stream(72, "law").spawn(2)
     f_split = np.array(
         [
             finite_free_energy(reassemble(cavity_split(params, RAD, n, c)))
-            for c in substreams(rng_a, reps)
+            for c in rng_a.spawn(reps)
         ]
     )
     f_direct = np.array(
         [
             finite_free_energy(sample_model(params, RAD, n, c))
-            for c in substreams(rng_b, reps)
+            for c in rng_b.spawn(reps)
         ]
     )
     assert ks_distance(f_split, f_direct) < 0.05
@@ -415,7 +415,7 @@ def test_residual_exact_at_arity_one():
 def test_residual_and_bound_match_dense_oracle(p, spec):
     params = ModelParams(0.5, 0.5, 0.0, p)
     splits = [cavity_split(params, spec, 25, child)
-              for child in substreams(stream(83, "dense", p), 20)]
+              for child in stream(83, "dense", p).spawn(20)]
     assert {s.n_boundary == 0 for s in splits} == {True, False}  # R = 0 is covered
     for split in splits:
         res = woodbury_residual(split)
@@ -427,7 +427,7 @@ def test_residual_and_bound_match_dense_oracle(p, spec):
 def test_residual_small_and_dominated_by_bound():
     params = ModelParams(1.0, 0.5, 0.0, 2)
     residuals, ratios = [], []
-    for child in substreams(stream(82, "res"), 40):
+    for child in stream(82, "res").spawn(40):
         res = woodbury_residual(cavity_split(params, RAD, 400, child))
         residuals.append(res.residual)
         if res.bound > 0:

@@ -12,7 +12,7 @@ from quadglass.disorder import DisorderSpec
 from quadglass.model import ModelParams, NumericalError
 from quadglass.rde import (
     Population,
-    _quantile_distance,
+    _sorted_distance,
     contraction_factor,
     delta_population,
     dump_population,
@@ -89,13 +89,13 @@ def test_population_file_rejects_a_value_line_with_two_fields(tmp_path):
 
 def test_step_zero_temperature_is_point_mass_at_one():
     pop = delta_population(0.3, 500)
-    out = step(pop, params_with(beta=0.0), RAD, 1.0, 500, stream(1, "b0"))
+    out = step(pop, params_with(beta=0.0), RAD, 500, stream(1, "b0"))
     assert np.all(out.values == 1.0)
 
 
 def test_step_that_draws_no_clause_returns_ones():
     # Poisson(1e-300) is 0: the generation draws no clause at all
-    out = step(delta_population(0.3, 1), params_with(), RAD, 1e-300, 1, stream(1, "none"))
+    out = step(delta_population(0.3, 1), params_with(1e-300), RAD, 1, stream(1, "none"))
     assert out.values.dtype == float
     assert np.array_equal(out.values, [1.0])
 
@@ -103,7 +103,7 @@ def test_step_that_draws_no_clause_returns_ones():
 def test_step_outputs_stay_in_unit_interval():
     rng = stream(2, "range")
     pop = Population(rng.uniform(0.01, 1.0, 2000))
-    out = step(pop, params_with(beta=4.0), DisorderSpec("gaussian", 2.0), 1.0, 5000, rng)
+    out = step(pop, params_with(beta=4.0), DisorderSpec("gaussian", 2.0), 5000, rng)
     assert out.values.min() > 0
     assert out.values.max() <= 1.0
 
@@ -112,10 +112,10 @@ def test_step_mass_at_one_matches_poisson_zero_probability():
     # at p = 1 with +-1 weights an output is exactly 1/(1 + 2*beta*K), K its
     # clause count; K must be Poisson(rate) on each half of the outputs,
     # which also checks that clause owners are uniform
-    lam = 2.0 * 0.7 * 1  # alpha * rate_scale * p
+    lam = 1.4 * 1  # alpha * p
     n = 2 * 10**5
     pop = delta_population(0.5, 1000)
-    out = step(pop, params_with(alpha=2.0, beta=1.0, p=1), RAD, 0.7, n, stream(3, "mass"))
+    out = step(pop, params_with(alpha=1.4, beta=1.0, p=1), RAD, n, stream(3, "mass"))
     counts = np.rint((1.0 / out.values - 1.0) / 2.0).astype(int)
     assert np.array_equal(1.0 / (1.0 + 2.0 * counts), out.values)
     for half in (counts[: n // 2], counts[n // 2:]):
@@ -130,8 +130,8 @@ def test_step_p1_law_ignores_population():
     n = 10**5
     pop_a = delta_population(0.9, 100)
     pop_b = delta_population(0.1, 100)
-    out_a = step(pop_a, par, RAD, 1.0, n, stream(4, "p1a"))
-    out_b = step(pop_b, par, RAD, 1.0, n, stream(5, "p1b"))
+    out_a = step(pop_a, par, RAD, n, stream(4, "p1a"))
+    out_b = step(pop_b, par, RAD, n, stream(5, "p1b"))
     oracle = direct_p1_variance_sampler(1.0, 0.5, RAD, n, stream(6, "p1o"))
     oracle_pop = Population(oracle)
     assert wasserstein(out_a, oracle_pop) < 0.005
@@ -143,8 +143,8 @@ def test_step_monotone_in_population_under_common_stream():
     par = params_with(beta=1.0)
     low = Population(np.full(1000, 0.2))
     high = Population(np.full(1000, 0.9))
-    out_low = step(low, par, RAD, 1.0, 4000, stream(7, "mono"))
-    out_high = step(high, par, RAD, 1.0, 4000, stream(7, "mono"))
+    out_low = step(low, par, RAD, 4000, stream(7, "mono"))
+    out_high = step(high, par, RAD, 4000, stream(7, "mono"))
     assert np.all(out_high.values >= out_low.values)
 
 
@@ -156,19 +156,16 @@ def test_step_monotone_in_population_under_common_stream():
 def test_in_place_step_is_the_out_of_place_expression(p, spec):
     pop = Population(stream(33, "pop").uniform(0.05, 1.0, size=700))
     rng, oracle_rng = stream(33, "step", str(p)), stream(33, "step", str(p))
-    par = params_with(0.9, 0.7, p=p)
-    got = step(pop, par, spec, 0.8, 1500, rng)
-    want = out_of_place_step(pop.values, par, spec, 0.8, 1500, oracle_rng)
+    par = params_with(0.9 * 0.8, 0.7, p=p)
+    got = step(pop, par, spec, 1500, rng)
+    want = out_of_place_step(pop.values, par, spec, 1500, oracle_rng)
     assert got.values.tobytes() == want.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_step_validates_arguments():
-    pop = delta_population(1.0, 10)
     with pytest.raises(ValueError):
-        step(pop, params_with(), RAD, 0.0, 10, stream(8, "bad"))
-    with pytest.raises(ValueError):
-        step(pop, params_with(), RAD, 1.0, 0, stream(8, "bad"))
+        step(delta_population(1.0, 10), params_with(), RAD, 0, stream(8, "bad"))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +204,7 @@ def test_wasserstein_unequal_sizes_matches_cdf_area():
     rng = stream(12, "uneq")
     x = rng.uniform(0.01, 1.0, 1500)
     y = rng.uniform(0.01, 1.0, 4000)
-    approx = _quantile_distance(x, y)
+    approx = wasserstein(Population(x), Population(y))
     exact = w1_via_cdf_area(x, y)
     assert approx == pytest.approx(exact, abs=2e-3)
 
@@ -218,7 +215,7 @@ def test_wasserstein_unequal_sizes_matches_cdf_area():
 
 def test_zero_temperature_converges_immediately():
     report = solve_fixed_point(
-        params_with(beta=0.0), RAD, 1.0, stream(20, "fp0"), pop_size=2000, max_gens=50
+        params_with(beta=0.0), RAD, stream(20, "fp0"), pop_size=2000, max_gens=50
     )
     assert report.converged
     assert np.all(report.population.values == 1.0)
@@ -232,37 +229,37 @@ def test_extreme_initializations_agree():
     par = params_with(alpha=1.0, beta=1.0)
     kw = dict(pop_size=10**5, max_gens=120)
     top = solve_fixed_point(
-        par, RAD, 1.0, stream(21, "hi"),
+        par, RAD, stream(21, "hi"),
         init=delta_population(1.0, 10**5), **kw,
     )
     bottom = solve_fixed_point(
-        par, RAD, 1.0, stream(22, "lo"),
+        par, RAD, stream(22, "lo"),
         init=delta_population(0.05, 10**5), **kw,
     )
     assert wasserstein(top.population, bottom.population) < 4e-3
 
 
 def test_fixed_point_p1_matches_direct_sampler():
-    par = params_with(beta=0.5, p=1)
+    par = params_with(alpha=0.8, beta=0.5, p=1)
     report = solve_fixed_point(
-        par, RAD, 0.8, stream(23, "p1fp"), pop_size=10**5, max_gens=60
+        par, RAD, stream(23, "p1fp"), pop_size=10**5, max_gens=60
     )
-    oracle = direct_p1_variance_sampler(0.8 * 1.0 * 1, 0.5, RAD, 10**5, stream(24, "p1fpo"))
+    oracle = direct_p1_variance_sampler(0.8 * 1, 0.5, RAD, 10**5, stream(24, "p1fpo"))
     assert wasserstein(report.population, Population(oracle)) < 0.005
 
 
 def test_converged_population_is_stable_under_one_more_step():
     par = params_with(alpha=0.5, beta=0.25)
-    report = solve_fixed_point(par, RAD, 1.0, stream(25, "stab"), pop_size=10**5)
+    report = solve_fixed_point(par, RAD, stream(25, "stab"), pop_size=10**5)
     assert report.converged
-    pushed = step(report.population, par, RAD, 1.0, report.population.size, stream(26, "push"))
+    pushed = step(report.population, par, RAD, report.population.size, stream(26, "push"))
     assert wasserstein(report.population, pushed) < 3 * rde.TOL
 
 
 def test_non_convergence_reports_flag_not_exception():
     # the stopping rule needs a full window, so no stream can stop this solve
     report = solve_fixed_point(
-        params_with(alpha=1.0, beta=1.0), RAD, 1.0, stream(27, "nc"),
+        params_with(alpha=1.0, beta=1.0), RAD, stream(27, "nc"),
         pop_size=500, max_gens=rde.CONVERGENCE_WINDOW - 1,
     )
     assert not report.converged
@@ -276,7 +273,7 @@ def test_planted_drift_is_not_converged(monkeypatch):
     # than its SE across the window
     monkeypatch.setattr(rde, "TOL", 1e-2)
     drift, par, kw = 1e-3, params_with(0.5, 0.25), dict(pop_size=20_000)
-    start = solve_fixed_point(par, RAD, 1.0, stream(36, "drift-start"), **kw).population
+    start = solve_fixed_point(par, RAD, stream(36, "drift-start"), **kw).population
     real_step = rde.step
 
     def drifting_step(pop, *args):
@@ -285,7 +282,7 @@ def test_planted_drift_is_not_converged(monkeypatch):
         return Population(out.values - shift, out.rate, out.generation)
 
     monkeypatch.setattr(rde, "step", drifting_step)
-    report = solve_fixed_point(par, RAD, 1.0, stream(36, "drift"), max_gens=30, init=start, **kw)
+    report = solve_fixed_point(par, RAD, stream(36, "drift"), max_gens=30, init=start, **kw)
     assert all(g < rde.TOL for g in report.gaps)
     assert not report.converged
     assert report.generations == 30
@@ -297,7 +294,7 @@ def test_generation_counts_are_stable_across_seeds():
     # max_gens
     par, spec = params_with(0.5, 0.5, h=1.0), DisorderSpec("gaussian", 1.0, 2.0)
     reports = [
-        solve_fixed_point(par, spec, 1.0, stream(seed, "seed-stability"), pop_size=20_000)
+        solve_fixed_point(par, spec, stream(seed, "seed-stability"), pop_size=20_000)
         for seed in range(12)
     ]
     assert all(r.converged for r in reports)
@@ -312,17 +309,17 @@ def test_halves_floor_reads_as_a_second_push_of_the_whole_population(monkeypatch
     # read halves/second push in [0.875, 1.095], and without the sqrt(2)
     # in [1.24, 1.55]; at 30 generations the spread is 2.3 times wider
     par, n, gens = params_with(0.5, 0.25, h=1.0), 20_000, 200
-    start = solve_fixed_point(par, RAD, 1.0, stream(38, "sqrt2-start"), pop_size=n).population
+    start = solve_fixed_point(par, RAD, stream(38, "sqrt2-start"), pop_size=n).population
     monkeypatch.setattr(rde, "_stops", lambda *args: False)
-    report = solve_fixed_point(par, RAD, 1.0, stream(38, "sqrt2"), pop_size=n,
+    report = solve_fixed_point(par, RAD, stream(38, "sqrt2"), pop_size=n,
                                max_gens=gens, init=start)
     rng = stream(38, "sqrt2")
     second_rng = np.random.Generator(rng.bit_generator.jumped())
     current, second_floors = start, []
     for _ in range(gens):
-        second = out_of_place_step(current.values, par, RAD, 1.0, n, second_rng)
-        current = step(current, par, RAD, 1.0, n, rng)
-        second_floors.append(_quantile_distance(second, current.values))
+        second = out_of_place_step(current.values, par, RAD, n, second_rng)
+        current = step(current, par, RAD, n, rng)
+        second_floors.append(wasserstein(Population(second), current))
     assert report.population.values.tobytes() == current.values.tobytes()
     assert 0.85 <= np.mean(report.floors) / np.mean(second_floors) <= 1.2
 
@@ -331,36 +328,45 @@ def test_generation_past_float_range_raises_numerical_error():
     # 2*beta = 2e307 is finite; 2*beta*z^2 overflows for |z| > 3
     with pytest.raises(NumericalError, match="generation 1 "):
         step(delta_population(1.0, 200), params_with(0.5, 1e307), DisorderSpec("gaussian"),
-             1.0, 200, stream(28, "overflow"))
+             200, stream(28, "overflow"))
+
+
+def test_generation_whose_per_output_sum_overflows_raises_numerical_error():
+    # at p = 1 every clause adds 2*beta = 1e308 to its owner's total, a finite
+    # term; an output owning two clauses sums to inf in bincount, which no
+    # floating-point error flag reports
+    with pytest.raises(NumericalError, match="per-output sum overflowed"):
+        step(delta_population(1.0, 1000), params_with(1.0, 5e307, p=1), RAD,
+             1000, stream(28, "sum-overflow"))
 
 
 @pytest.mark.parametrize(
-    "par, spec, rate_scale, tol, kw, converges",
+    "par, spec, tol, kw, converges",
     [
-        (params_with(0.5, 0.5, p=2), DisorderSpec("gaussian", 1.0, 2.0), 0.7, 1e-2,
+        (params_with(0.5 * 0.7, 0.5, p=2), DisorderSpec("gaussian", 1.0, 2.0), 1e-2,
          dict(pop_size=4000, max_gens=60), True),
-        (params_with(0.8, 0.5, p=3), RAD, 1.0, rde.TOL,
+        (params_with(0.8, 0.5, p=3), RAD, rde.TOL,
          dict(pop_size=3000, max_gens=rde.CONVERGENCE_WINDOW - 1), False),
-        (params_with(1.0, 0.5, p=1), DisorderSpec("uniform_symmetric", 1.5), 0.5, 2e-2,
+        (params_with(1.0 * 0.5, 0.5, p=1), DisorderSpec("uniform_symmetric", 1.5), 2e-2,
          dict(pop_size=3000, max_gens=60), True),
-        (params_with(1.0, 1.0, p=2), DisorderSpec("two_point_symmetric", 0.7), 1.0, rde.TOL,
+        (params_with(1.0, 1.0, p=2), DisorderSpec("two_point_symmetric", 0.7), rde.TOL,
          dict(pop_size=2500, max_gens=rde.CONVERGENCE_WINDOW - 1,
               init=delta_population(0.3, 4000)),
          False),
-        (params_with(0.5, 0.25, h=1.0, p=2), RAD, 1.0, 1e-2,
+        (params_with(0.5, 0.25, h=1.0, p=2), RAD, 1e-2,
          dict(pop_size=3001, max_gens=60), True),
     ],
     ids=["gaussian-c2-p2-converges", "rademacher-p3-at-max-gens", "uniform-p1",
          "warm-start-other-size", "odd-size-drops-the-last-output"],
 )
 def test_solve_is_the_serial_loop(
-    monkeypatch, par, spec, rate_scale, tol, kw, converges
+    monkeypatch, par, spec, tol, kw, converges
 ):
     # the solve is the serial loop of step, the gap and the halves' floor, and
     # draws no generation in vain; the unconverged cases stop short of a window
     monkeypatch.setattr(rde, "TOL", tol)
     oracle_rng = stream(30, "ahead")
-    expected = serial_fixed_point(par, spec, rate_scale, oracle_rng, tol=tol, **kw)
+    expected = serial_fixed_point(par, spec, oracle_rng, tol=tol, **kw)
     real_step, n_steps = rde.step, []
     rng = stream(30, "ahead")
 
@@ -370,7 +376,7 @@ def test_solve_is_the_serial_loop(
         return real_step(*args)
 
     monkeypatch.setattr(rde, "step", counted_step)
-    report = solve_fixed_point(par, spec, rate_scale, rng, **kw)
+    report = solve_fixed_point(par, spec, rng, **kw)
     assert len(n_steps) == report.generations
     assert report.converged is expected.converged is converges
     assert report.generations == expected.generations
@@ -390,7 +396,7 @@ def test_solve_exits_cleanly_when_a_push_fails(monkeypatch):
     monkeypatch.setattr(rde, "step", _failing_at(
         real_step, 2, lambda g: g is oracle_rng, NumericalError))
     with pytest.raises(NumericalError):
-        serial_fixed_point(par, RAD, 1.0, oracle_rng, tol=rde.TOL, **kw)
+        serial_fixed_point(par, RAD, oracle_rng, tol=rde.TOL, **kw)
     baseline = threading.active_count()
     rng = stream(31, "fail")
     failing = _failing_at(real_step, 2, lambda g: g is rng, NumericalError)
@@ -401,7 +407,7 @@ def test_solve_exits_cleanly_when_a_push_fails(monkeypatch):
 
     monkeypatch.setattr(rde, "step", counted_step)
     with pytest.raises(NumericalError, match="step 2"):
-        solve_fixed_point(par, RAD, 1.0, rng, **kw)
+        solve_fixed_point(par, RAD, rng, **kw)
     assert len(calls) == 2  # the pushes of generations 1 and 2, and no more
     assert threading.active_count() == baseline
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -438,7 +444,7 @@ def test_solve_raises_as_the_serial_loop_when_a_draw_fails(
             monkeypatch.setattr(rde, "step", _failing_at(real_step, 3, lambda g: g is rng))
         baseline = threading.active_count()
         with pytest.raises(Exception) as info:
-            solve(par, RAD, 1.0, rng, **kw)
+            solve(par, RAD, rng, **kw)
         assert threading.active_count() == baseline
         outcomes.append((info.type, str(info.value), rng.bit_generator.state))
     assert outcomes[0][0] is (ValueError if large else MemoryError)
@@ -451,7 +457,7 @@ def test_concurrent_solves_each_match_the_serial_loop():
     par, kw = params_with(0.5, 0.5, p=3), dict(pop_size=1500, max_gens=20)
 
     def solve(i):
-        return solve_fixed_point(par, RAD, 1.0, stream(34, str(i)), **kw)
+        return solve_fixed_point(par, RAD, stream(34, str(i)), **kw)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -461,17 +467,9 @@ def test_concurrent_solves_each_match_the_serial_loop():
     finally:
         sys.setswitchinterval(interval)
     for i, report in enumerate(reports):
-        expected = serial_fixed_point(par, RAD, 1.0, stream(34, str(i)), tol=rde.TOL, **kw)
+        expected = serial_fixed_point(par, RAD, stream(34, str(i)), tol=rde.TOL, **kw)
         assert report.gaps == expected.gaps
         assert report.population.values.tobytes() == expected.population.values.tobytes()
-
-
-def test_solve_leaves_rng_untouched_on_bad_rate_scale():
-    rng = stream(32, "bad")
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match="rate_scale"):
-        solve_fixed_point(params_with(), RAD, 1.5, rng, pop_size=100)
-    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("pop_size", [1, 0])
@@ -480,7 +478,7 @@ def test_solve_rejects_a_population_that_cannot_split(pop_size):
     rng = stream(33, "bad-pop")
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="pop_size"):
-        solve_fixed_point(params_with(), RAD, 1.0, rng, pop_size=pop_size, max_gens=40)
+        solve_fixed_point(params_with(), RAD, rng, pop_size=pop_size, max_gens=40)
     assert rng.bit_generator.state == before
 
 
@@ -493,32 +491,33 @@ def test_conjugate_step_conjugates_the_variance_map():
     n = 10**5
     rng = stream(30, "conj")
     base = Population(rng.uniform(0.2, 1.0, n))
-    direct = -np.log(step(base, par, RAD, 1.0, n, stream(31, "cd")).values)
-    conjug = conjugate_step(-np.log(base.values), par, RAD, 1.0, n, stream(32, "cc"))
-    assert _quantile_distance(direct, conjug) < 0.01
+    direct = -np.log(step(base, par, RAD, n, stream(31, "cd")).values)
+    conjug = conjugate_step(-np.log(base.values), par, RAD, n, stream(32, "cc"))
+    # the conjugate values leave (0, 1], so no Population holds them
+    assert _sorted_distance(np.sort(direct), np.sort(conjug)) < 0.01
 
 
 def test_conjugate_step_is_minus_log_of_step_under_a_shared_stream():
-    par = params_with(alpha=1.0, beta=0.7, p=3)
+    par = params_with(alpha=1.0 * 0.6, beta=0.7, p=3)
     base = Population(stream(37, "shared").uniform(0.2, 1.0, 2000))
-    direct = -np.log(step(base, par, RAD, 0.6, 5000, stream(38, "sh")).values)
-    conjug = conjugate_step(-np.log(base.values), par, RAD, 0.6, 5000, stream(38, "sh"))
+    direct = -np.log(step(base, par, RAD, 5000, stream(38, "sh")).values)
+    conjug = conjugate_step(-np.log(base.values), par, RAD, 5000, stream(38, "sh"))
     assert np.allclose(direct, conjug, rtol=1e-12, atol=1e-14)
 
 
 def test_conjugate_step_from_zero_matches_direct_sampler():
     par = params_with(alpha=1.0, beta=0.7, p=3)
     n = 10**5
-    out = conjugate_step(np.zeros(100), par, RAD, 1.0, n, stream(33, "cz"))
+    out = conjugate_step(np.zeros(100), par, RAD, n, stream(33, "cz"))
     oracle = direct_conjugate_from_zero_sampler(3.0, 0.7, RAD, 3, n, stream(34, "czo"))
-    assert _quantile_distance(out, oracle) < 0.01
+    assert _sorted_distance(np.sort(out), np.sort(oracle)) < 0.01
 
 
 def test_conjugate_step_zero_mass_matches_poisson():
-    par = params_with(alpha=0.9, beta=1.0)
+    par = params_with(alpha=0.9 * 0.5, beta=1.0)
     lam = 0.9 * 0.5 * 2
     n = 10**5
-    out = conjugate_step(np.full(1000, 0.3), par, RAD, 0.5, n, stream(35, "cm"))
+    out = conjugate_step(np.full(1000, 0.3), par, RAD, n, stream(35, "cm"))
     frac = float((out == 0.0).mean())
     target = math.exp(-lam)
     se = math.sqrt(target * (1 - target) / n)
@@ -528,7 +527,7 @@ def test_conjugate_step_zero_mass_matches_poisson():
 
 def test_conjugate_step_rejects_zero_temperature():
     with pytest.raises(ValueError):
-        conjugate_step(np.zeros(10), params_with(beta=0.0), RAD, 1.0, 10, stream(36, "c0"))
+        conjugate_step(np.zeros(10), params_with(beta=0.0), RAD, 10, stream(36, "c0"))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +591,7 @@ def test_certified_q_gives_geometric_decay_of_wq_gaps():
     gaps = []
     rng = stream(48, "geoiter")
     for _ in range(21):
-        new = conjugate_step(pop, par, RAD, 1.0, 20000, rng)
+        new = conjugate_step(pop, par, RAD, 20000, rng)
         gaps.append(wq_distance(pop, new, q))
         pop = new
     ratios = np.array(gaps[1:]) / np.array(gaps[:-1])
@@ -620,7 +619,7 @@ def test_pair_step_symmetric_disorder_keeps_unit_mean():
 def test_pair_step_marginal_tracks_single_fixed_point():
     par = params_with(alpha=0.5, beta=0.25, p=2)
     pairs = iterate_pair(par, RAD, 200, 10**5, stream(52, "pairx"))
-    report = solve_fixed_point(par, RAD, 1.0, stream(53, "pairfp"), pop_size=10**5)
+    report = solve_fixed_point(par, RAD, stream(53, "pairfp"), pop_size=10**5)
     x_marginal = Population(np.minimum(pairs[:, 1], 1.0))
     assert wasserstein(x_marginal, report.population) < 0.01
 
@@ -637,7 +636,7 @@ def test_pair_step_x_column_is_step_on_the_same_draws(spec):
     par = params_with(0.9, 0.7)
     rng, step_rng = stream(55, "pair-step"), stream(55, "pair-step")
     x = pair_step(pairs, par, spec, 1500, rng)[:, 1]
-    want = step(Population(pairs[:, 1]), par, spec, 1.0, 1500, step_rng).values
+    want = step(Population(pairs[:, 1]), par, spec, 1500, step_rng).values
     assert rng.bit_generator.state == step_rng.bit_generator.state
     if spec.family == "rademacher":
         assert x.tobytes() == want.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadglass.streams import seed_sequence, stream, substreams
+from quadglass.streams import seed_sequence, stream
 
 
 def test_same_labels_reproduce_bit_for_bit():
@@ -31,11 +31,11 @@ def test_rejects_bad_seed_and_labels():
         stream(0, 1.5)
 
 
-def test_substreams_are_independent_of_consumption_order():
-    parent = stream(7, "exp")
-    kids = substreams(parent, 4)
+def test_spawned_children_are_independent_of_consumption_order():
+    # the package hands child i of Generator.spawn to replicate i, whatever
+    # order the workers draw in
+    kids = stream(7, "exp").spawn(4)
     draws = [k.standard_normal(8) for k in kids]
-    parent2 = stream(7, "exp")
-    kids2 = substreams(parent2, 4)
+    kids2 = stream(7, "exp").spawn(4)
     for arr, kid in zip(reversed(draws), reversed(kids2)):
         assert np.array_equal(arr, kid.standard_normal(8))
