@@ -13,7 +13,6 @@ from .model import (
     Factorization,
     ModelParams,
     cavity_split,
-    offdiag_moments,
     sample_model,
     woodbury_residual,
 )
@@ -25,7 +24,7 @@ from .rde import (
     solve_fixed_point,
     wasserstein,
 )
-from .stats import poisson_uniform_check
+from .stats import offdiag_moments, poisson_uniform_check
 from .streams import stream
 
 __version__ = "0.1.0"

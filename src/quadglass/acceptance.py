@@ -18,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderSpec
-from .estimate import combined_se, jackknife_se
 from .free_energy import convergence_study, limiting_free_energy
 from .model import (
     ModelParams,
     cavity_split,
     finite_free_energy,
     inverse_diagonal,
-    offdiag_moments,
     over_realizations,
     sample_model,
     woodbury_residual,
@@ -40,7 +38,16 @@ from .rde import (
     step,
     wasserstein,
 )
-from .stats import independence_check, poisson_uniform_check, pooled_inverse_diagonals, slope_fit
+from .stats import (
+    combined_se,
+    independence_check,
+    jackknife_se,
+    loo_se,
+    offdiag_moments,
+    poisson_uniform_check,
+    pooled_inverse_diagonals,
+    slope_fit,
+)
 from .streams import stream
 
 RADEMACHER = DisorderSpec("rademacher")
@@ -140,9 +147,8 @@ def a4(seed, workers=1):
                 for i in range(reps)
             ]
         )
-        se = math.sqrt(max((reps - 1) / reps * np.sum((loo - loo.mean()) ** 2), 0.0))
         distances.append(dist)
-        slacks.append(se)
+        slacks.append(loo_se(loo))
     decreasing = all(
         distances[i + 1] < distances[i] + combined_se(slacks[i], slacks[i + 1])
         for i in range(len(grid) - 1)
@@ -312,8 +318,7 @@ def a12(seed, workers=1):
     solved = solve_fixed_point(
         BASE_PARAMS, RADEMACHER, stream(seed, "A12", "fp"), pop_size=pop_size
     )
-    x_marginal = Population(np.minimum(pairs[:, 1], 1.0))
-    gap = wasserstein(x_marginal, solved.population)
+    gap = wasserstein(Population(pairs[:, 1]), solved.population)
     u = pairs[:, 0]
     u_se = jackknife_se(u)
     z = abs(u.mean() - 1.0) / u_se if u_se > 0 else 0.0

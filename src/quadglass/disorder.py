@@ -32,7 +32,7 @@ class DisorderSpec:
         ``uniform_symmetric`` (uniform on [-param, param]), or
         ``two_point_symmetric`` (±param with equal probability).
     param : float
-        Finite positive family scale parameter; ignored by ``rademacher``.
+        Finite positive family scale parameter; 1 for ``rademacher``.
     truncation : float
         Truncation level c in (0, inf]; ``inf`` means no truncation.
     """
@@ -48,16 +48,17 @@ class DisorderSpec:
             raise ValueError(f"param must be finite and positive, got {self.param!r}")
         if self.family == "uniform_symmetric" and not 2.0 * self.param < math.inf:
             raise ValueError(f"2*param must be finite, got param={self.param!r}")
+        if self.family == "rademacher" and self.param != 1.0:
+            raise ValueError(
+                f"rademacher draws +-1, so its param must be 1, got {self.param!r}; "
+                "two_point_symmetric draws +-param"
+            )
         if not self.truncation > 0:
             raise ValueError("truncation must be positive (use inf for none)")
         # A two-point law truncated below its magnitude collapses to the
         # point mass at zero; the model then divides nothing and hides bugs.
-        if self.family in ("rademacher", "two_point_symmetric"):
-            magnitude = 1.0 if self.family == "rademacher" else self.param
-            if self.truncation < magnitude:
-                raise ValueError(
-                    "truncation below the atom magnitude leaves all mass at 0"
-                )
+        if self.family in ("rademacher", "two_point_symmetric") and self.truncation < self.param:
+            raise ValueError("truncation below the atom magnitude leaves all mass at 0")
 
 
 def _sample_shape(spec, shape, rng):
@@ -80,8 +81,7 @@ def _sample_shape(spec, shape, rng):
         out[...] = rng.integers(0, 2, size=out.shape)
         out *= 2.0
         out -= 1.0
-        if spec.family == "two_point_symmetric":
-            out *= spec.param
+        out *= spec.param  # exact for rademacher, whose param is 1
     if math.isfinite(spec.truncation):
         out[np.abs(out) > spec.truncation] = 0.0
     return out

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
-from .estimate import Estimate, combined_se, jackknife_se, mc_estimate
 from .model import ModelParams, NumericalError, _float_range, finite_free_energy, over_realizations
 from .rde import (
     DEFAULT_MAX_GENS,
@@ -36,6 +35,7 @@ from .rde import (
     Population,
     solve_fixed_point,
 )
+from .stats import Estimate, combined_se, jackknife_se, mc_estimate
 
 DEFAULT_NODES = 16
 DEFAULT_N_MC = 200_000

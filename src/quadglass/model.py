@@ -37,7 +37,6 @@ from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .disorder import DisorderSpec, _sample_shape
-from .estimate import Estimate, mc_estimate
 from .parallel import parallel_map
 
 # entries of the Z[S_j, S_j] blocks that Factorization.inverse_diagonal
@@ -182,7 +181,7 @@ def _rows_with_duplicates(rows):
 def _clauses(disorder, mean, n_sites, width, rng):
     """Poisson(mean) clauses: the count m, then (m, width) distinct sites, then weights.
 
-    Besides realizations, ``rde.step``, ``rde.contraction_factor`` and
+    Besides realizations, ``rde.step``, ``rde.find_contractive_q`` and
     ``rde.pair_step`` draw their clauses here at width 1: the one site is
     the clause's owner among ``n_sites`` outputs.
     """
@@ -565,44 +564,6 @@ def ones_quadratic_form(model: FactorModel) -> float:
 def finite_free_energy(model: FactorModel) -> float:
     """F_N = (h^2/2) * (1^T A^{-1} 1)/N + log det A / (2N)."""
     return Factorization(model).free_energy
-
-
-# ---------------------------------------------------------------------------
-# off-diagonal statistics
-
-
-@dataclass(frozen=True)
-class OffDiagReport:
-    """Replicated moments of selected off-diagonal entries of A^{-1}."""
-
-    entry_12: Estimate            # mean of A^{-1}_{12}
-    product_12_13: Estimate       # mean of A^{-1}_{12} A^{-1}_{13}
-    product_12_34: Estimate       # mean of A^{-1}_{12} A^{-1}_{34}
-    scaled_square: Estimate       # mean of (N-1) (A^{-1}_{12})^2
-
-
-def offdiag_moments(
-    params: ModelParams,
-    disorder: DisorderSpec,
-    n_sites: int,
-    n_replicates: int,
-    rng: np.random.Generator,
-) -> OffDiagReport:
-    """Sample means and errors of A^{-1} cross moments over replicates."""
-    if n_sites < 4:
-        raise ValueError("n_sites must be at least 4 for the (1,2)(3,4) moment")
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be at least 1")
-    a12, a13, a34 = np.array(over_realizations(  # A^{-1}_12, A^{-1}_13, A^{-1}_34 per replicate
-        lambda model: Factorization(model).inverse_block(np.arange(4))[[0, 0, 2], [1, 2, 3]],
-        params, disorder, n_sites, n_replicates, rng,
-    )).T
-    return OffDiagReport(
-        entry_12=mc_estimate(a12),
-        product_12_13=mc_estimate(a12 * a13),
-        product_12_34=mc_estimate(a12 * a34),
-        scaled_square=mc_estimate((n_sites - 1) * a12**2),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ gaps with the floors and checks the population mean for drift.
 
 Under y = -log x the map is conjugate to one that contracts in the
 Wasserstein-q metric for q large enough, which is what makes the fixed
-point unique; :func:`contraction_factor` estimates that modulus and
-:func:`find_contractive_q` certifies a q from it.
+point unique; :func:`find_contractive_q` estimates that modulus over a
+grid of q from one draw and certifies the smallest contracting q.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderSpec, _sample_shape
-from .estimate import Estimate, mc_estimate
 from .model import ModelParams, NumericalError, _clauses, _float_range, write_rows
+from .stats import Estimate, mc_estimate
 
 CONVERGENCE_WINDOW = 10
 # cap on the window's upper 2-SE bound on gap - floor (see _stops)
@@ -279,33 +279,6 @@ def solve_fixed_point(
 # contraction diagnostics
 
 
-def contraction_factor(
-    params: ModelParams,
-    disorder: DisorderSpec,
-    q: float,
-    n_mc: int,
-    rng: np.random.Generator,
-) -> Estimate:
-    """Monte Carlo bound on the W_q modulus of the map conjugated by y = -log x.
-
-    Estimates E[(chi_R/(gamma + chi_R))^q * R*(p-1)] with
-    chi_R = sum_{k<=R} z_k^2 and R Poisson(alpha*p).  Below 1, the
-    conjugate map contracts in W_q and the fixed point is unique.
-    """
-    if params.beta == 0:
-        raise ValueError("contraction factor undefined at beta = 0")
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
-    gamma = 1.0 / (2.0 * params.beta)
-    owners, zeta = _clauses(disorder, params.alpha * params.p * n_mc, n_mc, 1, rng)
-    counts = np.bincount(owners[:, 0], minlength=n_mc)
-    chi = np.bincount(owners[:, 0], weights=zeta[:, 0] ** 2, minlength=n_mc)
-    samples = (chi / (gamma + chi)) ** q * counts * (params.p - 1)
-    return mc_estimate(samples)
-
-
 @dataclass(frozen=True)
 class ContractionScan:
     """Grid search outcome: the certified q (None if none) and all estimates."""
@@ -321,15 +294,30 @@ def find_contractive_q(
     n_mc: int,
     rng: np.random.Generator,
 ) -> ContractionScan:
-    """Smallest grid q whose estimated modulus is below 1 by 3 SE."""
-    results = []
-    found = None
-    for q in q_grid:
-        est = contraction_factor(params, disorder, float(q), n_mc, rng)
-        results.append((float(q), est))
-        if found is None and est.value + 3.0 * est.std_error < 1.0:
-            found = float(q)
-    return ContractionScan(found, tuple(results))
+    """Smallest grid q whose estimated W_q modulus is below 1 by 3 SE.
+
+    The modulus of the map conjugated by y = -log x is bounded by
+    E[(chi_R/(gamma + chi_R))^q * R*(p-1)] with chi_R = sum_{k<=R} z_k^2,
+    R Poisson(alpha*p) and gamma = 1/(2*beta).  Below 1, the conjugate
+    map contracts in W_q and the fixed point is unique.  One draw of
+    (R, chi_R) serves every grid q, so the estimates do not increase
+    with q.
+    """
+    q_grid = [float(q) for q in q_grid]
+    if params.beta == 0:
+        raise ValueError("contraction factor undefined at beta = 0")
+    if any(q < 1 for q in q_grid):
+        raise ValueError("q must be at least 1")
+    if n_mc < 1:
+        raise ValueError("n_mc must be at least 1")
+    gamma = 1.0 / (2.0 * params.beta)
+    owners, zeta = _clauses(disorder, params.alpha * params.p * n_mc, n_mc, 1, rng)
+    counts = np.bincount(owners[:, 0], minlength=n_mc)
+    chi = np.bincount(owners[:, 0], weights=zeta[:, 0] ** 2, minlength=n_mc)
+    ratio = chi / (gamma + chi)
+    estimates = tuple((q, mc_estimate(ratio ** q * counts * (params.p - 1))) for q in q_grid)
+    found = next((q for q, est in estimates if est.value + 3.0 * est.std_error < 1.0), None)
+    return ContractionScan(found, estimates)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,12 @@
-"""Shared statistical estimators and distributional identity checks.
+"""Every Monte Carlo estimator of the package, and the identity checks built on them.
+
+The scalar results carry a value and a standard error: a sample mean
+with its iid error (:func:`mc_estimate`), a jackknife error where the
+samples are weakly correlated (:func:`jackknife_se`, over the
+leave-one-out spread of :func:`loo_se`), and the root-sum-square of
+independent errors (:func:`combined_se`).  The replicated statistics of
+A^{-1} (pooled diagonals, correlations, off-diagonal moments) and the
+Poisson index check sit on top of them.
 
 A sampled statistic is "consistent with" a target when it falls within
 four standard errors of it in criteria A5, A8, A10 and A12.  The other
@@ -15,10 +23,68 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderSpec
-from .estimate import Estimate
 from .model import Factorization, ModelParams, inverse_diagonal, over_realizations
 
+JACKKNIFE_N_BLOCKS = 20  # contiguous blocks of the delete-one-block jackknife
 DEGENERATE_VARIANCE = 1e-14
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A Monte Carlo scalar: value and standard error."""
+
+    value: float
+    std_error: float
+
+    def __post_init__(self):
+        if self.std_error < 0:
+            raise ValueError("std_error must be nonnegative")
+
+
+def mc_estimate(samples: np.ndarray) -> Estimate:
+    """Sample mean with the usual sqrt(var/n) standard error."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    if n == 0:
+        raise ValueError("need at least one sample")
+    se = float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return Estimate(float(samples.mean()), se)
+
+
+def loo_se(loo: np.ndarray) -> float:
+    """Jackknife standard error from n leave-one-out estimates.
+
+    sqrt((n-1)/n * sum (loo - mean(loo))^2): :func:`jackknife_se` feeds
+    it block means, A4 its leave-one-replicate-out W1 distances.
+    """
+    n = loo.size
+    return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+
+
+def jackknife_se(values: np.ndarray) -> float:
+    """Delete-one-block jackknife standard error of the mean.
+
+    Used where samples carry weak internal correlation (population
+    snapshots, pooled replicates) and the naive iid error would be
+    optimistic.
+    """
+    values = np.asarray(values, dtype=float)
+    n_blocks = min(JACKKNIFE_N_BLOCKS, values.size)
+    if n_blocks < 2:
+        return 0.0
+    blocks = np.array_split(values, n_blocks)
+    total_sum = values.sum()
+    total_n = values.size
+    return loo_se(np.array([(total_sum - b.sum()) / (total_n - b.size) for b in blocks]))
+
+
+def combined_se(*ses: float) -> float:
+    """Root-sum-square of independent standard errors."""
+    return float(np.sqrt(sum(s * s for s in ses)))
+
+
+# ---------------------------------------------------------------------------
+# replicated statistics of A^{-1}
 
 
 @dataclass(frozen=True)
@@ -77,6 +143,40 @@ def independence_check(
     if np.any(data.var(axis=0, ddof=1) < DEGENERATE_VARIANCE):
         return CorrelationReport(None, std_error, True)
     return CorrelationReport(np.corrcoef(data, rowvar=False), std_error, False)
+
+
+@dataclass(frozen=True)
+class OffDiagReport:
+    """Replicated moments of selected off-diagonal entries of A^{-1}."""
+
+    entry_12: Estimate            # mean of A^{-1}_{12}
+    product_12_13: Estimate       # mean of A^{-1}_{12} A^{-1}_{13}
+    product_12_34: Estimate       # mean of A^{-1}_{12} A^{-1}_{34}
+    scaled_square: Estimate       # mean of (N-1) (A^{-1}_{12})^2
+
+
+def offdiag_moments(
+    params: ModelParams,
+    disorder: DisorderSpec,
+    n_sites: int,
+    n_replicates: int,
+    rng: np.random.Generator,
+) -> OffDiagReport:
+    """Sample means and errors of A^{-1} cross moments over replicates."""
+    if n_sites < 4:
+        raise ValueError("n_sites must be at least 4 for the (1,2)(3,4) moment")
+    if n_replicates < 1:
+        raise ValueError("n_replicates must be at least 1")
+    a12, a13, a34 = np.array(over_realizations(  # A^{-1}_12, A^{-1}_13, A^{-1}_34 per replicate
+        lambda model: Factorization(model).inverse_block(np.arange(4))[[0, 0, 2], [1, 2, 3]],
+        params, disorder, n_sites, n_replicates, rng,
+    )).T
+    return OffDiagReport(
+        entry_12=mc_estimate(a12),
+        product_12_13=mc_estimate(a12 * a13),
+        product_12_34=mc_estimate(a12 * a34),
+        scaled_square=mc_estimate((n_sites - 1) * a12**2),
+    )
 
 
 @dataclass(frozen=True)

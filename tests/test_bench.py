@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,43 @@ def test_reading_keeps_every_end_to_end_metric_and_correct():
     line = {"correct": False, "attempted": 3, "failed": 1,
             "metrics": {name: {"value": 2.0, "unit": "s"} for name in bench.METRICS}}
     assert bench.reading(line) == {**{name: 2.0 for name in bench.METRICS}, "correct": False}
+
+
+def _fake_runs(monkeypatch, failing_stdout):
+    """Runs that print a good line, except the change side of seed 2, which prints
+    ``failing_stdout`` or, when that is None, times out."""
+    good = json.dumps({"correct": True, "metrics": {name: {"value": 1.0}
+                                                    for name in bench.METRICS}})
+
+    def fake_run(cmd, cwd, **kwargs):
+        if Path(cwd) != bench.ROOT or cmd[cmd.index("--seed") + 1] != "2":
+            return subprocess.CompletedProcess(cmd, 0, good + "\n", "")
+        if failing_stdout is None:
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        return subprocess.CompletedProcess(cmd, 1, failing_stdout, "Traceback\nKeyError: 'x'\n")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+
+
+@pytest.mark.parametrize("failing_stdout, says", [
+    (None, "ran past 600 s"),
+    ("progress 1/3\nnot json at all\n", "'not json at all'"),
+    ("", "nothing"),
+], ids=["timeout", "not-json", "no-output"])
+def test_a_failed_run_ends_on_one_line_naming_it(tmp_path, monkeypatch, capsys,
+                                                 failing_stdout, says):
+    _fake_runs(monkeypatch, failing_stdout)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--parent", str(tmp_path), "--workload", "cavity-super2k",
+                    "--pairs", "3", "--out", str(out)])
+    message = exit_info.value.code
+    assert isinstance(message, str) and "\n" not in message
+    for part in ("cavity-super2k", "seed 2", "change side", says):
+        assert part in message
+    if failing_stdout is not None:
+        assert "KeyError" in message
+    assert not out.exists()
+    # the finished pair, seed 1, was echoed before the failure
+    echoed = capsys.readouterr().err.splitlines()
+    assert [json.loads(line)["seed"] for line in echoed] == [1]

@@ -605,12 +605,14 @@ def test_rde_poisson_mean_past_numpy_limit_names_pop_size(tmp_path, capsys, monk
         ("simulate", BASE_SIM.encode(), "o", ("--workers", -4), ("--workers",)),
         ("free-energy", BASE_LIMIT.replace("model.h=1.0", "model.h=1e200").encode(), "o", (),
          ("model.h", "h*h finite")),
+        ("simulate", (BASE_SIM + "disorder.param=3\n").encode(), "o", (),
+         ("rademacher", "param must be 1", "two_point_symmetric")),
     ],
     ids=["criteria-empty", "criteria-only-commas", "criteria-repeated", "scale-is-unknown",
          "tol-is-unknown", "rate-scale-is-unknown", "free-energy-rate-scale",
          "convergence-rate-scale", "n-grid-all-equal", "n-grid-repeats", "config-not-utf8",
          "out-is-a-file", "out-under-a-file", "workers-zero", "workers-negative",
-         "h-square-overflows"],
+         "h-square-overflows", "rademacher-param-is-not-1"],
 )
 def test_unusable_cli_input_exits_2_naming_it(tmp_path, capsys, kind, config, out, flags,
                                               keys):

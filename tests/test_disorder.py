@@ -143,3 +143,9 @@ def test_degenerate_and_invalid_specs_rejected():
         DisorderSpec("cauchy")
     with pytest.raises(ValueError, match="truncation must be positive"):
         DisorderSpec("gaussian", truncation=0.0)
+    # rademacher is +-1 whatever param says, so a param other than 1 is an error
+    for param in (3.0, 0.5):
+        with pytest.raises(ValueError, match="its param must be 1"):
+            DisorderSpec("rademacher", param)
+        with pytest.raises(ValueError, match="its param must be 1"):
+            DisorderSpec("rademacher", param, truncation=2.0)

@@ -25,11 +25,11 @@ from quadglass.model import (
     finite_free_energy,
     inverse_diagonal,
     log_det,
-    offdiag_moments,
     ones_quadratic_form,
     sample_model,
     woodbury_residual,
 )
+from quadglass.stats import offdiag_moments
 from quadglass.streams import stream
 
 from oracles import (

@@ -9,7 +9,6 @@ import pytest
 
 from quadglass import free_energy
 from quadglass.disorder import DisorderSpec
-from quadglass.estimate import combined_se, jackknife_se
 from quadglass.free_energy import (
     convergence_study,
     edge_term,
@@ -18,6 +17,7 @@ from quadglass.free_energy import (
 )
 from quadglass.model import ModelParams
 from quadglass.rde import Population, delta_population, solve_fixed_point
+from quadglass.stats import combined_se, jackknife_se
 from quadglass.streams import stream
 
 from oracles import balanced_edge_term, rademacher_p1_free_energy

@@ -19,11 +19,11 @@ from quadglass.model import (
     inverse_diagonal,
     load_model,
     log_det,
-    offdiag_moments,
     ones_quadratic_form,
     sample_model,
     woodbury_residual,
 )
+from quadglass.stats import offdiag_moments
 from quadglass.streams import stream
 
 from oracles import (

@@ -13,7 +13,6 @@ from quadglass.model import ModelParams, NumericalError
 from quadglass.rde import (
     Population,
     _sorted_distance,
-    contraction_factor,
     delta_population,
     dump_population,
     find_contractive_q,
@@ -534,24 +533,55 @@ def test_conjugate_step_rejects_zero_temperature():
 # contraction diagnostics
 
 
+def modulus_at(params, q, n_mc, rng):
+    """The scan's estimate at a one-point grid: the draws of a single q."""
+    ((_, est),) = find_contractive_q(params, RAD, [q], n_mc, rng).estimates
+    return est
+
+
 def test_contraction_factor_vanishes_at_arity_one():
-    est = contraction_factor(params_with(beta=1.0, p=1), RAD, 5.0, 2000, stream(40, "c1"))
+    est = modulus_at(params_with(beta=1.0, p=1), 5.0, 2000, stream(40, "c1"))
     assert est.value == 0.0
     assert est.std_error == 0.0
 
 
 def test_contraction_factor_monotone_in_q():
     par = params_with(alpha=1.0, beta=1.0)
-    a = contraction_factor(par, RAD, 4.0, 10**5, stream(41, "cq"))
-    b = contraction_factor(par, RAD, 8.0, 10**5, stream(42, "cq2"))
+    a = modulus_at(par, 4.0, 10**5, stream(41, "cq"))
+    b = modulus_at(par, 8.0, 10**5, stream(42, "cq2"))
     assert b.value <= a.value + 3 * math.sqrt(a.std_error**2 + b.std_error**2)
 
 
 def test_contraction_factor_matches_poisson_series():
     par = params_with(alpha=1.0, beta=1.0, p=2)
-    est = contraction_factor(par, RAD, 10.0, 4 * 10**5, stream(43, "cser"))
+    est = modulus_at(par, 10.0, 4 * 10**5, stream(43, "cser"))
     series = rademacher_contraction_series(1.0, 2, 1.0, 10.0)
     assert abs(est.value - series) < 3 * est.std_error
+
+
+def test_scan_estimates_never_increase_along_the_grid():
+    # one draw serves every q, and (chi/(gamma+chi))^q < 1 falls with q
+    # sample by sample, so the means fall exactly, however close two grid
+    # points are; with a draw per q, the steps of 1e-3 rise by noise
+    grid = [1, 1.5, 2, 3, 4, 4.001, 4.002, 4.003, 8, 16, 64]
+    scan = find_contractive_q(
+        params_with(alpha=1.0, beta=1.0, p=3), RAD, grid, 20_000, stream(49, "mono")
+    )
+    values = [est.value for _, est in scan.estimates]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert values[0] > values[-1]
+
+
+def test_scan_rejects_bad_input_before_drawing():
+    rng = stream(50, "bad")
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="beta = 0"):
+        find_contractive_q(params_with(beta=0.0), RAD, [2], 100, rng)
+    with pytest.raises(ValueError, match="q must be at least 1"):
+        find_contractive_q(params_with(beta=1.0), RAD, [4, 0.5], 100, rng)
+    with pytest.raises(ValueError, match="n_mc"):
+        find_contractive_q(params_with(beta=1.0), RAD, [4], 0, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_find_contractive_q_certifies_and_cross_checks():

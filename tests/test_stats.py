@@ -8,7 +8,12 @@ from quadglass.disorder import DisorderSpec
 from quadglass.model import ModelParams
 from quadglass.rde import Population, delta_population, wasserstein
 from quadglass.stats import (
+    Estimate,
+    combined_se,
     independence_check,
+    jackknife_se,
+    loo_se,
+    mc_estimate,
     poisson_uniform_check,
     pooled_inverse_diagonals,
     slope_fit,
@@ -23,6 +28,32 @@ from oracles import (
 )
 
 RAD = DisorderSpec("rademacher")
+
+
+# ---------------------------------------------------------------------------
+# scalar estimators
+
+
+def test_jackknife_with_one_value_per_block_is_the_iid_error():
+    # leave-one-out means spread as s/(n-1), so the jackknife formula gives s/sqrt(n)
+    values = stream(70, "jk").standard_normal(20)
+    assert jackknife_se(values) == pytest.approx(mc_estimate(values).std_error, rel=1e-12)
+    assert jackknife_se(values[:1]) == 0.0
+
+
+def test_loo_se_is_the_jackknife_formula():
+    # mean 7/3; squared deviations 16/9, 1/9, 25/9 sum to 42/9
+    assert loo_se(np.array([1.0, 2.0, 4.0])) == pytest.approx(math.sqrt(2 / 3 * 42 / 9))
+    assert loo_se(np.full(5, 0.3)) == 0.0
+
+
+def test_mc_estimate_and_combined_se():
+    assert mc_estimate([2.0]) == Estimate(2.0, 0.0)
+    assert combined_se(3.0, 4.0) == 5.0
+    with pytest.raises(ValueError, match="at least one sample"):
+        mc_estimate([])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Estimate(1.0, -1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -31,17 +31,28 @@ METRICS = tuple(m["name"] for m in SPEC["end_to_end"])
 RUN_TIMEOUT_S = 600
 
 
-def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """The last stdout line of one perfbench run in ``checkout``."""
+def run(checkout: Path, workload: str, seed: int, trace: int, side: str) -> dict:
+    """The last stdout line of one perfbench run in ``checkout``.
+
+    A run that times out, prints nothing or ends on a line that is not
+    JSON ends the tool with one line naming the workload, seed and side.
+    """
     cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
                              "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+    where = f"{workload} seed {seed} on the {side} side ({checkout})"
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        sys.exit(f"bench: {where} ran past {RUN_TIMEOUT_S} s")
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        sys.exit(f"{' '.join(cmd)} in {checkout} printed nothing "
-                 f"(exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(lines[-1])
+    try:
+        return json.loads(lines[-1] if lines else "")
+    except json.JSONDecodeError:
+        last = repr(lines[-1][:200]) if lines else "nothing"
+        err = proc.stderr.strip().splitlines()
+        sys.exit(f"bench: {where} exited {proc.returncode}; last stdout line, not JSON: "
+                 f"{last}; last stderr line: {repr(err[-1][:200]) if err else 'none'}")
 
 
 def reading(line: dict) -> dict:
@@ -86,7 +97,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = reading(run(sides[side], args.workload, seed, 0))
+            pair[side] = reading(run(sides[side], args.workload, seed, 0, side))
         print(json.dumps(pair), file=sys.stderr, flush=True)
         pairs.append(pair)
 
@@ -94,7 +105,7 @@ def main(argv=None) -> int:
     merged[args.workload] = {
         "pairs": pairs,
         "summary": summary(pairs),
-        "traced": run(ROOT, args.workload, 1, 1),
+        "traced": run(ROOT, args.workload, 1, 1, "change (traced)"),
     }
     args.out.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
     return 0
