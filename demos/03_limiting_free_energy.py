@@ -26,7 +26,7 @@ print(f"field term h^2/2 * E X(1) = {result.h_term:.6f}")
 print("per-node breakdown (thinned rate -> edge term):")
 for node in result.nodes[::4]:
     print(f"  x = {node.x:.4f}   rate {node.rate:.3f}   "
-          f"edge {node.edge_term:.5f} +- {node.std_error:.1e}   "
+          f"edge {node.term:.5f} +- {node.std_error:.1e}   "
           f"converged {node.converged}")
 
 print("\nfinite sizes against the limit (10 seeds per size):")

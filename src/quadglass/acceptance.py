@@ -331,7 +331,7 @@ def a12(seed, workers=1):
 def a13(seed, workers=1):
     """Truncating the disorder perturbs the limit continuously."""
     params = ModelParams(0.5, 0.5, 1.0, 2)
-    kw = dict(pop_size=100_000, n_mc=200_000)
+    kw = dict(pop_size=100_000, n_mc=200_000, workers=workers)
     values, ses, unconverged = {}, {}, 0
     for c in (1.0, 2.0, 4.0, math.inf):
         spec = DisorderSpec("gaussian", 1.0, truncation=c)

@@ -291,14 +291,17 @@ def _allocations(kind, options, raw, workers):
     step peaks at 24*p bytes per clause: its draws, the push's gather
     and denominators (tracemalloc, pop 10^5: 44 B at p = 2, 64 at
     p = 3, 232 at p = 10).  A fixed-point solve runs one step at a
-    time, so its row counts 24*p bytes per clause and six arrays per
-    output: the warm start, the population and its sorted copy, and the
-    push with its bincount, or its sorted copy and its two sorted halves
-    (tracemalloc, whole solves at pop 10^5: 11.2 MB at p = 2 and 21.7 MB
-    at p = 3 at alpha = 1, 118.7 MB at p = 10 at alpha = 0.5, against
-    14.4, 26.4 and 124.8 MB counted; 44 B per output at vanishing rate).
-    An edge term peaks at (24*p + 8) bytes per draw (tracemalloc, n_mc
-    2*10^5: 32 B at p = 1, 248 at p = 10) and holds the node's population.
+    time, so its row counts 24*p bytes per clause and five arrays per
+    output: the population and its sorted copy, and the push with its
+    bincount, or its sorted copy and its two sorted halves (tracemalloc,
+    whole solves at pop 10^5: 10.5 MB at p = 2 and 20.9 MB at p = 3 at
+    alpha = 1, 117.7 MB at p = 10 at alpha = 0.5, against 13.6, 25.6
+    and 124.0 MB counted; 36 B per output at vanishing rate).  An edge
+    term peaks at 32 bytes per draw at any p, one column of z_r^2 X_r
+    at a time (tracemalloc, n_mc 2*10^5, p = 1 to 10), and holds the
+    node's population.  A limit runs min(workers, sweep points) solves
+    at once, each followed by its edge term, so both rows count that
+    many.
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
@@ -319,12 +322,16 @@ def _allocations(kind, options, raw, workers):
     if "rde.pop_size" in options:
         pop = options["rde.pop_size"]
         rate = alpha * p
-        rows.append((f"rde.pop_size={pop}{at_alpha}", "an RDE generation's draws and push",
-                     rate * pop, (24.0 * p * rate + 48.0) * pop))
+        solves = 1
+        if "quadrature.nodes" in options:  # the nodes, and x = 1 when h != 0
+            solves = min(workers, options["quadrature.nodes"] + (options["model.h"] != 0))
+        rows.append((f"rde.pop_size={pop}{at_alpha}", "an RDE generation's draws and push "
+                     f"in each of {solves} solve(s) at once", rate * pop,
+                     solves * (24.0 * p * rate + 40.0) * pop))
     if "free_energy.n_mc" in options:
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
-        rows.append((f"free_energy.n_mc={n_mc}", "one edge term's draws", 0,
-                     (24.0 * p + 8) * n_mc + 8.0 * pop))
+        rows.append((f"free_energy.n_mc={n_mc}", f"{solves} edge term(s)' draws", 0,
+                     solves * (32.0 * n_mc + 8.0 * pop)))
         rows.append((f"quadrature.nodes={nodes}", "the Gauss-Legendre rule's companion-matrix "
                      "entries", 0, 8.0 * nodes * nodes))
     return rows
@@ -373,10 +380,9 @@ def _gap_text(gap, floor) -> str:
 
 def _unconverged_gaps(result) -> str:
     """The final gap and floor of each unconverged solve behind a limit."""
-    solves = [(f"x={n.x:.4g}", n.gap, n.floor) for n in result.nodes if not n.converged]
-    if result.x1_converged is False:
-        solves.append(("x=1", result.x1_gap, result.x1_floor))
-    return ", ".join(f"{x}: {_gap_text(gap, floor)}" for x, gap, floor in solves)
+    points = result.nodes + ((result.x1,) if result.x1 else ())
+    return ", ".join(f"x={pt.x:.4g}: {_gap_text(pt.gap, pt.floor)}"
+                     for pt in points if not pt.converged)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -463,8 +469,9 @@ def _run_free_energy(config: ExperimentConfig):
     result = limiting_free_energy(
         params, spec, opts["quadrature.nodes"], stream(config.seed, "free-energy"),
         pop_size=opts["rde.pop_size"], n_mc=opts["free_energy.n_mc"],
-        max_gens=opts["rde.max_gens"],
+        max_gens=opts["rde.max_gens"], workers=config.workers,
     )
+    x1 = result.x1
     _write_json(
         config.out_dir / "free_energy.json",
         {
@@ -474,7 +481,7 @@ def _run_free_energy(config: ExperimentConfig):
                 {
                     "x": node.x,
                     "rate": node.rate,
-                    "edge_term": node.edge_term,
+                    "edge_term": node.term,
                     "se": node.std_error,
                     "converged": node.converged,
                     "gap": node.gap,
@@ -483,18 +490,18 @@ def _run_free_energy(config: ExperimentConfig):
                 for node in result.nodes
             ],
             "h_term": result.h_term,
-            "x1_converged": result.x1_converged,
-            "x1_gap": result.x1_gap,
-            "x1_floor": result.x1_floor,
+            "x1_converged": x1.converged if x1 else None,
+            "x1_gap": x1.gap if x1 else None,
+            "x1_floor": x1.floor if x1 else None,
             "converged": result.converged,
             "config_digest": config.digest(),
         },
     )
     if not result.converged:
-        x1 = {True: "; x=1 solve converged", False: "; x=1 solve unconverged", None: ""}
+        x1_text = "" if x1 is None else "; x=1 solve " + (
+            "converged" if x1.converged else "unconverged")
         _warn_unconverged("free-energy", "unconverged quadrature nodes: "
-                          f"{len(result.failed_nodes)} of {len(result.nodes)}"
-                          f"{x1[result.x1_converged]}",
+                          f"{len(result.failed_nodes)} of {len(result.nodes)}{x1_text}",
                           f"{_unconverged_gaps(result)}; free_energy.json has converged=false")
     return ["free_energy.json"]
 
@@ -659,7 +666,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, help="output directory (default ./out)")
         p.add_argument(
             "--workers", type=int,
-            help="cap on the realization fan-out (default: cores)",
+            help="cap on the realizations or sweep points run at once (default: cores)",
         )
     args = parser.parse_args(argv)
     return run_command(

@@ -67,7 +67,8 @@ def _fake_runs(monkeypatch, failing_stdout):
     (None, "ran past 600 s"),
     ("progress 1/3\nnot json at all\n", "'not json at all'"),
     ("", "nothing"),
-], ids=["timeout", "not-json", "no-output"])
+    ('{"error": "x"}\n', "no perfbench result (KeyError: 'metrics')"),
+], ids=["timeout", "not-json", "no-output", "json-without-metrics"])
 def test_a_failed_run_ends_on_one_line_naming_it(tmp_path, monkeypatch, capsys,
                                                  failing_stdout, says):
     _fake_runs(monkeypatch, failing_stdout)

@@ -115,7 +115,7 @@ GOLDEN = {
         RDE_SMALL + "quadrature.nodes=2\nfree_energy.n_mc=2000\n",
         {
             "free_energy.json":
-                "0cb88fc0e80538aa5bb677eb5cd5e05e5e25bceeda5087a5d12b1275d5802d9f",
+                "9f58d0ad63523456b1a79cf92f6bab9832fcd16d3ce8435c84b64e42af9da3ed",
         },
     ),
     "dump": (
@@ -420,10 +420,10 @@ def test_config_beyond_physical_memory_rejected(tmp_path, capsys, kind, text, ke
 
 
 def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
-    # (24*p*alpha*p + 48) * pop_size bytes: one push's clause draws with its
-    # gather and denominators, at most 24*p bytes per clause, plus six
+    # (24*p*alpha*p + 40) * pop_size bytes: one push's clause draws with its
+    # gather and denominators, at most 24*p bytes per clause, plus five
     # per-output arrays
-    need = (24 * 2 * 0.5 * 2 + 48) * 1000
+    need = (24 * 2 * 0.5 * 2 + 40) * 1000
     cfg = write_cfg(tmp_path, RDE_SMALL.replace("disorder.truncation=2.0", "")
                     .replace("rde.pop_size=2000", "rde.pop_size=1000"))
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
@@ -445,11 +445,11 @@ def test_memory_guard_counts_one_generation(tmp_path, capsys, monkeypatch):
     assert run_cli(args) == 0
 
 
-def _guarded(kind, text, setting):
+def _guarded(kind, text, setting, workers=1):
     """A config's options and the bytes the guard counts on the row of ``setting``."""
     raw = cli.parse_config_text(text)
     options = cli.build_config(kind, raw).options
-    (need,) = [need for key, _, _, need in cli._allocations(kind, options, raw, 1)
+    (need,) = [need for key, _, _, need in cli._allocations(kind, options, raw, workers)
                if key.startswith(setting + "=")]
     return options, need
 
@@ -481,8 +481,8 @@ def test_memory_guard_counts_one_push():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_memory_guard_counts_one_edge_term(p):
-    # (24*p + 8) * n_mc bytes: the weights, the picked values and their
-    # product, then the sums
+    # 32 * n_mc bytes at any p: the sums, and one column's weights, resample
+    # indices and picked values
     options, need = _guarded(
         "free-energy", RDE_SMALL.replace("model.p=2", f"model.p={p}")
         + "quadrature.nodes=2\nfree_energy.n_mc=200000\n", "free_energy.n_mc",
@@ -494,23 +494,25 @@ def test_memory_guard_counts_one_edge_term(p):
 
 
 def test_memory_guard_counts_what_a_limit_holds():
-    # at vanishing rate a limit holds six arrays per output: the population,
-    # its push and their sorted copies, the push's two sorted halves, and the
-    # warm start of the solve
-    options, need = _guarded(
-        "free-energy", BASE_RDE.replace("model.alpha=0.5", "model.alpha=0.02")
-        .replace("model.p=2", "model.p=1").replace("rde.pop_size=2000", "rde.pop_size=200000")
-        + "quadrature.nodes=4\nfree_energy.n_mc=2000\n", "rde.pop_size",
-    )
-    params, spec = cli._model_pieces(options)
-    peak = _traced_peak(lambda: free_energy.limiting_free_energy(
-        params, spec, 4, np.random.default_rng(24), pop_size=200_000, n_mc=2000
-    ))
-    assert peak <= need + 64 * 1024
+    # at vanishing rate each solve of a limit holds five arrays per output:
+    # the population, its push and their sorted copies, and the push's two
+    # sorted halves; min(workers, 5 sweep points) solves run at once
+    for workers in (1, 2):
+        options, need = _guarded(
+            "free-energy", BASE_RDE.replace("model.alpha=0.5", "model.alpha=0.02")
+            .replace("model.p=2", "model.p=1").replace("rde.pop_size=2000", "rde.pop_size=200000")
+            + "quadrature.nodes=4\nfree_energy.n_mc=2000\n", "rde.pop_size", workers,
+        )
+        params, spec = cli._model_pieces(options)
+        peak = _traced_peak(lambda: free_energy.limiting_free_energy(
+            params, spec, 4, np.random.default_rng(24), pop_size=200_000, n_mc=2000,
+            workers=workers,
+        ))
+        assert peak <= need + 64 * 1024, workers
 
 
 def test_memory_guard_counts_the_population_an_edge_term_reads():
-    # the edge term's (24*p + 8) bytes per draw come on top of the node's
+    # the edge term's 32 bytes per draw come on top of the node's
     # population, 8 bytes per output
     options, need = _guarded(
         "free-energy", BASE_RDE.replace("model.alpha=0.5", "model.alpha=0.02")
@@ -910,6 +912,19 @@ def test_rde_generation_past_float_range_exits_4_without_traceback(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure in {kind}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_numerical_failure_in_a_pooled_sweep_point_exits_4(tmp_path, capsys):
+    # 2*beta*z^2 overflows in a generation or in the edge term of a sweep
+    # point, an item of a 2-worker pool; the error reaches the caller's thread
+    cfg = write_cfg(tmp_path, BASE_LIMIT.replace("model.beta=0.25", "model.beta=1e307")
+                    .replace("rademacher", "gaussian")
+                    .replace("rde.pop_size=2000", "rde.pop_size=200") + "rde.max_gens=5\n")
+    args = ["free-energy", "--config", cfg, "--out", tmp_path / "o", "--workers", 2]
+    assert run_cli(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in free-energy: ") and "left the float range" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_thinned_edge_density_that_underflows_exits_4(tmp_path, capsys):

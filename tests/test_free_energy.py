@@ -154,38 +154,53 @@ def test_unconverged_nodes_are_flagged_not_fatal():
     assert math.isfinite(res.estimate.value)
 
 
-@pytest.mark.parametrize("h", [1.0, 0.0], ids=["field", "no-field"])
-def test_sweep_solves_nodes_then_x1_each_warm_started(monkeypatch, h):
-    calls = []
-    real = free_energy.solve_fixed_point
+def _state(rng):
+    return rng.bit_generator.state["state"]
 
-    def spy(*args, **kwargs):
-        report = real(*args, **kwargs)
-        calls.append((args[0], kwargs["init"], report))
+
+@pytest.mark.parametrize("h", [1.0, 0.0], ids=["field", "no-field"])
+def test_sweep_solves_every_point_cold_on_its_own_stream(monkeypatch, h):
+    solves, edges = {}, {}
+    real_solve, real_edge = free_energy.solve_fixed_point, free_energy.edge_term
+
+    def solve_spy(params, disorder, rng, **kwargs):
+        state = _state(rng)
+        report = real_solve(params, disorder, rng, **kwargs)
+        solves[params.alpha] = (state, kwargs.get("init"), report.population.mean())
         return report
 
-    monkeypatch.setattr(free_energy, "solve_fixed_point", spy)
+    def edge_spy(pop, params, disorder, n_mc, rng):
+        edges[pop.rate] = _state(rng)
+        return real_edge(pop, params, disorder, n_mc, rng)
+
+    monkeypatch.setattr(free_energy, "solve_fixed_point", solve_spy)
+    monkeypatch.setattr(free_energy, "edge_term", edge_spy)
     par = ModelParams(0.5, 0.25, h, 2)
     res = limiting_free_energy(par, RAD, 3, stream(21, "sweep"), pop_size=500, n_mc=500,
-                               max_gens=5)
-    # sweep point x solves the same model at edge density alpha * x
-    sweep = list(gauss_legendre(3)[0]) + ([1.0] if h else [])
-    assert [params for params, _, _ in calls] == [
-        ModelParams(par.alpha * float(x), par.beta, par.h, par.p) for x in sweep
-    ]
-    assert calls[0][1] is None
-    for (_, _, previous), (_, init, _) in zip(calls, calls[1:]):
-        assert init is previous.population
-    # the field term reads the last sweep point, the x = 1 fixed point
+                               max_gens=5, workers=2)
+    # point j solves the model at edge density alpha * x from the point mass
+    # at 1 on child j (x = 1 on child 3); node j's edge term draws on child 4 + j
+    children = stream(21, "sweep").spawn(7)
+    xs = list(gauss_legendre(3)[0]) + ([1.0] if h else [])
+    assert sorted(solves) == [par.alpha * float(x) for x in xs]
+    for j, x in enumerate(xs):
+        state, init, _ = solves[par.alpha * float(x)]
+        assert init is None and state == _state(children[j])
+    assert sorted(edges) == [par.alpha * float(x) * par.p for x in xs[:3]]
+    for j, x in enumerate(xs[:3]):
+        assert edges[par.alpha * float(x) * par.p] == _state(children[4 + j])
+    # the field term reads the x = 1 fixed point
     if h:
-        assert res.h_term == h * h / 2 * calls[-1][2].population.mean()
+        assert res.h_term == h * h / 2 * solves[par.alpha][2]
+        assert res.x1.x == 1.0 and res.x1.term == solves[par.alpha][2]
     else:
-        assert res.h_term == 0.0
+        assert res.h_term == 0.0 and res.x1 is None
 
 
-def test_sweep_holds_one_fixed_point_at_a_time(monkeypatch):
-    # when a sweep point starts, of the earlier points' populations only
-    # its warm start is still alive
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_holds_at_most_one_population_per_worker(monkeypatch, workers):
+    # when a point starts its solve, at most workers - 1 other populations
+    # are alive, and none outlives the sweep
     real, populations, alive = free_energy.solve_fixed_point, [], []
 
     def spy(*args, **kwargs):
@@ -197,26 +212,47 @@ def test_sweep_holds_one_fixed_point_at_a_time(monkeypatch):
 
     monkeypatch.setattr(free_energy, "solve_fixed_point", spy)
     limiting_free_energy(
-        A3ISH, RAD, 4, stream(22, "hold"), pop_size=500, n_mc=500, max_gens=5
+        A3ISH, RAD, 4, stream(22, "hold"), pop_size=500, n_mc=500, max_gens=5, workers=workers
     )
-    assert alive == [0, 1, 1, 1, 1]
+    gc.collect()
+    assert len(alive) == 5 and max(alive) <= workers - 1
+    assert all(ref() is None for ref in populations)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.0], ids=["field", "no-field"])
+def test_limit_is_the_same_at_any_worker_count(h):
+    params, spec = ModelParams(0.5, 0.5, h, 2), DisorderSpec("gaussian", 1.0, 2.0)
+    results = [
+        limiting_free_energy(params, spec, 3, stream(4, "workers"), pop_size=5000,
+                             n_mc=5000, max_gens=60, workers=workers)
+        for workers in (1, 2, 3)
+    ]
+    assert results[0] == results[1] == results[2]
+
+
+def _limit_peak(n_nodes, workers):
+    # A13's model
+    params, spec = ModelParams(0.5, 0.5, 1.0, 2), DisorderSpec("gaussian", 1.0, 2.0)
+    tracemalloc.start()
+    try:
+        limiting_free_energy(
+            params, spec, n_nodes, stream(23, "peak"), pop_size=20_000,
+            n_mc=20_000, max_gens=12, workers=workers,
+        )
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_limit_peak_memory_does_not_grow_with_nodes():
-    # A13's model: the sweep's peak is one solve's, whatever the node count
-    params, spec = ModelParams(0.5, 0.5, 1.0, 2), DisorderSpec("gaussian", 1.0, 2.0)
-    peaks = {}
-    for n_nodes in (2, 16):
-        tracemalloc.start()
-        try:
-            limiting_free_energy(
-                params, spec, n_nodes, stream(23, "peak"), pop_size=20_000,
-                n_mc=20_000, max_gens=12,
-            )
-            peaks[n_nodes] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[16] <= 1.1 * peaks[2]
+    # the sweep's peak is one solve's, whatever the node count
+    assert _limit_peak(16, 1) <= 1.1 * _limit_peak(2, 1)
+
+
+def test_limit_peak_memory_does_not_grow_with_nodes_on_two_workers():
+    # two solves at once, whatever the node count; how far their peaks
+    # overlap varies run to run, so the bound is two serial sweeps' peak
+    assert _limit_peak(16, 2) <= 1.1 * 2 * _limit_peak(2, 1)
 
 
 # ---------------------------------------------------------------------------

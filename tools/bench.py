@@ -32,10 +32,12 @@ RUN_TIMEOUT_S = 600
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int, side: str) -> dict:
-    """The last stdout line of one perfbench run in ``checkout``.
+    """One perfbench run in ``checkout``: its :func:`reading`, or with ``trace``
+    its whole last stdout line.
 
-    A run that times out, prints nothing or ends on a line that is not
-    JSON ends the tool with one line naming the workload, seed and side.
+    A run that times out, prints nothing, ends on a line that is not
+    JSON, or untraced ends on one that :func:`reading` cannot read, ends
+    the tool with one line naming the workload, seed and side.
     """
     cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
                              "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
@@ -46,13 +48,21 @@ def run(checkout: Path, workload: str, seed: int, trace: int, side: str) -> dict
     except subprocess.TimeoutExpired:
         sys.exit(f"bench: {where} ran past {RUN_TIMEOUT_S} s")
     lines = proc.stdout.strip().splitlines()
+    last = repr(lines[-1][:200]) if lines else "nothing"
+    err = proc.stderr.strip().splitlines()
+    stderr = f"last stderr line: {repr(err[-1][:200]) if err else 'none'}"
     try:
-        return json.loads(lines[-1] if lines else "")
+        line = json.loads(lines[-1] if lines else "")
     except json.JSONDecodeError:
-        last = repr(lines[-1][:200]) if lines else "nothing"
-        err = proc.stderr.strip().splitlines()
         sys.exit(f"bench: {where} exited {proc.returncode}; last stdout line, not JSON: "
-                 f"{last}; last stderr line: {repr(err[-1][:200]) if err else 'none'}")
+                 f"{last}; {stderr}")
+    if trace:
+        return line
+    try:
+        return reading(line)
+    except (KeyError, TypeError) as exc:
+        sys.exit(f"bench: {where} exited {proc.returncode}; last stdout line, no perfbench "
+                 f"result ({type(exc).__name__}: {exc}): {last}; {stderr}")
 
 
 def reading(line: dict) -> dict:
@@ -97,7 +107,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = reading(run(sides[side], args.workload, seed, 0, side))
+            pair[side] = run(sides[side], args.workload, seed, 0, side)
         print(json.dumps(pair), file=sys.stderr, flush=True)
         pairs.append(pair)
 
