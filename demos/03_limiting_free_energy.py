@@ -1,7 +1,7 @@
 """The limiting free energy and how fast finite systems reach it.
 
 Evaluates the infinite-size formula — the field term times the mean
-fixed-point variance plus a Gauss-Legendre integral of edge terms over
+fixed-point variance plus a Gauss-Radau integral of edge terms over
 thinned clause rates — and compares it against simulated systems of
 increasing size, including the concentration rate of the fluctuations.
 """

@@ -41,8 +41,8 @@ from .rde import (
 from .stats import (
     combined_se,
     independence_check,
-    jackknife_se,
     loo_se,
+    mc_estimate,
     offdiag_moments,
     poisson_uniform_check,
     pooled_inverse_diagonals,
@@ -320,7 +320,7 @@ def a12(seed, workers=1):
     )
     gap = wasserstein(Population(pairs[:, 1]), solved.population)
     u = pairs[:, 0]
-    u_se = jackknife_se(u)
+    u_se = mc_estimate(u).std_error
     z = abs(u.mean() - 1.0) / u_se if u_se > 0 else 0.0
     passed, detail = _converged(
         gap < 0.01 and z < 4, f"EU={u.mean():.5f} z={z:.2f}", int(not solved.converged)

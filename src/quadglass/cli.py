@@ -299,9 +299,9 @@ def _allocations(kind, options, raw, workers):
     and 124.0 MB counted; 36 B per output at vanishing rate).  An edge
     term peaks at 32 bytes per draw at any p, one column of z_r^2 X_r
     at a time (tracemalloc, n_mc 2*10^5, p = 1 to 10), and holds the
-    node's population.  A limit runs min(workers, sweep points) solves
-    at once, each followed by its edge term, so both rows count that
-    many.
+    node's population.  A limit runs min(workers, quadrature.nodes)
+    solves at once, each followed by its edge term, so both rows count
+    that many; the ``rde`` kind runs one.
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
@@ -322,9 +322,7 @@ def _allocations(kind, options, raw, workers):
     if "rde.pop_size" in options:
         pop = options["rde.pop_size"]
         rate = alpha * p
-        solves = 1
-        if "quadrature.nodes" in options:  # the nodes, and x = 1 when h != 0
-            solves = min(workers, options["quadrature.nodes"] + (options["model.h"] != 0))
+        solves = min(workers, options.get("quadrature.nodes", 1))
         rows.append((f"rde.pop_size={pop}{at_alpha}", "an RDE generation's draws and push "
                      f"in each of {solves} solve(s) at once", rate * pop,
                      solves * (24.0 * p * rate + 40.0) * pop))
@@ -332,7 +330,7 @@ def _allocations(kind, options, raw, workers):
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
         rows.append((f"free_energy.n_mc={n_mc}", f"{solves} edge term(s)' draws", 0,
                      solves * (32.0 * n_mc + 8.0 * pop)))
-        rows.append((f"quadrature.nodes={nodes}", "the Gauss-Legendre rule's companion-matrix "
+        rows.append((f"quadrature.nodes={nodes}", "the Gauss-Radau rule's companion-matrix "
                      "entries", 0, 8.0 * nodes * nodes))
     return rows
 
@@ -380,9 +378,8 @@ def _gap_text(gap, floor) -> str:
 
 def _unconverged_gaps(result) -> str:
     """The final gap and floor of each unconverged solve behind a limit."""
-    points = result.nodes + ((result.x1,) if result.x1 else ())
-    return ", ".join(f"x={pt.x:.4g}: {_gap_text(pt.gap, pt.floor)}"
-                     for pt in points if not pt.converged)
+    return ", ".join(f"x={node.x:.4g}: {_gap_text(node.gap, node.floor)}"
+                     for node in result.nodes if not node.converged)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -471,7 +468,6 @@ def _run_free_energy(config: ExperimentConfig):
         pop_size=opts["rde.pop_size"], n_mc=opts["free_energy.n_mc"],
         max_gens=opts["rde.max_gens"], workers=config.workers,
     )
-    x1 = result.x1
     _write_json(
         config.out_dir / "free_energy.json",
         {
@@ -490,18 +486,13 @@ def _run_free_energy(config: ExperimentConfig):
                 for node in result.nodes
             ],
             "h_term": result.h_term,
-            "x1_converged": x1.converged if x1 else None,
-            "x1_gap": x1.gap if x1 else None,
-            "x1_floor": x1.floor if x1 else None,
             "converged": result.converged,
             "config_digest": config.digest(),
         },
     )
     if not result.converged:
-        x1_text = "" if x1 is None else "; x=1 solve " + (
-            "converged" if x1.converged else "unconverged")
         _warn_unconverged("free-energy", "unconverged quadrature nodes: "
-                          f"{len(result.failed_nodes)} of {len(result.nodes)}{x1_text}",
+                          f"{result.unconverged} of {len(result.nodes)}",
                           f"{_unconverged_gaps(result)}; free_energy.json has converged=false")
     return ["free_energy.json"]
 
@@ -666,7 +657,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, help="output directory (default ./out)")
         p.add_argument(
             "--workers", type=int,
-            help="cap on the realizations or sweep points run at once (default: cores)",
+            help="cap on the realizations or quadrature nodes run at once (default: cores)",
         )
     args = parser.parse_args(argv)
     return run_command(

@@ -9,15 +9,15 @@ the variance-law map run at the thinned clause rate alpha*x*p, and the
 z_r are disorder draws.  The map thinned to x is the map at edge
 density alpha*x, so point x is solved at
 ``dataclasses.replace(params, alpha=params.alpha * x)``.  The integrand
-is smooth in x, so a small Gauss-Legendre rule on (0, 1), set by its
-node count ``n_nodes``, beats the Monte Carlo noise floor immediately;
-the x = 0 endpoint is never evaluated because the nodes are interior.
-Each sweep point is the unique fixed point of its own map, so every
-point is solved from the point mass at 1 on its own child stream, and
-the points run concurrently over ``parallel.parallel_map``.  When
-h != 0 the field term needs X(1), so x = 1 is one more sweep point, on
-stream ``n_nodes``.  A point's population lives only inside its item,
-which returns scalars.
+is smooth in x, so a small right Gauss-Radau rule on (0, 1], set by its
+node count ``n_nodes``, beats the Monte Carlo noise floor immediately.
+The rule has x = 1 among its nodes, so the field term reads X(1) off
+that node's population and needs no solve of its own; the x = 0
+endpoint is never evaluated.  Each node is the unique fixed point of
+its own map, so every node is solved from the point mass at 1 on its
+own child stream, and the nodes run concurrently over
+``parallel.parallel_map``.  A node's population lives only inside its
+item, which returns scalars.
 
 This module also runs finite-size-to-limit convergence studies.
 """
@@ -37,25 +37,35 @@ from .rde import (
     Population,
     solve_fixed_point,
 )
-from .stats import Estimate, combined_se, jackknife_se, mc_estimate
+from .stats import Estimate, combined_se, mc_estimate
 
 DEFAULT_NODES = 16
 DEFAULT_N_MC = 200_000
 
 
-def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes mapped from [-1, 1] to (0, 1), with weights summing to one."""
-    t, w = np.polynomial.legendre.leggauss(n_nodes)
-    return (t + 1.0) / 2.0, w / w.sum()
+def gauss_radau(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Right Gauss-Radau nodes on (0, 1], from x = 1 down, with weights summing to one.
+
+    On [-1, 1] the nodes are the roots of P_{n-1} - P_n, which vanishes
+    at t = 1, and node t weighs (1 + t) / P_{n-1}(t)^2 up to a common
+    factor (Abramowitz and Stegun 25.4.31), so the rule is exact to
+    degree 2n - 2.  Node t maps to x = (t + 1) / 2.
+    """
+    series = np.zeros(n_nodes + 1)  # P_{n-1} - P_n; its first n entries are P_{n-1}
+    series[n_nodes - 1], series[n_nodes] = 1.0, -1.0
+    t = np.polynomial.legendre.legroots(series)[::-1]
+    t[0] = 1.0  # the root at t = 1, exact
+    weights = (1.0 + t) / np.polynomial.legendre.legval(t, series[:n_nodes]) ** 2
+    return (t + 1.0) / 2.0, weights / weights.sum()
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One sweep point's solve and the Monte Carlo term read off its population.
+    """One quadrature node's solve and the edge term read off its population.
 
-    ``term`` is the edge term at a quadrature node and E X(1) at x = 1,
-    with ``std_error`` its standard error; ``gap`` and ``floor`` are the
-    solve's windowed W1 gap and noise floor.
+    ``term`` is the node's edge term, with ``std_error`` its standard
+    error; ``gap`` and ``floor`` are the solve's windowed W1 gap and
+    noise floor.
     """
 
     x: float
@@ -69,26 +79,21 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class LimitResult:
-    """Limiting free-energy estimate with its per-point breakdown.
+    """Limiting free-energy estimate with its per-node breakdown.
 
-    ``nodes`` are the quadrature nodes; ``x1`` is the x = 1 solve behind
-    ``h_term``, None when no such solve runs (h = 0, or beta = 0 where
-    X(1) = 1 exactly).  ``converged`` covers the nodes and that solve.
+    ``nodes`` are the quadrature nodes from x = 1 down, every fixed-point
+    solve behind the estimate; ``h_term`` reads the first one's
+    population.  At beta = 0, where X(1) = 1 exactly, no node is solved.
     """
 
     estimate: Estimate
     nodes: tuple[SweepPoint, ...]
     h_term: float
-    x1: SweepPoint | None
-
-    @property
-    def failed_nodes(self) -> tuple[float, ...]:
-        return tuple(n.x for n in self.nodes if not n.converged)
 
     @property
     def unconverged(self) -> int:
         """How many of the fixed-point solves behind the estimate did not converge."""
-        return len(self.failed_nodes) + (self.x1 is not None and not self.x1.converged)
+        return sum(not n.converged for n in self.nodes)
 
     @property
     def converged(self) -> bool:
@@ -137,59 +142,50 @@ def limiting_free_energy(
 ) -> LimitResult:
     """Evaluate the limiting formula with one fixed point per node.
 
-    The integral runs over the ``n_nodes`` nodes of :func:`gauss_legendre`;
-    when h != 0, x = 1 is one more sweep point, for the field term.
-    Sweep point x is solved at edge density ``params.alpha * x`` from
-    the point mass at 1 on child stream j of ``rng.spawn`` (so x = 1 is
-    on child ``n_nodes``), and node j's edge term draws from child
-    ``n_nodes + 1 + j``.  The points are independent, so ``workers``
-    runs them concurrently; the streams are fixed per point, so the
-    result does not depend on ``workers``.  Each point's population is
-    dropped once its term is read, so at most ``min(workers, points)``
-    are alive at once.  Errors are treated as independent (disjoint
-    streams); a point that fails to converge still contributes, and
-    the result flags it.  A subnormal alpha whose alpha*x rounds to 0
-    raises :class:`model.NumericalError`.
+    The integral runs over the ``n_nodes`` nodes of :func:`gauss_radau`,
+    and the field term reads E X(1) off its first node, x = 1.  Node j
+    is solved at edge density ``params.alpha * x_j`` from the point mass
+    at 1 on child j of ``rng.spawn(n_nodes)``, and then draws its edge
+    term on the same child.  The nodes are independent, so ``workers``
+    runs them concurrently, x = 1, the heaviest solve, first; the
+    streams are fixed per node, so the result does not depend on
+    ``workers``.  Each node's population is dropped once its terms are
+    read, so at most ``min(workers, n_nodes)`` are alive at once.
+    Errors are treated as independent (disjoint streams); a node that
+    fails to converge still contributes, and the result flags it.  A
+    subnormal alpha whose alpha*x rounds to 0 raises
+    :class:`model.NumericalError`.
     """
     h = params.h
-    xs, weights = gauss_legendre(n_nodes)
+    xs, weights = gauss_radau(n_nodes)
     if params.beta == 0:
-        return LimitResult(Estimate(h * h / 2.0, 0.0), (), h * h / 2.0, None)
+        return LimitResult(Estimate(h * h / 2.0, 0.0), (), h * h / 2.0)
 
     # only a subnormal alpha rounds alpha*x to 0, a density no ModelParams holds
-    if not params.alpha * xs[0] > 0:
-        raise NumericalError(f"the edge density alpha*x underflows to 0 at x = {xs[0]:.6g}")
-    # one stream per sweep point (the nodes, then x=1), one per node for MC
-    streams = rng.spawn(2 * n_nodes + 1)
-    items = [(float(x), streams[j], streams[n_nodes + 1 + j]) for j, x in enumerate(xs)]
-    if h != 0.0:
-        items.append((1.0, streams[n_nodes], None))
+    if not params.alpha * xs[-1] > 0:
+        raise NumericalError(f"the edge density alpha*x underflows to 0 at x = {xs[-1]:.6g}")
 
     def solve(item):
-        x, solve_rng, edge_rng = item
+        x, child = item
         thinned = replace(params, alpha=params.alpha * x)
-        report = solve_fixed_point(thinned, disorder, solve_rng, pop_size=pop_size,
+        report = solve_fixed_point(thinned, disorder, child, pop_size=pop_size,
                                    max_gens=max_gens)
         pop = report.population
-        if edge_rng is None:  # x = 1 enters the field term only
-            term = Estimate(pop.mean(), jackknife_se(pop.values))
-        else:
-            term = edge_term(pop, params, disorder, n_mc, edge_rng)
-        return SweepPoint(x, thinned.alpha * params.p, term.value, term.std_error,
-                          report.converged, report.gap, report.floor)
+        term = edge_term(pop, params, disorder, n_mc, child)
+        return (SweepPoint(x, thinned.alpha * params.p, term.value, term.std_error,
+                           report.converged, report.gap, report.floor),
+                mc_estimate(pop.values))
 
-    points = parallel_map(solve, items, workers)
-    nodes, x1 = points[:n_nodes], (points[n_nodes] if h != 0.0 else None)
+    points = parallel_map(solve, zip(xs.tolist(), rng.spawn(n_nodes)), workers)
+    nodes = tuple(node for node, _ in points)
+    x1_mean = points[0][1]  # E X(1), read off the x = 1 node
+    h_term = h * h / 2.0 * x1_mean.value
     integral = float(np.sum(weights * np.array([n.term for n in nodes])))
     se_parts = [float(w) * params.alpha / 2.0 * n.std_error for w, n in zip(weights, nodes)]
-
-    h_term = 0.0
-    if x1 is not None:
-        h_term = h * h / 2.0 * x1.term
-        se_parts.append(h * h / 2.0 * x1.std_error)
+    se_parts.append(h * h / 2.0 * x1_mean.std_error)
 
     value = h_term + params.alpha / 2.0 * integral
-    return LimitResult(Estimate(value, combined_se(*se_parts)), tuple(nodes), h_term, x1)
+    return LimitResult(Estimate(value, combined_se(*se_parts)), nodes, h_term)
 
 
 @dataclass(frozen=True)
@@ -225,8 +221,8 @@ def convergence_study(
     For each N, ``seeds_per_n`` independent realizations give the mean
     and spread of F_N; the gap column is |mean - limit|.  ``n_nodes``,
     ``pop_size``, ``n_mc`` and ``max_gens`` go to
-    :func:`limiting_free_energy`; ``workers`` fans its sweep points
-    and then the finite-size realizations out.
+    :func:`limiting_free_energy`; ``workers`` fans its nodes and then
+    the finite-size realizations out.
     """
     n_grid = [int(n) for n in n_grid]
     if not n_grid:

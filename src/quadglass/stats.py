@@ -1,10 +1,11 @@
 """Every Monte Carlo estimator of the package, and the identity checks built on them.
 
 The scalar results carry a value and a standard error: a sample mean
-with its iid error (:func:`mc_estimate`), a jackknife error where the
-samples are weakly correlated (:func:`jackknife_se`, over the
-leave-one-out spread of :func:`loo_se`), and the root-sum-square of
-independent errors (:func:`combined_se`).  The replicated statistics of
+with its iid error (:func:`mc_estimate`), which is also the error of a
+population snapshot's mean, since its outputs are independent given
+the previous generation; a jackknife error over leave-one-out
+estimates (:func:`loo_se`); and the root-sum-square of independent
+errors (:func:`combined_se`).  The replicated statistics of
 A^{-1} (pooled diagonals, correlations, off-diagonal moments) and the
 Poisson index check sit on top of them.
 
@@ -25,7 +26,6 @@ import numpy as np
 from .disorder import DisorderSpec
 from .model import Factorization, ModelParams, inverse_diagonal, over_realizations
 
-JACKKNIFE_N_BLOCKS = 20  # contiguous blocks of the delete-one-block jackknife
 DEGENERATE_VARIANCE = 1e-14
 
 
@@ -54,28 +54,11 @@ def mc_estimate(samples: np.ndarray) -> Estimate:
 def loo_se(loo: np.ndarray) -> float:
     """Jackknife standard error from n leave-one-out estimates.
 
-    sqrt((n-1)/n * sum (loo - mean(loo))^2): :func:`jackknife_se` feeds
-    it block means, A4 its leave-one-replicate-out W1 distances.
+    sqrt((n-1)/n * sum (loo - mean(loo))^2); A4 feeds it its
+    leave-one-replicate-out W1 distances.
     """
     n = loo.size
     return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-
-
-def jackknife_se(values: np.ndarray) -> float:
-    """Delete-one-block jackknife standard error of the mean.
-
-    Used where samples carry weak internal correlation (population
-    snapshots, pooled replicates) and the naive iid error would be
-    optimistic.
-    """
-    values = np.asarray(values, dtype=float)
-    n_blocks = min(JACKKNIFE_N_BLOCKS, values.size)
-    if n_blocks < 2:
-        return 0.0
-    blocks = np.array_split(values, n_blocks)
-    total_sum = values.sum()
-    total_n = values.size
-    return loo_se(np.array([(total_sum - b.sum()) / (total_n - b.size) for b in blocks]))
 
 
 def combined_se(*ses: float) -> float:

@@ -357,6 +357,21 @@ def rademacher_p1_free_energy(alpha, beta, h, l_max=200):
     )
 
 
+def rademacher_p1_edge_term(rate, beta, l_max=200):
+    """The edge term at arity 1 with +-1 weights and clause rate ``rate``, as a Poisson series.
+
+    At p = 1 the fixed point is X = 1/(1+2*beta*K), K ~ Poisson(rate), so the
+    edge term is E log(1 + 2*beta/(1+2*beta*K)); over rate = alpha*x, x in
+    (0, 1], it integrates to the log-det part of :func:`rademacher_p1_free_energy`.
+    """
+    from math import exp, lgamma, log, log1p
+
+    return sum(
+        exp(-rate + l * log(rate) - lgamma(l + 1)) * log1p(2 * beta / (1 + 2 * beta * l))
+        for l in range(l_max + 1)
+    )
+
+
 def balanced_edge_term(pop_values, params, spec, n_mc, rng):
     """Edge-term oracle with balanced (stratified-index) resampling.
 

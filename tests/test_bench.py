@@ -11,12 +11,12 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 
-def _pair(seed, parent_wall, change_wall):
-    def side(wall):
-        return {**{name: 1.0 for name in bench.METRICS}, "wall_s": wall, "correct": True}
+def _pair(seed, parent_value, change_value, name="wall_s"):
+    def side(value):
+        return {**{metric: 1.0 for metric in bench.METRICS}, name: value, "correct": True}
 
     return {"seed": seed, "first": "parent" if seed % 2 else "change",
-            "parent": side(parent_wall), "change": side(change_wall)}
+            "parent": side(parent_value), "change": side(change_value)}
 
 
 def test_summary_reads_medians_iqr_and_pairs_won():
@@ -29,16 +29,36 @@ def test_summary_reads_medians_iqr_and_pairs_won():
     # inclusive quartiles of 0.40, 0.45, 0.50, 0.60: 0.4375 and 0.525
     assert wall["parent_iqr"] == pytest.approx(0.0875)
     assert wall["change_median"] == pytest.approx(0.45)
-    assert wall["change_lower"] == 3
+    assert wall["change_won"] == 3 and wall["within_bound"]
     # equal readings are not wins
     assert summary["cpu_s"] == {"parent_median": 1.0, "parent_iqr": 0.0,
-                                "change_median": 1.0, "change_lower": 0}
+                                "change_median": 1.0, "change_won": 0, "within_bound": True}
 
 
 def test_summary_of_one_pair_has_no_spread():
     wall = bench.summary([_pair(1, 0.4, 0.3)])["wall_s"]
     assert wall == {"parent_median": 0.4, "parent_iqr": 0.0, "change_median": 0.3,
-                    "change_lower": 1}
+                    "change_won": 1, "within_bound": True}
+
+
+def test_summary_counts_a_higher_ok_ratio_as_a_win():
+    assert bench.METRICS["ok_ratio"][0] == "higher"
+    pairs = [_pair(1, 2 / 3, 1.0, "ok_ratio"), _pair(2, 1.0, 1.0, "ok_ratio"),
+             _pair(3, 1.0, 2 / 3, "ok_ratio")]
+    ok = bench.summary(pairs)["ok_ratio"]
+    assert ok["change_won"] == 1 and ok["within_bound"]
+    # a median of 2/3 against 1 is 33% worse, past ok_ratio's 10% bound
+    ok = bench.summary([_pair(1, 1.0, 2 / 3, "ok_ratio")] * 3)["ok_ratio"]
+    assert ok["change_won"] == 0 and not ok["within_bound"]
+
+
+def test_summary_flags_a_median_out_of_bound():
+    bound = bench.METRICS["wall_s"][1]
+    edge = 1.0 + bound
+    assert bench.summary([_pair(1, 1.0, edge)])["wall_s"]["within_bound"]
+    wall = bench.summary([_pair(1, 1.0, edge * 1.01), _pair(2, 1.0, 0.9),
+                          _pair(3, 1.0, edge * 1.02)])["wall_s"]
+    assert wall["change_won"] == 1 and not wall["within_bound"]
 
 
 def test_reading_keeps_every_end_to_end_metric_and_correct():

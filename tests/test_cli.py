@@ -115,7 +115,7 @@ GOLDEN = {
         RDE_SMALL + "quadrature.nodes=2\nfree_energy.n_mc=2000\n",
         {
             "free_energy.json":
-                "9f58d0ad63523456b1a79cf92f6bab9832fcd16d3ce8435c84b64e42af9da3ed",
+                "351758ba0bf611fb2934b7242f58037e946fd659a3f35fa72bff30f39848ccb6",
         },
     ),
     "dump": (
@@ -496,7 +496,7 @@ def test_memory_guard_counts_one_edge_term(p):
 def test_memory_guard_counts_what_a_limit_holds():
     # at vanishing rate each solve of a limit holds five arrays per output:
     # the population, its push and their sorted copies, and the push's two
-    # sorted halves; min(workers, 5 sweep points) solves run at once
+    # sorted halves; min(workers, 4 nodes) solves run at once
     for workers in (1, 2):
         options, need = _guarded(
             "free-energy", BASE_RDE.replace("model.alpha=0.5", "model.alpha=0.02")
@@ -799,15 +799,15 @@ def test_free_energy_json_schema(tmp_path):
     assert run_cli(["free-energy", "--config", cfg, "--out", out]) == 0
     payload = json.loads((out / "free_energy.json").read_text())
     assert set(payload) == {
-        "value", "std_error", "nodes", "h_term", "x1_converged", "x1_gap", "x1_floor",
-        "converged", "config_digest",
+        "value", "std_error", "nodes", "h_term", "converged", "config_digest",
     }
-    assert isinstance(payload["x1_converged"], bool)
-    assert payload["x1_gap"] >= 0 and payload["x1_floor"] >= 0
+    # the x = 1 solve behind h_term is the first node, reported as every node is
     assert len(payload["nodes"]) == 4
-    assert set(payload["nodes"][0]) == {
-        "x", "rate", "edge_term", "se", "converged", "gap", "floor",
-    }
+    assert payload["nodes"][0]["x"] == 1.0
+    for node in payload["nodes"]:
+        assert set(node) == {"x", "rate", "edge_term", "se", "converged", "gap", "floor"}
+        assert isinstance(node["converged"], bool)
+        assert node["gap"] >= 0 and node["floor"] >= 0
     assert math.isfinite(payload["value"])
 
 
@@ -832,23 +832,20 @@ def test_free_energy_survives_a_generation_without_clauses(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("h, x1_flag, x1_text", [
-    ("1.0", False, "2 of 2; x=1 solve unconverged)"),
-    ("0.0", None, "2 of 2)"),
-], ids=["field", "no-field"])
-def test_unconverged_free_energy_reports_the_x1_solve(
-    tmp_path, capsys, h, x1_flag, x1_text
-):
+@pytest.mark.parametrize("h", ["1.0", "0.0"], ids=["field", "no-field"])
+def test_unconverged_free_energy_reports_the_x1_solve(tmp_path, capsys, h):
+    # x = 1 is a node at any h, and the warning names it with the others
     cfg = write_cfg(tmp_path, BASE_LIMIT.replace("model.h=1.0", f"model.h={h}")
                     + f"rde.max_gens={CONVERGENCE_WINDOW - 1}\n")
     out = tmp_path / "fe"
     assert run_cli(["free-energy", "--config", cfg, "--out", out]) == 0
     payload = json.loads((out / "free_energy.json").read_text())
-    assert payload["x1_converged"] is x1_flag
     assert payload["converged"] is False
     assert [n["converged"] for n in payload["nodes"]] == [False, False]
+    assert payload["nodes"][0]["x"] == 1.0
     err = capsys.readouterr().err
-    assert f"unconverged quadrature nodes: {x1_text}" in err
+    assert "unconverged quadrature nodes: 2 of 2)" in err
+    assert "x=1: W1 gap" in err and f"x={payload['nodes'][1]['x']:.4g}: W1 gap" in err
 
 
 def test_convergence_csv_schema(tmp_path):

@@ -12,15 +12,15 @@ from quadglass.disorder import DisorderSpec
 from quadglass.free_energy import (
     convergence_study,
     edge_term,
-    gauss_legendre,
+    gauss_radau,
     limiting_free_energy,
 )
 from quadglass.model import ModelParams
 from quadglass.rde import Population, delta_population, solve_fixed_point
-from quadglass.stats import combined_se, jackknife_se
+from quadglass.stats import combined_se, mc_estimate
 from quadglass.streams import stream
 
-from oracles import balanced_edge_term, rademacher_p1_free_energy
+from oracles import balanced_edge_term, rademacher_p1_edge_term, rademacher_p1_free_energy
 
 RAD = DisorderSpec("rademacher")
 A3ISH = ModelParams(0.5, 0.25, 1.0, 2)
@@ -30,19 +30,32 @@ A3ISH = ModelParams(0.5, 0.25, 1.0, 2)
 # quadrature rules
 
 
-def test_gauss_legendre_rule_is_valid():
-    nodes, weights = gauss_legendre(16)
+def test_gauss_radau_rule_is_valid():
+    nodes, weights = gauss_radau(16)
     assert nodes.size == 16 and weights.size == 16
-    assert nodes.min() > 0 and nodes.max() < 1
-    assert np.all(np.diff(nodes) > 0)
+    assert nodes[0] == 1.0 and nodes[1:].min() > 0 and nodes[1:].max() < 1
+    assert np.all(np.diff(nodes) < 0)
     assert weights.min() > 0
     assert abs(weights.sum() - 1.0) <= 1e-12
+    assert [a.tolist() for a in gauss_radau(1)] == [[1.0], [1.0]]
 
 
-def test_gauss_legendre_integrates_polynomials_exactly():
-    nodes, weights = gauss_legendre(8)
-    # degree 15 monomial on [0,1]
-    assert float(weights @ nodes**15) == pytest.approx(1.0 / 16, rel=1e-13)
+@pytest.mark.parametrize("n_nodes", [8, 16])
+def test_gauss_radau_integrates_polynomials_exactly(n_nodes):
+    nodes, weights = gauss_radau(n_nodes)
+    for degree in range(2 * n_nodes - 1):
+        assert float(weights @ nodes**degree) == pytest.approx(1.0 / (degree + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.25), (1.0, 0.5), (0.5, 50.0)])
+def test_gauss_radau_integrates_the_arity_1_edge_term(alpha, beta):
+    # at p = 1 with +-1 weights, the edge term at x is a Poisson series in
+    # alpha*x, and its integral is the log-det part of the p = 1 free energy
+    nodes, weights = gauss_radau(8)
+    quadrature = alpha / 2 * sum(
+        w * rademacher_p1_edge_term(alpha * x, beta) for x, w in zip(nodes, weights))
+    assert quadrature == pytest.approx(rademacher_p1_free_energy(alpha, beta, 0.0),
+                                       rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +152,8 @@ def test_thinned_rates_stochastically_dominate():
                             pop_size=10**5)
     high = solve_fixed_point(par, RAD, stream(19, "dom2"), pop_size=10**5)
     se = combined_se(
-        jackknife_se(low.population.values), jackknife_se(high.population.values)
+        mc_estimate(low.population.values).std_error,
+        mc_estimate(high.population.values).std_error,
     )
     assert low.population.mean() >= high.population.mean() - 3 * se
 
@@ -150,7 +164,7 @@ def test_unconverged_nodes_are_flagged_not_fatal():
         stream(20, "lfail"), pop_size=400, n_mc=5000, max_gens=8,
     )
     assert not res.converged
-    assert len(res.failed_nodes) > 0
+    assert res.unconverged > 0
     assert math.isfinite(res.estimate.value)
 
 
@@ -160,13 +174,14 @@ def _state(rng):
 
 @pytest.mark.parametrize("h", [1.0, 0.0], ids=["field", "no-field"])
 def test_sweep_solves_every_point_cold_on_its_own_stream(monkeypatch, h):
-    solves, edges = {}, {}
+    solves, edges = [], {}
     real_solve, real_edge = free_energy.solve_fixed_point, free_energy.edge_term
 
     def solve_spy(params, disorder, rng, **kwargs):
         state = _state(rng)
         report = real_solve(params, disorder, rng, **kwargs)
-        solves[params.alpha] = (state, kwargs.get("init"), report.population.mean())
+        solves.append((params.alpha, state, kwargs.get("init"), report.population.mean(),
+                       _state(rng)))
         return report
 
     def edge_spy(pop, params, disorder, n_mc, rng):
@@ -178,23 +193,22 @@ def test_sweep_solves_every_point_cold_on_its_own_stream(monkeypatch, h):
     par = ModelParams(0.5, 0.25, h, 2)
     res = limiting_free_energy(par, RAD, 3, stream(21, "sweep"), pop_size=500, n_mc=500,
                                max_gens=5, workers=2)
-    # point j solves the model at edge density alpha * x from the point mass
-    # at 1 on child j (x = 1 on child 3); node j's edge term draws on child 4 + j
-    children = stream(21, "sweep").spawn(7)
-    xs = list(gauss_legendre(3)[0]) + ([1.0] if h else [])
-    assert sorted(solves) == [par.alpha * float(x) for x in xs]
+    # node j solves the model at edge density alpha * x_j from the point mass
+    # at 1 on child j, and then draws its edge term on that same child
+    children = stream(21, "sweep").spawn(3)
+    xs = gauss_radau(3)[0]
+    assert len(solves) == 3
+    by_alpha = {alpha: rest for alpha, *rest in solves}
+    assert sorted(by_alpha) == sorted(par.alpha * float(x) for x in xs)
     for j, x in enumerate(xs):
-        state, init, _ = solves[par.alpha * float(x)]
+        state, init, _, solved_state = by_alpha[par.alpha * float(x)]
         assert init is None and state == _state(children[j])
-    assert sorted(edges) == [par.alpha * float(x) * par.p for x in xs[:3]]
-    for j, x in enumerate(xs[:3]):
-        assert edges[par.alpha * float(x) * par.p] == _state(children[4 + j])
-    # the field term reads the x = 1 fixed point
-    if h:
-        assert res.h_term == h * h / 2 * solves[par.alpha][2]
-        assert res.x1.x == 1.0 and res.x1.term == solves[par.alpha][2]
-    else:
-        assert res.h_term == 0.0 and res.x1 is None
+        assert edges[par.alpha * float(x) * par.p] == solved_state
+    assert [node.x for node in res.nodes] == list(xs)
+    # the field term reads the x = 1 node's population
+    x1_mean = by_alpha[par.alpha][2]
+    assert res.nodes[0].x == 1.0
+    assert res.h_term == h * h / 2 * x1_mean
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -215,7 +229,7 @@ def test_sweep_holds_at_most_one_population_per_worker(monkeypatch, workers):
         A3ISH, RAD, 4, stream(22, "hold"), pop_size=500, n_mc=500, max_gens=5, workers=workers
     )
     gc.collect()
-    assert len(alive) == 5 and max(alive) <= workers - 1
+    assert len(alive) == 4 and max(alive) <= workers - 1
     assert all(ref() is None for ref in populations)
 
 

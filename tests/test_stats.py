@@ -11,7 +11,6 @@ from quadglass.stats import (
     Estimate,
     combined_se,
     independence_check,
-    jackknife_se,
     loo_se,
     mc_estimate,
     poisson_uniform_check,
@@ -32,13 +31,6 @@ RAD = DisorderSpec("rademacher")
 
 # ---------------------------------------------------------------------------
 # scalar estimators
-
-
-def test_jackknife_with_one_value_per_block_is_the_iid_error():
-    # leave-one-out means spread as s/(n-1), so the jackknife formula gives s/sqrt(n)
-    values = stream(70, "jk").standard_normal(20)
-    assert jackknife_se(values) == pytest.approx(mc_estimate(values).std_error, rel=1e-12)
-    assert jackknife_se(values[:1]) == 0.0
 
 
 def test_loo_se_is_the_jackknife_formula():

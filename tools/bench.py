@@ -11,8 +11,9 @@ runs first alternates from pair to pair.  It then runs the workload once
 with ``--trace 1`` in the change.  It reads each run's last stdout line
 and merges one entry for W into ``--out``: every pair's end-to-end
 metrics and ``correct``, per metric the parent's median and IQR, the
-change's median and the number of pairs in which the change read lower,
-and the traced line.  Other workloads' entries in ``--out`` are kept.
+change's median, the number of pairs the change won in the direction
+BENCHMARK.json calls better, whether the change's median is within the
+metric's bound, and the traced line.  Other workloads' entries in ``--out`` are kept.
 The standard library is all it needs.
 """
 
@@ -27,7 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-METRICS = tuple(m["name"] for m in SPEC["end_to_end"])
+# end-to-end metric -> (the better direction, "lower" or "higher"; the relative bound)
+METRICS = {m["name"]: (m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 RUN_TIMEOUT_S = 600
 
 
@@ -72,20 +74,28 @@ def reading(line: dict) -> dict:
 
 
 def summary(pairs: list[dict]) -> dict:
-    """Per metric: the parent's median and IQR, the change's median, pairs it read lower."""
+    """Per metric: the parent's median and IQR, the change's median, the pairs it won.
+
+    A pair is won when the change reads better than the parent in the
+    metric's direction; ``within_bound`` holds when the change's median
+    is worse than the parent's by at most ``bound`` times the parent's.
+    """
     out = {}
-    for name in METRICS:
+    for name, (better, bound) in METRICS.items():
+        sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0 is a win
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
         if len(parent) > 1:
             q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
         else:
             q1 = q3 = parent[0]
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
         out[name] = {
-            "parent_median": statistics.median(parent),
+            "parent_median": parent_median,
             "parent_iqr": q3 - q1,
-            "change_median": statistics.median(change),
-            "change_lower": sum(c < p for p, c in zip(parent, change)),
+            "change_median": change_median,
+            "change_won": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+            "within_bound": sign * (change_median - parent_median) <= bound * abs(parent_median),
         }
     return out
 
