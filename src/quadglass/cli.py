@@ -301,7 +301,11 @@ def _allocations(kind, options, raw, workers):
     at a time (tracemalloc, n_mc 2*10^5, p = 1 to 10), and holds the
     node's population.  A limit runs min(workers, quadrature.nodes)
     solves at once, each followed by its edge term, so both rows count
-    that many; the ``rde`` kind runs one.
+    that many; the ``rde`` kind runs one.  The quadrature rule peaks at
+    about 17 bytes per n^2: its n x n companion matrix, the copy LAPACK's
+    eigenvalue routine works in, and that routine's workspace, which
+    tracemalloc does not see (``ru_maxrss`` growth, once BLAS is warm:
+    16.1 n^2 at n = 1000, 16.7 n^2 at 2000 and 16.6 n^2 at 4000).
     """
     alpha, p = options["model.alpha"], options["model.p"]
     at_alpha = f" at model.alpha={raw['model.alpha']}"
@@ -330,8 +334,8 @@ def _allocations(kind, options, raw, workers):
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
         rows.append((f"free_energy.n_mc={n_mc}", f"{solves} edge term(s)' draws", 0,
                      solves * (32.0 * n_mc + 8.0 * pop)))
-        rows.append((f"quadrature.nodes={nodes}", "the Gauss-Radau rule's companion-matrix "
-                     "entries", 0, 8.0 * nodes * nodes))
+        rows.append((f"quadrature.nodes={nodes}", "the Gauss-Radau rule's companion matrix "
+                     "and its eigenvalue workspace", 0, 17.0 * nodes * nodes))
     return rows
 
 

@@ -29,16 +29,30 @@ def test_summary_reads_medians_iqr_and_pairs_won():
     # inclusive quartiles of 0.40, 0.45, 0.50, 0.60: 0.4375 and 0.525
     assert wall["parent_iqr"] == pytest.approx(0.0875)
     assert wall["change_median"] == pytest.approx(0.45)
+    # inclusive quartiles of 0.30, 0.38, 0.52, 0.59: 0.36 and 0.5375
+    assert wall["change_iqr"] == pytest.approx(0.1775)
     assert wall["change_won"] == 3 and wall["within_bound"]
     # equal readings are not wins
     assert summary["cpu_s"] == {"parent_median": 1.0, "parent_iqr": 0.0,
-                                "change_median": 1.0, "change_won": 0, "within_bound": True}
+                                "change_median": 1.0, "change_iqr": 0.0, "change_won": 0,
+                                "within_bound": True}
 
 
 def test_summary_of_one_pair_has_no_spread():
     wall = bench.summary([_pair(1, 0.4, 0.3)])["wall_s"]
     assert wall == {"parent_median": 0.4, "parent_iqr": 0.0, "change_median": 0.3,
-                    "change_won": 1, "within_bound": True}
+                    "change_iqr": 0.0, "change_won": 1, "within_bound": True}
+
+
+def test_summary_reads_each_sides_spread_from_its_own_runs():
+    # a steady parent and a change spread over 0.1 .. 1.0 in ten pairs
+    pairs = [_pair(seed, 1.0, seed / 10) for seed in range(1, 11)]
+    wall = bench.summary(pairs)["wall_s"]
+    assert wall["parent_iqr"] == 0.0
+    # inclusive quartiles of 0.1 .. 1.0: 0.325 and 0.775
+    assert wall["change_iqr"] == pytest.approx(0.45)
+    assert wall["change_median"] == pytest.approx(0.55)
+    assert wall["change_won"] == 9
 
 
 def test_summary_counts_a_higher_ok_ratio_as_a_win():

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +39,18 @@ def write_cfg(tmp_path, text, name="config.txt"):
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+def run_python(code, *args):
+    """The last stdout line of ``code`` run with ``args`` in a fresh interpreter on the
+    package's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +577,56 @@ def test_load_guard_counts_the_matrix_entries(tmp_path, capsys, monkeypatch):
     assert_one_config_error(capsys.readouterr().err, "load.path", "matrix entries")
     monkeypatch.setattr(cli, "_physical_memory", lambda: need + 1)
     assert run_cli(["load", "--config", cfg, "--out", tmp_path / "o"]) == 0
+
+
+def test_memory_guard_counts_what_the_quadrature_rule_holds():
+    # the eigenvalue routine's copy and workspace are LAPACK's own, which
+    # tracemalloc does not see, so the peak RSS is read; a smaller rule
+    # first pays BLAS's one-off buffers, which do not grow with the rule.
+    # A child's ru_maxrss starts at its parent's peak on Linux, so the
+    # child reads the peak of its own address space, VmHWM.
+    _, need = _guarded("free-energy", BASE_LIMIT.replace("quadrature.nodes=2",
+                                                         "quadrature.nodes=1000"),
+                       "quadrature.nodes")
+    grown = run_python(
+        "from quadglass.free_energy import gauss_radau\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        kib = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "    return 1024 * int(kib)\n"
+        "gauss_radau(300)\n"
+        "before = peak()\n"
+        "gauss_radau(1000)\n"
+        "print(peak() - before)\n"
+    )
+    assert 8 * 1000**2 < int(grown) <= need
+
+
+# each (kind, config, out) triple of argv in one process; after each run,
+# whether any scipy module is loaded
+RUNS_THEN_SCIPY = """
+import json, sys
+import quadglass, quadglass.cli as cli
+seen = []
+for kind, cfg, out in zip(*[iter(sys.argv[1:])] * 3):
+    code = cli.main([kind, "--config", cfg, "--out", out, "--workers", "1"])
+    seen.append([kind, code, any(name.split(".")[0] == "scipy" for name in sys.modules)])
+print(json.dumps(seen))
+"""
+
+
+def test_fixed_point_kinds_never_load_scipy(tmp_path):
+    # the limit route never forms a matrix, so scipy loads only with the
+    # first factorization; the simulate run shows the check can see it load
+    rde = write_cfg(tmp_path, RDE_SMALL.replace("rde.max_gens=40", "rde.max_gens=20"), "rde.txt")
+    limit = write_cfg(tmp_path, rde.read_text() + "quadrature.nodes=2\nfree_energy.n_mc=2000\n",
+                      "limit.txt")
+    sim = write_cfg(tmp_path, BASE_SIM.replace("simulate.n_sites=100", "simulate.n_sites=50")
+                    .replace("simulate.replicates=4", "simulate.replicates=1"), "sim.txt")
+    seen = run_python(RUNS_THEN_SCIPY, "rde", rde, tmp_path / "r", "free-energy", limit,
+                      tmp_path / "f", "simulate", sim, tmp_path / "s")
+    assert json.loads(seen) == [["rde", 0, False], ["free-energy", 0, False],
+                                ["simulate", 0, True]]
 
 
 def test_dump_never_factors_so_only_its_clauses_count(tmp_path):

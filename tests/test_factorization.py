@@ -2,7 +2,7 @@
 
 Every finite-size observable is a query on a single ``Factorization``;
 these tests count the sparse LU calls behind each entry point by
-wrapping the ``splu`` binding that ``quadglass.model`` uses, and check
+wrapping the ``splu`` binding that ``quadglass.linalg`` uses, and check
 every query against dense numpy linear algebra.
 """
 
@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-import quadglass.model
+import quadglass.linalg
 from quadglass import cli
 from quadglass.disorder import DisorderSpec
+from quadglass.linalg import _assemble
 from quadglass.model import (
     FactorModel,
     Factorization,
     ModelParams,
-    _assemble,
     cavity_split,
     finite_free_energy,
     inverse_diagonal,
@@ -57,7 +57,7 @@ def factor_calls(monkeypatch):
         calls.append(matrix.shape)
         return splu(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(quadglass.model, "splu", counting)
+    monkeypatch.setattr(quadglass.linalg, "splu", counting)
     return calls
 
 
@@ -274,7 +274,7 @@ def test_inverse_diagonal_exact_where_cancellation_drops_fill_from_l():
     for model in models:
         fac = Factorization(model)
         lower = fac._lu.L
-        values, (ptr, rows, *_) = quadglass.model._closed_pattern(lower)
+        values, (ptr, rows, *_) = quadglass.linalg._closed_pattern(lower)
         reference = closed_pattern_by_products(lower)
         assert np.array_equal(ptr, reference.indptr)
         assert np.array_equal(rows, reference.indices)
@@ -304,8 +304,8 @@ def test_inverse_diagonal_matches_dense_inverse_whatever_the_root_clique(
     # Takahashi's recurrence; each case covers another split between the two
     model = sample_model(params, DisorderSpec(family), n, stream(112, "clique", n, family))
     fac = Factorization(model)
-    _, (_, _, below, _, _) = quadglass.model._closed_pattern(fac._lu.L)
-    c0 = quadglass.model._root_clique(below)
+    _, (_, _, below, _, _) = quadglass.linalg._closed_pattern(fac._lu.L)
+    c0 = quadglass.linalg._root_clique(below)
     assert clique == {n - 1: "last column", 0: "every column"}.get(c0, "trailing block")
     if clique == "trailing block":
         assert np.count_nonzero(below == 0) > 1  # a forest: the clique hangs off one root
@@ -321,7 +321,7 @@ def test_inverse_diagonal_matches_dense_inverse_whatever_the_root_clique(
 def test_inverse_diagonal_does_not_depend_on_the_pair_chunk(monkeypatch, params, n):
     fac = Factorization(sample_model(params, RAD, n, stream(111, "chunk", params.p)))
     whole = fac.inverse_diagonal()
-    monkeypatch.setattr(quadglass.model, "INVERSE_DIAGONAL_PAIRS", 1)  # one column a chunk
+    monkeypatch.setattr(quadglass.linalg, "INVERSE_DIAGONAL_PAIRS", 1)  # one column a chunk
     assert np.array_equal(fac.inverse_diagonal(), whole)
 
 
@@ -329,7 +329,7 @@ def test_failed_factorization_exits_4_without_traceback(tmp_path, monkeypatch, c
     def singular(matrix, *args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(quadglass.model, "splu", singular)
+    monkeypatch.setattr(quadglass.linalg, "splu", singular)
     cfg = write_cfg(
         tmp_path / "sim.txt",
         MODEL_KEYS + "simulate.n_sites=60\nsimulate.replicates=1\n",

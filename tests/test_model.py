@@ -6,12 +6,12 @@ import pytest
 from scipy.stats import norm
 
 from quadglass.disorder import DisorderSpec
+from quadglass.linalg import _assemble
 from quadglass.model import (
     CavitySplit,
     FactorModel,
     Factorization,
     ModelParams,
-    _assemble,
     _distinct_tuples,
     cavity_split,
     dump_model,

@@ -10,8 +10,8 @@ each checkout, with ``run_seconds`` from BENCHMARK.json; the side that
 runs first alternates from pair to pair.  It then runs the workload once
 with ``--trace 1`` in the change.  It reads each run's last stdout line
 and merges one entry for W into ``--out``: every pair's end-to-end
-metrics and ``correct``, per metric the parent's median and IQR, the
-change's median, the number of pairs the change won in the direction
+metrics and ``correct``, per metric each side's median and IQR, the
+number of pairs the change won in the direction
 BENCHMARK.json calls better, whether the change's median is within the
 metric's bound, and the traced line.  Other workloads' entries in ``--out`` are kept.
 The standard library is all it needs.
@@ -73,8 +73,16 @@ def reading(line: dict) -> dict:
     return {**values, "correct": line["correct"]}
 
 
+def iqr(values: list[float]) -> float:
+    """Inclusive interquartile range; 0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def summary(pairs: list[dict]) -> dict:
-    """Per metric: the parent's median and IQR, the change's median, the pairs it won.
+    """Per metric: each side's median and IQR, and the pairs the change won.
 
     A pair is won when the change reads better than the parent in the
     metric's direction; ``within_bound`` holds when the change's median
@@ -85,15 +93,12 @@ def summary(pairs: list[dict]) -> dict:
         sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0 is a win
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
-        if len(parent) > 1:
-            q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-        else:
-            q1 = q3 = parent[0]
         parent_median, change_median = statistics.median(parent), statistics.median(change)
         out[name] = {
             "parent_median": parent_median,
-            "parent_iqr": q3 - q1,
+            "parent_iqr": iqr(parent),
             "change_median": change_median,
+            "change_iqr": iqr(change),
             "change_won": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
             "within_bound": sign * (change_median - parent_median) <= bound * abs(parent_median),
         }
