@@ -51,6 +51,8 @@ def gauss_radau(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     factor (Abramowitz and Stegun 25.4.31), so the rule is exact to
     degree 2n - 2.  Node t maps to x = (t + 1) / 2.
     """
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be at least 1")
     series = np.zeros(n_nodes + 1)  # P_{n-1} - P_n; its first n entries are P_{n-1}
     series[n_nodes - 1], series[n_nodes] = 1.0, -1.0
     t = np.polynomial.legendre.legroots(series)[::-1]

@@ -150,23 +150,18 @@ class WoodburyResidual(NamedTuple):
 def _distinct_tuples(rng, n_sites, m, p):
     """Uniform ordered distinct p-tuples from 0..n_sites-1, shape (m, p).
 
-    Vectorized rejection when collisions are rare; falls back to per-row
-    partial shuffles when p is comparable to n_sites.  Both routes give
-    the exact uniform law on ordered distinct tuples.
+    Column k draws a rank r uniform on 0..n_sites-k-1 and takes the r-th
+    site its row has not used yet.  With the row's used sites sorted,
+    u_0 < ... < u_{k-1}, u_i - i sites lie unused below u_i, so that site
+    is r plus the number of i with u_i - i <= r.  Each column is uniform
+    on the unused sites given the earlier ones, so the tuple is exactly
+    uniform at every arity, from one draw of m ranks per column.
     """
-    if p == 1:
-        return rng.integers(0, n_sites, size=(m, 1))
-    accept = np.prod(1.0 - np.arange(p) / n_sites)
-    if accept < 0.5:
-        out = np.empty((m, p), dtype=np.int64)
-        for i in range(m):
-            out[i] = rng.permutation(n_sites)[:p]
-        return out
-    out = rng.integers(0, n_sites, size=(m, p))
-    bad = _rows_with_duplicates(out)
-    while bad.size:
-        out[bad] = rng.integers(0, n_sites, size=(bad.size, p))
-        bad = bad[_rows_with_duplicates(out[bad])]
+    out = rng.integers(0, n_sites, size=(m, min(p, 1)))
+    for k in range(1, p):
+        r = rng.integers(0, n_sites - k, size=(m, 1))
+        r += np.count_nonzero(np.sort(out, axis=1) - np.arange(k) <= r, axis=1, keepdims=True)
+        out = np.hstack([out, r])
     return out
 
 

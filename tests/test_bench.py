@@ -120,3 +120,21 @@ def test_a_failed_run_ends_on_one_line_naming_it(tmp_path, monkeypatch, capsys,
     # the finished pair, seed 1, was echoed before the failure
     echoed = capsys.readouterr().err.splitlines()
     assert [json.loads(line)["seed"] for line in echoed] == [1]
+
+
+@pytest.mark.parametrize("text, says", [
+    ("not json\n", "cannot be read as JSON (JSONDecodeError"),
+    ("[1, 2]\n", "holds a JSON list, not an object"),
+], ids=["not-json", "json-list"])
+def test_an_unreadable_out_ends_the_tool_before_the_first_run(tmp_path, monkeypatch, text, says):
+    runs = []
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, **kwargs: runs.append(cmd))
+    out = tmp_path / "BENCH.json"
+    out.write_text(text)
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--parent", str(tmp_path), "--workload", "cavity-super2k",
+                    "--pairs", "2", "--out", str(out)])
+    message = exit_info.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith("bench: --out ") and str(out) in message and says in message
+    assert runs == [] and out.read_text() == text

@@ -148,7 +148,7 @@ GOLDEN = {
         """,
         {
             "model.txt":
-                "2bf7f1a89e3593ec7a38aa207447ea189d559be6726e6384bb08e7d662d20e15",
+                "9f0507e3d7552f9d659b1b964ef64466ff7d6280cff3a3fe585261393c38e86d",
         },
     ),
     "validate": (

@@ -260,9 +260,12 @@ def test_factor_inverse_diagonal_rejects_sites_out_of_range(sites, message):
 
 
 def test_inverse_diagonal_exact_where_cancellation_drops_fill_from_l():
-    # +-1 weights cancel fill exactly; on this draw L lacks entries that
-    # Z[S_j, S_j] needs, and reading Z off L's own pattern is off by 0.03
-    pinned = sample_model(ModelParams(1.0, 0.5, 0.0, 2), RAD, 60, stream(109, "probe"))
+    # +-1 weights cancel fill exactly; on this 4-cycle L lacks entries that
+    # Z[S_j, S_j] needs, so reading Z off L's own pattern would be wrong
+    pinned = FactorModel(
+        4, [[0, 2], [2, 3], [0, 1], [1, 3]], [[1, -1], [-1, 1], [-1, -1], [1, -1]],
+        ModelParams(1.0, 0.5, 0.0, 2), RAD,
+    )
     models = [pinned]
     for params in (
         ModelParams(0.5, 0.25, 1.0, 2), ModelParams(1.0, 0.5, 0.0, 2),

@@ -40,6 +40,16 @@ def test_gauss_radau_rule_is_valid():
     assert [a.tolist() for a in gauss_radau(1)] == [[1.0], [1.0]]
 
 
+@pytest.mark.parametrize("n_nodes", [0, -1])
+def test_fewer_than_one_node_is_a_value_error(n_nodes):
+    with pytest.raises(ValueError, match="n_nodes must be at least 1"):
+        gauss_radau(n_nodes)
+    with pytest.raises(ValueError, match="n_nodes must be at least 1"):
+        limiting_free_energy(A3ISH, RAD, n_nodes, stream(5, "no-nodes"))
+    with pytest.raises(ValueError, match="n_nodes must be at least 1"):
+        convergence_study(A3ISH, RAD, [50], 2, n_nodes, stream(5, "no-nodes"))
+
+
 @pytest.mark.parametrize("n_nodes", [8, 16])
 def test_gauss_radau_integrates_polynomials_exactly(n_nodes):
     nodes, weights = gauss_radau(n_nodes)

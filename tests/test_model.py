@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -77,23 +78,19 @@ def test_clause_sites_distinct_and_in_range():
         assert all(0 <= s < 10 for s in clause.sites)
 
 
-def test_distinct_tuples_uniform_over_ordered_pairs():
-    # chi-square-style sanity: all N*(N-1) ordered pairs roughly equally likely
-    rng = stream(3, "pairs")
-    n, m = 5, 40_000
-    tuples = _distinct_tuples(rng, n, m, 2)
-    codes = tuples[:, 0] * n + tuples[:, 1]
-    counts = np.bincount(codes, minlength=n * n).reshape(n, n)
-    assert np.all(np.diag(counts) == 0)
-    off = counts[~np.eye(n, dtype=bool)]
-    expected = m / (n * (n - 1))
-    assert np.all(np.abs(off - expected) < 5 * math.sqrt(expected))
-
-
-def test_distinct_tuples_fallback_when_arity_near_size():
-    rng = stream(4, "fallback")
-    tuples = _distinct_tuples(rng, 6, 500, 5)
-    assert all(len(set(row)) == 5 for row in tuples)
+@pytest.mark.parametrize("n, p", [(5, 2), (5, 3), (4, 4), (6, 5)])
+def test_distinct_tuples_uniform_over_ordered_tuples(n, p):
+    # each of the n!/(n-p)! ordered distinct tuples about equally likely, also
+    # at p near n, where the last columns have one or two sites left to take
+    m = 40_000
+    tuples = _distinct_tuples(stream(3, "tuples", n, p), n, m, p)
+    place = n ** np.arange(p)
+    allowed = np.array(list(itertools.permutations(range(n), p))) @ place
+    codes = tuples @ place
+    assert tuples.shape == (m, p) and np.isin(codes, allowed).all()
+    counts = np.bincount(codes, minlength=n**p)[allowed]
+    expected = m / allowed.size
+    assert np.all(np.abs(counts - expected) < 5 * math.sqrt(expected))
 
 
 @pytest.mark.parametrize(

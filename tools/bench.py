@@ -13,7 +13,8 @@ and merges one entry for W into ``--out``: every pair's end-to-end
 metrics and ``correct``, per metric each side's median and IQR, the
 number of pairs the change won in the direction
 BENCHMARK.json calls better, whether the change's median is within the
-metric's bound, and the traced line.  Other workloads' entries in ``--out`` are kept.
+metric's bound, and the traced line.  Other workloads' entries in ``--out`` are kept;
+an ``--out`` that exists but holds no JSON object ends the tool before the first run.
 The standard library is all it needs.
 """
 
@@ -116,6 +117,13 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     sides = {"parent": args.parent.resolve(), "change": ROOT}
+    try:
+        merged = json.loads(args.out.read_text()) if args.out.exists() else {}
+    except (OSError, ValueError) as exc:
+        sys.exit(f"bench: --out {args.out} cannot be read as JSON "
+                 f"({type(exc).__name__}: {exc})")
+    if not isinstance(merged, dict):
+        sys.exit(f"bench: --out {args.out} holds a JSON {type(merged).__name__}, not an object")
 
     pairs = []
     for seed in range(1, args.pairs + 1):
@@ -126,7 +134,6 @@ def main(argv=None) -> int:
         print(json.dumps(pair), file=sys.stderr, flush=True)
         pairs.append(pair)
 
-    merged = json.loads(args.out.read_text()) if args.out.exists() else {}
     merged[args.workload] = {
         "pairs": pairs,
         "summary": summary(pairs),
