@@ -288,20 +288,22 @@ def _allocations(kind, options, raw, workers):
 
     A clause holds 16*p bytes in a realization: p sites and p weights
     (``parallel_map`` factors one per worker, ``dump`` none).  An RDE
-    step peaks at 24*p bytes per clause: its draws, the push's gather
-    and denominators (tracemalloc, pop 10^5: 44 B at p = 2, 64 at
-    p = 3, 232 at p = 10).  A fixed-point solve runs one step at a
-    time, so its row counts 24*p bytes per clause and five arrays per
-    output: the population and its sorted copy, and the push with its
-    bincount, or its sorted copy and its two sorted halves (tracemalloc,
-    whole solves at pop 10^5: 10.5 MB at p = 2 and 20.9 MB at p = 3 at
-    alpha = 1, 117.7 MB at p = 10 at alpha = 0.5, against 13.6, 25.6
-    and 124.0 MB counted; 36 B per output at vanishing rate).  An edge
-    term peaks at 32 bytes per draw at any p, one column of z_r^2 X_r
-    at a time (tracemalloc, n_mc 2*10^5, p = 1 to 10), and holds the
-    node's population.  A limit runs min(workers, quadrature.nodes)
-    solves at once, each followed by its edge term, so both rows count
-    that many; the ``rde`` kind runs one.  The quadrature rule peaks at
+    step peaks below 24*p bytes per clause: its draws with int32
+    resample indices, one fixed gather chunk, then the denominators
+    (tracemalloc, pop 10^5: 32.0 B at p = 2, 40.7 at p = 3, 124.4 at
+    p = 10).  A fixed-point solve runs one step at a time, so its row
+    counts 24*p bytes per clause and five arrays per output: the
+    population and its sorted copy, and the push with its bincount, or
+    its sorted copy and its two sorted halves (tracemalloc, whole solves
+    at pop 10^5: 8.8 MB at p = 2 and 14.6 MB at p = 3 at alpha = 1,
+    64.7 MB at p = 10 at alpha = 0.5, against 13.6, 25.6 and 124.0 MB
+    counted; 36 B per output at vanishing rate).  An edge term peaks
+    below 32 bytes per draw at any p: the sums, one column of z_r^2 X_r
+    at a time and its int32 resample indices (tracemalloc, n_mc 2*10^5,
+    p = 1 to 10: 21.0 B), and holds the node's population.  A limit
+    runs min(workers, quadrature.nodes) solves at once, each followed by
+    its edge term, so both rows count that many; the ``rde`` kind runs
+    one.  The quadrature rule peaks at
     about 17 bytes per n^2: its n x n companion matrix, the copy LAPACK's
     eigenvalue routine works in, and that routine's workspace, which
     tracemalloc does not see (``ru_maxrss`` growth, once BLAS is warm:

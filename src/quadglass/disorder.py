@@ -78,10 +78,10 @@ def _sample_shape(spec, shape, rng):
         out *= 2.0 * spec.param  # numpy's high - low, exact while finite
         out -= spec.param
     else:  # a sign bit for the two-point families
-        out[...] = rng.integers(0, 2, size=out.shape)
+        out[...] = rng.integers(0, 2, size=out.shape, dtype=np.int32)  # int64's draws
         out *= 2.0
         out -= 1.0
         out *= spec.param  # exact for rademacher, whose param is 1
     if math.isfinite(spec.truncation):
-        out[np.abs(out) > spec.truncation] = 0.0
+        out[(out > spec.truncation) | (out < -spec.truncation)] = 0.0  # no |out| copy
     return out

@@ -35,13 +35,14 @@ def test_summary_reads_medians_iqr_and_pairs_won():
     # equal readings are not wins
     assert summary["cpu_s"] == {"parent_median": 1.0, "parent_iqr": 0.0,
                                 "change_median": 1.0, "change_iqr": 0.0, "change_won": 0,
-                                "within_bound": True}
+                                "within_bound": True, "resolved": False}
 
 
 def test_summary_of_one_pair_has_no_spread():
     wall = bench.summary([_pair(1, 0.4, 0.3)])["wall_s"]
     assert wall == {"parent_median": 0.4, "parent_iqr": 0.0, "change_median": 0.3,
-                    "change_iqr": 0.0, "change_won": 1, "within_bound": True}
+                    "change_iqr": 0.0, "change_won": 1, "within_bound": True,
+                    "resolved": True}
 
 
 def test_summary_reads_each_sides_spread_from_its_own_runs():
@@ -73,6 +74,36 @@ def test_summary_flags_a_median_out_of_bound():
     wall = bench.summary([_pair(1, 1.0, edge * 1.01), _pair(2, 1.0, 0.9),
                           _pair(3, 1.0, edge * 1.02)])["wall_s"]
     assert wall["change_won"] == 1 and not wall["within_bound"]
+
+
+def test_a_gain_resolves_on_nine_wins_in_ten_beyond_the_parents_iqr():
+    # parent 1.0 .. 1.9: inclusive quartiles 1.225 and 1.675, IQR 0.45, median 1.45
+    parent = [1.0 + k / 10 for k in range(10)]
+    pairs = [_pair(k + 1, value, value - 0.8) for k, value in enumerate(parent)]
+    wall = bench.summary(pairs)["wall_s"]
+    assert wall["parent_iqr"] == pytest.approx(0.45)
+    assert wall["change_won"] == 10 and wall["resolved"]
+    # nine wins in ten still resolve; eight do not, though the medians stay apart
+    pairs[0] = _pair(1, 1.0, 1.1)
+    assert bench.summary(pairs)["wall_s"]["resolved"]
+    pairs[1] = _pair(2, 1.1, 1.2)
+    wall = bench.summary(pairs)["wall_s"]
+    assert wall["change_won"] == 8 and not wall["resolved"]
+
+
+def test_a_gain_within_the_parents_iqr_is_not_resolved():
+    # every pair won, but the medians differ by 0.4, less than the IQR 0.45
+    pairs = [_pair(k + 1, 1.0 + k / 10, 1.0 + k / 10 - 0.4) for k in range(10)]
+    wall = bench.summary(pairs)["wall_s"]
+    assert wall["change_won"] == 10 and not wall["resolved"]
+
+
+def test_a_resolved_gain_follows_the_better_direction():
+    # a higher ok_ratio is the gain; a lower one, however steady, resolves nothing
+    up = bench.summary([_pair(k, 0.5, 1.0, "ok_ratio") for k in range(1, 11)])["ok_ratio"]
+    assert up["resolved"]
+    down = bench.summary([_pair(k, 1.0, 0.5, "ok_ratio") for k in range(1, 11)])["ok_ratio"]
+    assert down["change_won"] == 0 and not down["resolved"]
 
 
 def test_reading_keeps_every_end_to_end_metric_and_correct():

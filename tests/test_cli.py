@@ -497,8 +497,8 @@ def test_memory_guard_counts_one_push():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_memory_guard_counts_one_edge_term(p):
-    # 32 * n_mc bytes at any p: the sums, and one column's weights, resample
-    # indices and picked values
+    # 32 * n_mc bytes at any p, above the sums, one column's weights and
+    # its int32 resample indices
     options, need = _guarded(
         "free-energy", RDE_SMALL.replace("model.p=2", f"model.p={p}")
         + "quadrature.nodes=2\nfree_energy.n_mc=200000\n", "free_energy.n_mc",

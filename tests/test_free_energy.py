@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadglass import free_energy
+from quadglass import free_energy, rde
 from quadglass.disorder import DisorderSpec
 from quadglass.free_energy import (
     convergence_study,
@@ -94,6 +94,31 @@ def test_edge_term_matches_balanced_resampling_oracle():
     est = edge_term(pop, par, RAD, 10**5, stream(3, "emc"))
     oracle, oracle_se = balanced_edge_term(pop_values, par, RAD, 10**6, stream(4, "eor"))
     assert abs(est.value - oracle) < 3 * combined_se(est.std_error, oracle_se)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])  # 10**6: above n_mc
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_edge_term_does_not_depend_on_the_gather_chunk(monkeypatch, chunk, p):
+    pop = Population(stream(35, "epop").uniform(0.05, 1.0, size=700))
+    par, spec = ModelParams(1.0, 0.6, 0.0, p), DisorderSpec("gaussian", 1.0, 2.0)
+    whole = edge_term(pop, par, spec, 3000, stream(35, "echunk", str(p)))
+    monkeypatch.setattr(rde, "GATHER_CHUNK", chunk)
+    assert edge_term(pop, par, spec, 3000, stream(35, "echunk", str(p))) == whole
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_edge_term_holds_its_draws_plus_one_gather_chunk(p):
+    # the sums, one column and its int32 resample indices: 20 bytes a draw,
+    # plus one gather chunk
+    pop, n_mc = Population(np.linspace(0.05, 1.0, 100_000)), 200_000
+    par = ModelParams(1.0, 0.5, 0.0, p)
+    tracemalloc.start()
+    try:
+        edge_term(pop, par, DisorderSpec("gaussian", 1.0, 2.0), n_mc, stream(36, "epeak"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n_mc
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -160,6 +161,64 @@ def test_in_place_step_is_the_out_of_place_expression(p, spec):
     want = out_of_place_step(pop.values, par, spec, 1500, oracle_rng)
     assert got.values.tobytes() == want.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])  # 10**6: above every clause count here
+@pytest.mark.parametrize("p, alpha, spec", [
+    (2, 0.9, DisorderSpec("gaussian", 1.0, 2.0)),
+    (3, 0.6, RAD),
+    (1, 0.9, DisorderSpec("uniform_symmetric", 1.5)),  # xi has no columns
+    (2, 1e-300, RAD),  # the generation draws no clause
+], ids=["p2", "p3", "p1", "no-clause"])
+def test_step_does_not_depend_on_the_gather_chunk(monkeypatch, chunk, p, alpha, spec):
+    pop = Population(stream(35, "pop").uniform(0.05, 1.0, size=700))
+    par = params_with(alpha, 0.7, p=p)
+    rng = stream(35, "chunk", str(p))
+    whole = step(pop, par, spec, 1500, rng)
+    monkeypatch.setattr(rde, "GATHER_CHUNK", chunk)
+    chunked_rng = stream(35, "chunk", str(p))
+    assert step(pop, par, spec, 1500, chunked_rng).values.tobytes() == whole.values.tobytes()
+    assert chunked_rng.bit_generator.state == rng.bit_generator.state
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p, per_clause", [(2, 36.0), (3, 44.0)])
+@pytest.mark.parametrize("spec", [DisorderSpec("gaussian", 1.0, 2.0), RAD],
+                         ids=["gaussian-c2", "rademacher"])
+def test_step_holds_its_draws_plus_one_gather_chunk(p, per_clause, spec):
+    # 16*p bytes per clause: owners, outer weights, the interior weights and
+    # their int32 resample indices and one gather chunk, then the denominators
+    # once those are gone
+    pop, par = Population(np.linspace(0.05, 1.0, 100_000)), params_with(1.0, 0.5, p=p)
+    clauses = stream(36, "peak", str(p)).poisson(par.alpha * p * pop.size)  # step's first draw
+    peak = _traced_peak(lambda: step(pop, par, spec, pop.size, stream(36, "peak", str(p))))
+    assert peak <= per_clause * clauses
+
+
+@pytest.mark.parametrize("n", [2, 10**5, 2**31 - 1])
+def test_int32_indices_are_the_int64_draws(n):
+    # numpy draws both dtypes by 32-bit draws below 2**31, which keeps every
+    # resample and sign bit on the int64 stream; a numpy that splits the two
+    # paths fails here by name, beside the golden digests it moves
+    narrow, wide = np.random.default_rng(37), np.random.default_rng(37)
+    got = narrow.integers(0, n, size=1000, dtype=np.int32)
+    assert np.array_equal(got, wide.integers(0, n, size=1000))
+    assert narrow.bit_generator.state == wide.bit_generator.state
+
+
+def test_resample_indices_stay_int64_past_int32():
+    rng = np.random.default_rng(38)
+    assert rde._resample_indices(rng, 2**31, 3).dtype == np.int32
+    assert rde._resample_indices(rng, 2**31 + 1, 3).dtype == np.int64
+    assert rde._resample_indices(rng, 2**33, 1000).max() >= 2**31  # no index wraps
 
 
 def test_step_validates_arguments():

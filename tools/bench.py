@@ -13,7 +13,8 @@ and merges one entry for W into ``--out``: every pair's end-to-end
 metrics and ``correct``, per metric each side's median and IQR, the
 number of pairs the change won in the direction
 BENCHMARK.json calls better, whether the change's median is within the
-metric's bound, and the traced line.  Other workloads' entries in ``--out`` are kept;
+metric's bound, whether a gain is resolved, and the traced line.
+Other workloads' entries in ``--out`` are kept;
 an ``--out`` that exists but holds no JSON object ends the tool before the first run.
 The standard library is all it needs.
 """
@@ -88,6 +89,9 @@ def summary(pairs: list[dict]) -> dict:
     A pair is won when the change reads better than the parent in the
     metric's direction; ``within_bound`` holds when the change's median
     is worse than the parent's by at most ``bound`` times the parent's.
+    ``resolved`` holds when the change won at least 9 in 10 of the pairs
+    and its median is better than the parent's by more than the parent's
+    IQR: a gain the pairs can tell from the parent's spread.
     """
     out = {}
     for name, (better, bound) in METRICS.items():
@@ -95,13 +99,16 @@ def summary(pairs: list[dict]) -> dict:
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
         parent_median, change_median = statistics.median(parent), statistics.median(change)
+        won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
         out[name] = {
             "parent_median": parent_median,
             "parent_iqr": iqr(parent),
             "change_median": change_median,
             "change_iqr": iqr(change),
-            "change_won": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+            "change_won": won,
             "within_bound": sign * (change_median - parent_median) <= bound * abs(parent_median),
+            "resolved": (10 * won >= 9 * len(pairs)
+                         and sign * (parent_median - change_median) > iqr(parent)),
         }
     return out
 
