@@ -112,7 +112,8 @@ KEY_SPECS = {
     "disorder.truncation": (_float, math.inf, lambda v: v > 0, "positive or inf"),
     "simulate.n_sites": (_int, None, lambda v: v >= 1, "at least 1"),
     "simulate.replicates": (_int, None, lambda v: v >= 1, "at least 1"),
-    "rde.pop_size": (_int, DEFAULT_POP_SIZE, lambda v: v >= 2, "at least 2"),
+    "rde.pop_size": (_int, DEFAULT_POP_SIZE, lambda v: v >= 2,
+                     "at least 2, for the population's SE"),
     "rde.max_gens": (_int, DEFAULT_MAX_GENS, lambda v: v >= 1, "at least 1"),
     "quadrature.kind": (str, "gauss", lambda v: v == "gauss", "gauss"),
     "quadrature.nodes": (_int, DEFAULT_NODES, lambda v: v >= 1, "at least 1"),
@@ -287,20 +288,18 @@ def _allocations(kind, options, raw, workers):
     """Rows (setting, what, clause-count mean, bytes) of each large allocation of a kind.
 
     A clause holds 16*p bytes in a realization: p sites and p weights
-    (``parallel_map`` factors one per worker, ``dump`` none).  An RDE
-    step peaks below 24*p bytes per clause: its draws with int32
-    resample indices, one fixed gather chunk, then the denominators
-    (tracemalloc, pop 10^5: 32.0 B at p = 2, 40.7 at p = 3, 124.4 at
-    p = 10).  A fixed-point solve runs one step at a time, so its row
-    counts 24*p bytes per clause and five arrays per output: the
-    population and its sorted copy, and the push with its bincount, or
-    its sorted copy and its two sorted halves (tracemalloc, whole solves
-    at pop 10^5: 8.8 MB at p = 2 and 14.6 MB at p = 3 at alpha = 1,
-    64.7 MB at p = 10 at alpha = 0.5, against 13.6, 25.6 and 124.0 MB
-    counted; 36 B per output at vanishing rate).  An edge term peaks
-    below 32 bytes per draw at any p: the sums, one column of z_r^2 X_r
-    at a time and its int32 resample indices (tracemalloc, n_mc 2*10^5,
-    p = 1 to 10: 21.0 B), and holds the node's population.  A limit
+    (``parallel_map`` factors one per worker, ``dump`` none).  A
+    fixed-point solve pushes two chains through one generation's draws
+    at a time.  Its row counts (12*p + 16) bytes per clause: the draws
+    with int32 resample indices, one fixed gather chunk and the bottom
+    chain's per-clause sums; and 44 bytes per output: the two chains,
+    and one new chain with its bincount (tracemalloc, whole solves at
+    pop 10^5: 10.5 MB at p = 2 and 17.7 MB at p = 3 at alpha = 1, 69.5
+    MB at p = 10 at alpha = 0.5, against 12.4, 20.0 and 72.4 MB counted;
+    40.4 B per output at vanishing rate).  An edge term peaks at 21.0
+    bytes per draw at any p, counted as 24: the sums, one column of
+    z_r^2 X_r at a time and its int32 resample indices (tracemalloc,
+    n_mc 2*10^5, p = 1 to 10), and holds the node's population.  A limit
     runs min(workers, quadrature.nodes) solves at once, each followed by
     its edge term, so both rows count that many; the ``rde`` kind runs
     one.  The quadrature rule peaks at
@@ -331,11 +330,11 @@ def _allocations(kind, options, raw, workers):
         solves = min(workers, options.get("quadrature.nodes", 1))
         rows.append((f"rde.pop_size={pop}{at_alpha}", "an RDE generation's draws and push "
                      f"in each of {solves} solve(s) at once", rate * pop,
-                     solves * (24.0 * p * rate + 40.0) * pop))
+                     solves * ((12.0 * p + 16.0) * rate + 44.0) * pop))
     if "free_energy.n_mc" in options:
         n_mc, nodes = options["free_energy.n_mc"], options["quadrature.nodes"]
         rows.append((f"free_energy.n_mc={n_mc}", f"{solves} edge term(s)' draws", 0,
-                     solves * (32.0 * n_mc + 8.0 * pop)))
+                     solves * (24.0 * n_mc + 8.0 * pop)))
         rows.append((f"quadrature.nodes={nodes}", "the Gauss-Radau rule's companion matrix "
                      "and its eigenvalue workspace", 0, 17.0 * nodes * nodes))
     return rows
@@ -373,19 +372,13 @@ def _model_pieces(options):
 # output helpers
 
 
-def _warn_unconverged(kind, detail, where) -> None:
-    print(f"warning: {kind} did not converge ({detail}); {where}", file=sys.stderr)
-
-
-def _gap_text(gap, floor) -> str:
-    """A solve's final windowed W1 gap against its noise floor."""
-    return f"W1 gap {gap:.3g} over floor {floor:.3g}"
-
-
-def _unconverged_gaps(result) -> str:
-    """The final gap and floor of each unconverged solve behind a limit."""
-    return ", ".join(f"x={node.x:.4g}: {_gap_text(node.gap, node.floor)}"
-                     for node in result.nodes if not node.converged)
+def _warn_unconverged(kind, detail, solves, where) -> None:
+    """One stderr line: what did not converge, the final bracket of each
+    unconverged solve of the (label, solve) pairs ``solves``, and where
+    the outputs flag it."""
+    listed = ", ".join(f"{label}bracket {solve.bracket:.3g}"
+                       for label, solve in solves if not solve.converged)
+    print(f"warning: {kind} did not converge ({detail}); {listed}; {where}", file=sys.stderr)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -444,24 +437,21 @@ def _run_rde(config: ExperimentConfig):
         pop_size=opts["rde.pop_size"], max_gens=opts["rde.max_gens"],
     )
     write_rows(config.out_dir / "rde_trajectory.csv", [
-        ("generation", "w1_gap", "floor"),
-        *zip(range(1, report.generations + 1), report.gaps, report.floors),
+        ("generation", "bracket"), *enumerate(report.brackets, start=1),
     ], sep=",")
     dump_population(report.population, config.out_dir / "population.txt")
     _write_json(
         config.out_dir / "rde_summary.json",
         {
+            "bracket": report.bracket,
             "converged": report.converged,
-            "gap": report.gap,
-            "floor": report.floor,
             "generations": report.generations,
             "population_mean": report.population.mean(),
             "config_digest": config.digest(),
         },
     )
     if not report.converged:
-        _warn_unconverged("rde", f"{_gap_text(report.gap, report.floor)} after "
-                          f"{report.generations} generations",
+        _warn_unconverged("rde", f"{report.generations} generations", [("", report)],
                           "rde_summary.json has converged=false")
     return ["rde_trajectory.csv", "population.txt", "rde_summary.json"]
 
@@ -485,9 +475,8 @@ def _run_free_energy(config: ExperimentConfig):
                     "rate": node.rate,
                     "edge_term": node.term,
                     "se": node.std_error,
+                    "bracket": node.bracket,
                     "converged": node.converged,
-                    "gap": node.gap,
-                    "floor": node.floor,
                 }
                 for node in result.nodes
             ],
@@ -499,7 +488,8 @@ def _run_free_energy(config: ExperimentConfig):
     if not result.converged:
         _warn_unconverged("free-energy", "unconverged quadrature nodes: "
                           f"{result.unconverged} of {len(result.nodes)}",
-                          f"{_unconverged_gaps(result)}; free_energy.json has converged=false")
+                          ((f"x={n.x:.4g}: ", n) for n in result.nodes),
+                          "free_energy.json has converged=false")
     return ["free_energy.json"]
 
 
@@ -521,8 +511,8 @@ def _run_convergence(config: ExperimentConfig):
     ], sep=",")
     if not limit.converged:
         _warn_unconverged("convergence", "its limiting free energy is unconverged",
-                          f"{_unconverged_gaps(limit)}; convergence.csv has "
-                          "limit_converged=false")
+                          ((f"x={n.x:.4g}: ", n) for n in limit.nodes),
+                          "convergence.csv has limit_converged=false")
     return ["convergence.csv"]
 
 

@@ -68,8 +68,7 @@ class SweepPoint:
     """One quadrature node's solve and the edge term read off its population.
 
     ``term`` is the node's edge term, with ``std_error`` its standard
-    error; ``gap`` and ``floor`` are the solve's windowed W1 gap and
-    noise floor.
+    error; ``bracket`` is the solve's final mean(top - bottom).
     """
 
     x: float
@@ -77,8 +76,7 @@ class SweepPoint:
     term: float
     std_error: float
     converged: bool
-    gap: float
-    floor: float
+    bracket: float
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ def limiting_free_energy(
         pop = report.population
         term = edge_term(pop, params, disorder, n_mc, child)
         return (SweepPoint(x, thinned.alpha * params.p, term.value, term.std_error,
-                           report.converged, report.gap, report.floor),
+                           report.converged, report.bracket),
                 mc_estimate(pop.values))
 
     points = parallel_map(solve, zip(xs.tolist(), rng.spawn(n_nodes)), workers)

@@ -174,9 +174,10 @@ def _rows_with_duplicates(rows):
 def _clauses(disorder, mean, n_sites, width, rng):
     """Poisson(mean) clauses: the count m, then (m, width) distinct sites, then weights.
 
-    Besides realizations, ``rde.step``, ``rde.find_contractive_q`` and
-    ``rde.pair_step`` draw their clauses here at width 1: the one site is
-    the clause's owner among ``n_sites`` outputs.
+    Besides realizations, ``rde._push`` (behind ``rde.step`` and the
+    fixed-point solve), ``rde.find_contractive_q`` and ``rde.pair_step``
+    draw their clauses here at width 1: the one site is the clause's
+    owner among ``n_sites`` outputs.
     """
     m = int(rng.poisson(mean))
     sites = _distinct_tuples(rng, n_sites, m, width)

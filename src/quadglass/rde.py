@@ -20,15 +20,17 @@ builds a finite realization, :func:`model._clauses` at width 1 (the
 one site is the clause's owner), then the interior weights and the
 resample indices, and pushes the population through the draws in place.
 
-The solve stops at its own noise floor.  Given generation g-1, the
-outputs of one :func:`step` are independent, so the two halves of
-generation g are two independent pushes of generation g-1.  In one
-dimension, sqrt(n) times the W1 between two independent empirical laws
-of size n has a limit (del Barrio, Gine and Matran 1999; Bobkov and
-Ledoux 2019), so the halves' W1 over sqrt(2), the floor, estimates the
-W1 between two pushes of size n: the gap a stationary chain shows at
-this population size.  The stopping rule (:func:`_stops`) compares the
-gaps with the floors and checks the population mean for drift.
+A solve runs two chains on shared draws, a monotone coupling (Propp and
+Wilson 1996, used forward as a bound, not as coupling from the past).
+The map is increasing in every X_r, and so is each IEEE operation of
+the push, so a top chain started at ``init`` (by default the point mass
+at 1) and a bottom chain started at 0, pushed through one draw per
+generation, bracket entry by entry every chain started between them on
+those draws.  Their mean difference, the *bracket*, therefore bounds the
+burn-in bias of E X for every start between 0 and ``init``; from the
+default start, every start in (0, 1].  The solve stops once the bracket
+is at most :data:`BRACKET_PER_SE` times the top snapshot's standard
+error of the mean.
 
 Under y = -log x the map is conjugate to one that contracts in the
 Wasserstein-q metric for q large enough, which is what makes the fixed
@@ -47,9 +49,9 @@ from .disorder import DisorderSpec, _sample_shape
 from .model import ModelParams, NumericalError, _clauses, _float_range, write_rows
 from .stats import Estimate, mc_estimate
 
-CONVERGENCE_WINDOW = 10
-# cap on the window's upper 2-SE bound on gap - floor (see _stops)
-TOL = 1e-3
+# a solve stops when its bracket is at most this share of the top
+# snapshot's standard error of the mean
+BRACKET_PER_SE = 0.1
 DEFAULT_POP_SIZE = 100_000
 DEFAULT_MAX_GENS = 500
 # picked X's that one gather of _times_picked holds, 8 bytes each: a
@@ -88,31 +90,21 @@ class Population:
 
 @dataclass(frozen=True)
 class RdeReport:
-    """Outcome of a fixed-point run: final population, gaps and floors per generation."""
+    """Outcome of a fixed-point run: the top chain's final population and
+    the bracket, mean(top - bottom), after each generation."""
 
     population: Population
-    gaps: tuple[float, ...]
-    floors: tuple[float, ...]
+    brackets: tuple[float, ...]
     converged: bool
 
     @property
     def generations(self) -> int:
-        return len(self.gaps)
+        return len(self.brackets)
 
     @property
-    def gap(self) -> float:
-        """Mean W1 gap over the stopping rule's window (the last generations)."""
-        return _window_mean(self.gaps)
-
-    @property
-    def floor(self) -> float:
-        """Mean noise floor over the same window."""
-        return _window_mean(self.floors)
-
-
-def _window_mean(values) -> float:
-    tail = values[-CONVERGENCE_WINDOW:]
-    return float(np.mean(tail)) if tail else math.nan
+    def bracket(self) -> float:
+        """The last generation's bracket; nan before the first generation."""
+        return self.brackets[-1] if self.brackets else math.nan
 
 
 def delta_population(value: float, size: int, rate: float = 0.0) -> Population:
@@ -155,30 +147,66 @@ def step(
         raise ValueError("out_size must be at least 1")
     rate = params.alpha * params.p
     what = f"generation {pop.generation + 1} at rate {rate:.6g}"
+    (values,) = _push([pop.values], params, disorder, out_size, rng, what)
+    return Population(values, rate, pop.generation + 1)
+
+
+def _push(chains, params, disorder, out_size, rng, what):
+    """Push each of ``chains``, arrays of one size, through one generation's draws.
+
+    The draws are :func:`step`'s, in its order, and serve every chain.
+    The last chain is pushed in place on them, with step's IEEE
+    operations; each earlier one first gathers its ``X[picks] * x^2``
+    row sums into one per-clause array, :data:`GATHER_CHUNK` picks at a
+    time, by the same operations.  So a chain's outputs do not depend on
+    its place, and a push holds its draws, one gather chunk and one
+    per-clause array.  Returns the new arrays in the order of ``chains``.
+    """
     with _float_range(what):
-        owners, zeta = _clauses(disorder, rate * out_size, out_size, 1, rng)
+        owners, zeta = _clauses(disorder, params.alpha * params.p * out_size, out_size, 1, rng)
         owners, zeta = owners[:, 0], zeta[:, 0]
         xi = _sample_shape(disorder, (zeta.size, params.p - 1), rng)
         # at p = 1, xi has no columns: the resample draws nothing and denom is 1
-        picks = _resample_indices(rng, pop.size, xi.shape)
-        np.square(xi, out=xi)
-        _times_picked(xi, pop.values, picks)
-        del picks
+        picks = _resample_indices(rng, chains[0].size, xi.shape)
         two_beta = 2.0 * params.beta
-        denom = np.sum(xi, axis=1)
-        del xi
-        denom *= two_beta
-        denom += 1.0
         np.square(zeta, out=zeta)
         zeta *= two_beta
-        zeta /= denom
-        del denom
-        # not in place: with no clause drawn, bincount returns int64 zeros
-        totals = np.bincount(owners, weights=zeta, minlength=out_size) + 1.0
-        if not np.isfinite(totals).all():  # bincount is no ufunc: errstate misses it
-            raise NumericalError(f"{what} left the float range: a per-output sum overflowed")
-        np.divide(1.0, totals, out=totals)
-    return Population(totals, rate, pop.generation + 1)
+        np.square(xi, out=xi)
+        pushed = [_outputs(owners, zeta, _picked_row_sums(xi, values, picks), two_beta,
+                           out_size, what) for values in chains[:-1]]
+        _times_picked(xi, chains[-1], picks)
+        del picks
+        sums = np.sum(xi, axis=1)
+        del xi
+        pushed.append(_outputs(owners, zeta, sums, two_beta, out_size, what))
+    return pushed
+
+
+def _outputs(owners, weights, sums, two_beta, out_size, what):
+    """``1/(1 + bincount(owners, weights/(1 + 2b sums)))``, ``sums`` consumed in place."""
+    sums *= two_beta
+    sums += 1.0
+    np.divide(weights, sums, out=sums)
+    # not in place: with no clause drawn, bincount returns int64 zeros
+    totals = np.bincount(owners, weights=sums, minlength=out_size) + 1.0
+    if not np.isfinite(totals).all():  # bincount is no ufunc: errstate misses it
+        raise NumericalError(f"{what} left the float range: a per-output sum overflowed")
+    np.divide(1.0, totals, out=totals)
+    return totals
+
+
+def _picked_row_sums(xi, values, picks):
+    """``np.sum(xi * values[picks], axis=1)``, gathering whole rows of at most
+    :data:`GATHER_CHUNK` picks at a time; each row's sum is the one the
+    whole array gives."""
+    sums = np.empty(xi.shape[0])
+    rows = max(1, GATHER_CHUNK // max(1, xi.shape[1]))
+    for start in range(0, xi.shape[0], rows):
+        chunk = slice(start, start + rows)
+        picked = values[picks[chunk]]
+        picked *= xi[chunk]
+        np.sum(picked, axis=1, out=sums[chunk])
+    return sums
 
 
 def _resample_indices(rng, n, shape):
@@ -237,30 +265,6 @@ def _sorted_distance(x, y):
 # fixed-point iteration
 
 
-def _stops(gaps, floors, means, mean_ses):
-    """The stopping rule over the last ``CONVERGENCE_WINDOW`` generations.
-
-    With d = gap - floor per generation, the mean of d must be at most
-    2 SE above 0, and below ``TOL`` by 2 SE: ``TOL`` caps the window's
-    upper 2-SE bound on d.  A stationary chain meets that cap by chance
-    at any positive cap, so it is not a precision guarantee.  The
-    population mean's least-squares change across the window must lie
-    within 2 SE of 0, its SE taken from each generation's ``mean_ses``
-    as if independent.
-    The comparisons with 2 SE are not strict: at beta = 0 every gap,
-    floor and SE is 0, and the rule stops at the window.
-    """
-    w = CONVERGENCE_WINDOW
-    if len(gaps) < w:
-        return False
-    excess = np.subtract(gaps[-w:], floors[-w:])
-    mean, se = excess.mean(), excess.std(ddof=1) / np.sqrt(w)
-    t = np.arange(w) - (w - 1) / 2.0  # generations centred on the window
-    change = (w - 1) * float(t @ np.asarray(means[-w:])) / float(t @ t)
-    change_se = (w - 1) * float(np.sqrt(np.mean(np.square(mean_ses[-w:])) / (t @ t)))
-    return bool(mean <= 2 * se and mean + 2 * se < TOL and abs(change) <= 2 * change_se)
-
-
 def solve_fixed_point(
     params: ModelParams,
     disorder: DisorderSpec,
@@ -269,45 +273,38 @@ def solve_fixed_point(
     max_gens: int = DEFAULT_MAX_GENS,
     init: Population | None = None,
 ) -> RdeReport:
-    """Iterate the push-forward until the W1 gap sits at its noise floor.
+    """Push a top and a bottom chain through shared draws until they close.
 
-    Each generation is one :func:`step` on ``rng``, the only generator
-    the solve draws on.  Its floor is the W1 between its first and
-    second halves of ``pop_size // 2`` outputs each (an odd population
-    leaves its last output out), divided by sqrt(2): the gap between
-    two independent pushes of the previous generation.  The solve stops
-    by :func:`_stops`, where ``TOL`` caps the window's upper 2-SE bound
-    on gap - floor, so a population whose floor lies above ``TOL`` can
-    converge.  A stationary chain meets that cap by chance at any
-    positive cap: it bounds the excess over the floor, not the precision.
-    Hitting ``max_gens`` first returns the report with
-    ``converged=False`` rather than raising.
+    The top chain starts at ``init``, by default the point mass at 1 of
+    ``pop_size`` values, and the bottom chain at zeros of the start's
+    size.  Each generation is one draw on ``rng``, the only generator the
+    solve draws on, pushed through both chains by :func:`_push`: the top
+    chain, with the bytes and the generator state that iterated
+    :func:`step` gives, is the solve's population.  Entry by entry,
+    bottom <= top, and both bracket every chain started between 0 and
+    ``init`` on the same draws, so the bracket mean(top - bottom) bounds
+    the burn-in bias of E X for any such start.  The solve converges once
+    the bracket is at most :data:`BRACKET_PER_SE` times the top
+    snapshot's SE of the mean, std/sqrt(pop_size); the comparison is not
+    strict, so at beta = 0 it converges at generation 1.  Hitting
+    ``max_gens`` first returns the report with ``converged=False``
+    rather than raising.
     """
     if pop_size < 2:
-        raise ValueError("pop_size must be at least 2: the floor splits it in halves")
+        raise ValueError("pop_size must be at least 2: the stop reads the population's SE")
     rate = params.alpha * params.p
-    current = (
-        delta_population(1.0, pop_size, rate) if init is None else init
-    )
-    half = pop_size // 2
-    previous = np.sort(current.values)
-    gaps: list[float] = []
-    floors: list[float] = []
-    means: list[float] = []
-    mean_ses: list[float] = []
+    start = delta_population(1.0, pop_size, rate) if init is None else init
+    top, bottom = start.values, np.zeros(start.size)
+    bound = BRACKET_PER_SE / math.sqrt(pop_size)
+    brackets: list[float] = []
     converged = False
-    while len(gaps) < max_gens and not converged:
-        current = step(current, params, disorder, pop_size, rng)
-        values = current.values
-        ordered = np.sort(values)
-        floors.append(_sorted_distance(np.sort(values[:half]),
-                                       np.sort(values[half:2 * half])) / math.sqrt(2))
-        gaps.append(_sorted_distance(previous, ordered))
-        means.append(float(ordered.mean()))
-        mean_ses.append(float(ordered.std()) / math.sqrt(ordered.size))
-        previous = ordered
-        converged = _stops(gaps, floors, means, mean_ses)
-    return RdeReport(current, tuple(gaps), tuple(floors), converged)
+    while len(brackets) < max_gens and not converged:
+        what = f"generation {start.generation + len(brackets) + 1} at rate {rate:.6g}"
+        bottom, top = _push([bottom, top], params, disorder, pop_size, rng, what)
+        brackets.append(float(np.mean(top - bottom)))
+        converged = brackets[-1] <= bound * float(top.std())
+    population = Population(top, rate, start.generation + len(brackets))
+    return RdeReport(population, tuple(brackets), converged)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ hand-rolled conjugate gradients instead of library solves, direct
 samplers instead of population dynamics.
 """
 
+import copy
 import math
 from typing import NamedTuple
 
@@ -462,51 +463,28 @@ def out_of_place_step(values, params, spec, out_size, rng):
     return 1.0 / (1.0 + np.bincount(owner, weights=contrib, minlength=out_size))
 
 
-def serial_fixed_point(
-    params, disorder, rng, pop_size, tol, max_gens, init=None
-):
-    """The fixed-point loop written out: ``step``, then W1 to the last
-    generation and between the new generation's two halves.
+def serial_fixed_point(params, disorder, rng, pop_size, max_gens, init=None):
+    """The sandwich solve written out: ``step`` pushes the top chain on
+    ``rng``, and the bottom chain, from zeros of the start's size, is
+    pushed by :func:`out_of_place_step` through the same draws, replayed
+    from a clone of ``rng`` taken before the step.
 
-    The halves hold ``pop_size // 2`` outputs each, and their W1 over
-    sqrt(2) is the floor.  The stop, over the last ``CONVERGENCE_WINDOW``
-    generations: the mean of gap - floor is at most 2 SE and below
-    ``tol`` by 2 SE, and the fitted change of the population mean across
-    the window is within 2 SE of 0.
+    The solve stops once mean(top - bottom) is at most ``BRACKET_PER_SE``
+    times the top's standard error of the mean.
     """
-    from quadglass.rde import (
-        CONVERGENCE_WINDOW,
-        Population,
-        RdeReport,
-        delta_population,
-        step,
-        wasserstein,
-    )
+    from quadglass.rde import BRACKET_PER_SE, RdeReport, delta_population, step
 
-    w = CONVERGENCE_WINDOW
-    rate = params.alpha * params.p
-    current = delta_population(1.0, pop_size, rate) if init is None else init
-    half = pop_size // 2
-    gaps, floors, means, mean_ses = [], [], [], []
+    top = delta_population(1.0, pop_size, params.alpha * params.p) if init is None else init
+    bottom = np.zeros(top.size)
+    brackets = []
     for _ in range(max_gens):
-        new = step(current, params, disorder, pop_size, rng)
-        halves = Population(new.values[:half]), Population(new.values[half:2 * half])
-        gaps.append(wasserstein(current, new))
-        floors.append(wasserstein(*halves) / math.sqrt(2))
-        means.append(new.mean())
-        mean_ses.append(new.values.std() / math.sqrt(new.size))
-        current = new
-        if len(gaps) < w:
-            continue
-        excess = np.array(gaps[-w:]) - np.array(floors[-w:])
-        se = excess.std(ddof=1) / math.sqrt(w)
-        change = np.polyfit(np.arange(w), means[-w:], 1)[0] * (w - 1)
-        spread = sum((k - (w - 1) / 2) ** 2 for k in range(w))
-        change_se = math.sqrt(np.mean(np.square(mean_ses[-w:])) / spread) * (w - 1)
-        if (excess.mean() <= 2 * se and excess.mean() + 2 * se < tol
-                and abs(change) <= 2 * change_se):
-            return RdeReport(current, tuple(gaps), tuple(floors), True)
-    return RdeReport(current, tuple(gaps), tuple(floors), False)
+        replay = copy.deepcopy(rng)
+        top = step(top, params, disorder, pop_size, rng)
+        bottom = out_of_place_step(bottom, params, disorder, pop_size, replay)
+        brackets.append(float(np.mean(top.values - bottom)))
+        if brackets[-1] <= BRACKET_PER_SE / math.sqrt(pop_size) * float(top.values.std()):
+            return RdeReport(top, tuple(brackets), True)
+    return RdeReport(top, tuple(brackets), False)
 
 
 def load_population(path):

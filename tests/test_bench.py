@@ -39,10 +39,22 @@ def test_summary_reads_medians_iqr_and_pairs_won():
 
 
 def test_summary_of_one_pair_has_no_spread():
+    # one pair resolves no gain, however large
     wall = bench.summary([_pair(1, 0.4, 0.3)])["wall_s"]
     assert wall == {"parent_median": 0.4, "parent_iqr": 0.0, "change_median": 0.3,
                     "change_iqr": 0.0, "change_won": 1, "within_bound": True,
-                    "resolved": True}
+                    "resolved": False}
+
+
+def test_a_gain_needs_ten_pairs_to_resolve():
+    # three wins in three pairs, far beyond the parent's spread, resolve
+    # nothing; the same gain over ten pairs does
+    pairs = [_pair(k, 1.0 + k / 100, 0.5) for k in range(1, 11)]
+    assert bench.MIN_PAIRS == 10
+    short = bench.summary(pairs[:3])["wall_s"]
+    assert short["change_won"] == 3 and not short["resolved"]
+    assert not bench.summary(pairs[:9])["wall_s"]["resolved"]
+    assert bench.summary(pairs)["wall_s"]["resolved"]
 
 
 def test_summary_reads_each_sides_spread_from_its_own_runs():

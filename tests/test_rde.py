@@ -3,7 +3,6 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 import pytest
@@ -181,6 +180,23 @@ def test_step_does_not_depend_on_the_gather_chunk(monkeypatch, chunk, p, alpha, 
     assert chunked_rng.bit_generator.state == rng.bit_generator.state
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+@pytest.mark.parametrize("p", [1, 2, 3, 12])
+def test_every_chain_of_a_push_is_the_step_of_that_chain(monkeypatch, chunk, p):
+    # the earlier chains gather their row sums by chunks of whole rows, the
+    # last runs in place on the draws: both give step's bytes and state
+    chains = [stream(44, "chains", str(k)).uniform(0.05, 1.0, size=700) for k in range(3)]
+    par, spec = params_with(0.9 / p, 0.7, p=p), DisorderSpec("gaussian", 1.0, 2.0)
+    monkeypatch.setattr(rde, "GATHER_CHUNK", chunk)
+    rng = stream(44, "push", str(p))
+    pushed = rde._push(chains, par, spec, 1500, rng, "generation 1")
+    for values, got in zip(chains, pushed):
+        step_rng = stream(44, "push", str(p))
+        want = step(Population(values), par, spec, 1500, step_rng).values
+        assert got.tobytes() == want.tobytes()
+        assert step_rng.bit_generator.state == rng.bit_generator.state
+
+
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -272,12 +288,13 @@ def test_wasserstein_unequal_sizes_matches_cdf_area():
 
 
 def test_zero_temperature_converges_immediately():
+    # both chains are all ones after one generation, so the bracket is 0
     report = solve_fixed_point(
         params_with(beta=0.0), RAD, stream(20, "fp0"), pop_size=2000, max_gens=50
     )
     assert report.converged
+    assert report.brackets == (0.0,)
     assert np.all(report.population.values == 1.0)
-    assert all(g == 0.0 for g in report.gaps[1:])
 
 
 def test_extreme_initializations_agree():
@@ -311,45 +328,89 @@ def test_converged_population_is_stable_under_one_more_step():
     report = solve_fixed_point(par, RAD, stream(25, "stab"), pop_size=10**5)
     assert report.converged
     pushed = step(report.population, par, RAD, report.population.size, stream(26, "push"))
-    assert wasserstein(report.population, pushed) < 3 * rde.TOL
+    assert wasserstein(report.population, pushed) < 3e-3
 
 
 def test_non_convergence_reports_flag_not_exception():
-    # the stopping rule needs a full window, so no stream can stop this solve
+    # the chains start 1 apart, and one generation at beta = 1 leaves them
+    # far further apart than a tenth of the population's SE
     report = solve_fixed_point(
-        params_with(alpha=1.0, beta=1.0), RAD, stream(27, "nc"),
-        pop_size=500, max_gens=rde.CONVERGENCE_WINDOW - 1,
+        params_with(alpha=1.0, beta=1.0), RAD, stream(27, "nc"), pop_size=500, max_gens=1,
     )
     assert not report.converged
-    assert report.generations == rde.CONVERGENCE_WINDOW - 1
+    assert report.generations == 1
+    assert report.bracket > 0.01
 
 
-def test_planted_drift_is_not_converged(monkeypatch):
-    # every output moves down by `drift` per generation, from a converged
-    # start: each gap stays below a cap of 1e-2 (so a rule of ten gaps below
-    # the cap in a row would stop), but the population mean moves by far more
-    # than its SE across the window
-    monkeypatch.setattr(rde, "TOL", 1e-2)
-    drift, par, kw = 1e-3, params_with(0.5, 0.25), dict(pop_size=20_000)
-    start = solve_fixed_point(par, RAD, stream(36, "drift-start"), **kw).population
-    real_step = rde.step
+def _chains(par, spec, n, gens, rng, *middle):
+    """(bottom, *middle, top) after each of ``gens`` pushes from zeros and ones."""
+    chains = [np.zeros(n), *middle, np.ones(n)]
+    for g in range(gens):
+        chains = rde._push(chains, par, spec, n, rng, f"generation {g + 1}")
+        yield chains
 
-    def drifting_step(pop, *args):
-        out = real_step(pop, *args)
-        shift = drift * (out.generation - start.generation)
-        return Population(out.values - shift, out.rate, out.generation)
 
-    monkeypatch.setattr(rde, "step", drifting_step)
-    report = solve_fixed_point(par, RAD, stream(36, "drift"), max_gens=30, init=start, **kw)
-    assert all(g < rde.TOL for g in report.gaps)
-    assert not report.converged
-    assert report.generations == 30
+FAMILIES = [RAD, DisorderSpec("gaussian", 1.0, 2.0), DisorderSpec("uniform_symmetric", 1.5),
+            DisorderSpec("two_point_symmetric", 0.7)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+def test_top_chain_stays_above_the_bottom_chain(spec, p):
+    par = params_with(0.9, 1.5, p=p)
+    for bottom, top in _chains(par, spec, 3000, 8, stream(39, spec.family, str(p))):
+        assert np.all(top >= bottom)
+        assert bottom.min() > 0 and top.max() <= 1.0
+
+
+def test_a_generation_without_clauses_leaves_both_chains_at_one():
+    (bottom, top), = _chains(params_with(1e-300), RAD, 5, 1, stream(39, "none"))
+    assert np.array_equal(bottom, np.ones(5)) and np.array_equal(top, np.ones(5))
+
+
+@pytest.mark.parametrize("spec", FAMILIES[:2], ids=lambda s: s.family)
+def test_a_stationary_chain_stays_inside_the_bracket(spec):
+    # a converged population pushed through the same draws as the two
+    # extreme chains lies between them, entry by entry, at every generation
+    par, n = params_with(0.5, 0.5, h=1.0), 20_000
+    start = solve_fixed_point(par, spec, stream(40, "stationary"), pop_size=n).population
+    for bottom, middle, top in _chains(par, spec, n, 12, stream(40, "inside"), start.values):
+        assert np.all(bottom <= middle) and np.all(middle <= top)
+
+
+def test_base_chains_close_bit_exactly_within_30_generations():
+    # from then on one chain would do: every entry has coalesced
+    chains = _chains(params_with(0.5, 0.25, h=1.0), RAD, 10**5, 30, stream(41, "close"))
+    assert any(bottom.tobytes() == top.tobytes() for bottom, top in chains)
+
+
+def test_max_gens_below_the_closing_generation_is_not_converged():
+    par, kw = params_with(0.5, 0.25, h=1.0), dict(pop_size=20_000)
+    full = solve_fixed_point(par, RAD, stream(42, "cap"), **kw)
+    assert full.converged and full.generations >= 2
+    capped = solve_fixed_point(par, RAD, stream(42, "cap"), max_gens=full.generations - 1, **kw)
+    assert not capped.converged
+    assert capped.brackets == full.brackets[:-1]
+
+
+@pytest.mark.parametrize("init_size", [None, 700], ids=["cold", "init-of-another-size"])
+def test_top_chain_is_iterated_step(init_size):
+    par, spec, n = params_with(0.5, 0.5, h=1.0), DisorderSpec("gaussian", 1.0, 2.0), 3000
+    init = None if init_size is None else Population(np.linspace(0.05, 1.0, init_size))
+    rng = stream(43, "top")
+    report = solve_fixed_point(par, spec, rng, pop_size=n, init=init)
+    step_rng = stream(43, "top")
+    pop = delta_population(1.0, n, par.alpha * par.p) if init is None else init
+    for _ in range(report.generations):
+        pop = step(pop, par, spec, n, step_rng)
+    assert report.population.values.tobytes() == pop.values.tobytes()
+    assert report.population.generation == pop.generation
+    assert rng.bit_generator.state == step_rng.bit_generator.state
 
 
 def test_generation_counts_are_stable_across_seeds():
-    # the A13 model at c = 2, where the floor (about 2.6e-3 at this size)
-    # lies above TOL, so a rule of ten gaps below TOL in a row would run to
-    # max_gens
+    # the A13 model at c = 2: every seed closes its bracket within 3 times
+    # the median generation count
     par, spec = params_with(0.5, 0.5, h=1.0), DisorderSpec("gaussian", 1.0, 2.0)
     reports = [
         solve_fixed_point(par, spec, stream(seed, "seed-stability"), pop_size=20_000)
@@ -358,28 +419,6 @@ def test_generation_counts_are_stable_across_seeds():
     assert all(r.converged for r in reports)
     generations = [r.generations for r in reports]
     assert max(generations) <= 3 * np.median(generations)
-
-
-def test_halves_floor_reads_as_a_second_push_of_the_whole_population(monkeypatch):
-    # the floor of a second push, W1 from a push of generation g-1 on a
-    # jumped generator to generation g, written out beside the solve's
-    # halves floor on a stationary chain.  Over 200 generations, 60 seeds
-    # read halves/second push in [0.875, 1.095], and without the sqrt(2)
-    # in [1.24, 1.55]; at 30 generations the spread is 2.3 times wider
-    par, n, gens = params_with(0.5, 0.25, h=1.0), 20_000, 200
-    start = solve_fixed_point(par, RAD, stream(38, "sqrt2-start"), pop_size=n).population
-    monkeypatch.setattr(rde, "_stops", lambda *args: False)
-    report = solve_fixed_point(par, RAD, stream(38, "sqrt2"), pop_size=n,
-                               max_gens=gens, init=start)
-    rng = stream(38, "sqrt2")
-    second_rng = np.random.Generator(rng.bit_generator.jumped())
-    current, second_floors = start, []
-    for _ in range(gens):
-        second = out_of_place_step(current.values, par, RAD, n, second_rng)
-        current = step(current, par, RAD, n, rng)
-        second_floors.append(wasserstein(Population(second), current))
-    assert report.population.values.tobytes() == current.values.tobytes()
-    assert 0.85 <= np.mean(report.floors) / np.mean(second_floors) <= 1.2
 
 
 def test_generation_past_float_range_raises_numerical_error():
@@ -399,47 +438,29 @@ def test_generation_whose_per_output_sum_overflows_raises_numerical_error():
 
 
 @pytest.mark.parametrize(
-    "par, spec, tol, kw, converges",
+    "par, spec, kw, converges",
     [
-        (params_with(0.5 * 0.7, 0.5, p=2), DisorderSpec("gaussian", 1.0, 2.0), 1e-2,
+        (params_with(0.5 * 0.7, 0.5, p=2), DisorderSpec("gaussian", 1.0, 2.0),
          dict(pop_size=4000, max_gens=60), True),
-        (params_with(0.8, 0.5, p=3), RAD, rde.TOL,
-         dict(pop_size=3000, max_gens=rde.CONVERGENCE_WINDOW - 1), False),
-        (params_with(1.0 * 0.5, 0.5, p=1), DisorderSpec("uniform_symmetric", 1.5), 2e-2,
+        (params_with(0.8, 0.5, p=3), RAD, dict(pop_size=3000, max_gens=2), False),
+        (params_with(1.0 * 0.5, 0.5, p=1), DisorderSpec("uniform_symmetric", 1.5),
          dict(pop_size=3000, max_gens=60), True),
-        (params_with(1.0, 1.0, p=2), DisorderSpec("two_point_symmetric", 0.7), rde.TOL,
-         dict(pop_size=2500, max_gens=rde.CONVERGENCE_WINDOW - 1,
-              init=delta_population(0.3, 4000)),
-         False),
-        (params_with(0.5, 0.25, h=1.0, p=2), RAD, 1e-2,
-         dict(pop_size=3001, max_gens=60), True),
+        (params_with(1.0, 1.0, p=2), DisorderSpec("two_point_symmetric", 0.7),
+         dict(pop_size=2500, max_gens=60, init=delta_population(0.3, 4000)), True),
+        (params_with(0.5, 0.25, h=1.0, p=2), RAD, dict(pop_size=3001, max_gens=60), True),
     ],
     ids=["gaussian-c2-p2-converges", "rademacher-p3-at-max-gens", "uniform-p1",
-         "warm-start-other-size", "odd-size-drops-the-last-output"],
+         "warm-start-other-size", "odd-size"],
 )
-def test_solve_is_the_serial_loop(
-    monkeypatch, par, spec, tol, kw, converges
-):
-    # the solve is the serial loop of step, the gap and the halves' floor, and
-    # draws no generation in vain; the unconverged cases stop short of a window
-    monkeypatch.setattr(rde, "TOL", tol)
+def test_solve_is_the_serial_loop(par, spec, kw, converges):
+    # the solve is step on the top chain and the one-line push on the bottom
+    # chain through the same draws, and draws no generation in vain
     oracle_rng = stream(30, "ahead")
-    expected = serial_fixed_point(par, spec, oracle_rng, tol=tol, **kw)
-    real_step, n_steps = rde.step, []
+    expected = serial_fixed_point(par, spec, oracle_rng, **kw)
     rng = stream(30, "ahead")
-
-    def counted_step(*args):
-        if args[-1] is rng:
-            n_steps.append(None)
-        return real_step(*args)
-
-    monkeypatch.setattr(rde, "step", counted_step)
     report = solve_fixed_point(par, spec, rng, **kw)
-    assert len(n_steps) == report.generations
     assert report.converged is expected.converged is converges
-    assert report.generations == expected.generations
-    assert report.gaps == expected.gaps
-    assert report.floors == expected.floors
+    assert report.brackets == expected.brackets
     assert report.population.values.tobytes() == expected.population.values.tobytes()
     assert report.population.rate == expected.population.rate
     assert report.population.generation == expected.population.generation
@@ -447,26 +468,26 @@ def test_solve_is_the_serial_loop(
 
 
 def test_solve_exits_cleanly_when_a_push_fails(monkeypatch):
-    # generation 2's push fails
-    real_step, calls = rde.step, []
+    # generation 2's clause draw fails
     par, kw = params_with(0.5, 0.5), dict(pop_size=2000, max_gens=30)
+    real_clauses = rde._clauses
     oracle_rng = stream(31, "fail")
-    monkeypatch.setattr(rde, "step", _failing_at(
-        real_step, 2, lambda g: g is oracle_rng, NumericalError))
+    monkeypatch.setattr(rde, "_clauses", _failing_at(
+        real_clauses, 2, lambda g: g is oracle_rng, NumericalError))
     with pytest.raises(NumericalError):
-        serial_fixed_point(par, RAD, oracle_rng, tol=rde.TOL, **kw)
+        serial_fixed_point(par, RAD, oracle_rng, **kw)
     baseline = threading.active_count()
-    rng = stream(31, "fail")
-    failing = _failing_at(real_step, 2, lambda g: g is rng, NumericalError)
+    rng, calls = stream(31, "fail"), []
+    failing = _failing_at(real_clauses, 2, lambda g: g is rng, NumericalError)
 
-    def counted_step(*args):
+    def counted(*args):
         calls.append(None)
         return failing(*args)
 
-    monkeypatch.setattr(rde, "step", counted_step)
-    with pytest.raises(NumericalError, match="step 2"):
+    monkeypatch.setattr(rde, "_clauses", counted)
+    with pytest.raises(NumericalError, match="_clauses 2"):
         solve_fixed_point(par, RAD, rng, **kw)
-    assert len(calls) == 2  # the pushes of generations 1 and 2, and no more
+    assert len(calls) == 2  # the draws of generations 1 and 2, and no more
     assert threading.active_count() == baseline
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -490,16 +511,16 @@ def test_solve_raises_as_the_serial_loop_when_a_draw_fails(
     monkeypatch, case
 ):
     # numpy's Poisson sampler rejects a mean of alpha*p*pop_size = 2e20; the
-    # other case fails generation 3's step on rng
+    # other case fails generation 3's clause draw on rng
     large = case == "poisson-mean-too-large"
     par = params_with(1e15, 0.5) if large else params_with(0.5)
     kw = dict(pop_size=10**5 if large else 2000, max_gens=30)
-    real_step = rde.step
+    real_clauses = rde._clauses
     outcomes = []
-    for solve in (partial(serial_fixed_point, tol=rde.TOL), solve_fixed_point):
+    for solve in (serial_fixed_point, solve_fixed_point):
         rng = stream(35, "draw-fails")
         if not large:
-            monkeypatch.setattr(rde, "step", _failing_at(real_step, 3, lambda g: g is rng))
+            monkeypatch.setattr(rde, "_clauses", _failing_at(real_clauses, 3, lambda g: g is rng))
         baseline = threading.active_count()
         with pytest.raises(Exception) as info:
             solve(par, RAD, rng, **kw)
@@ -525,14 +546,15 @@ def test_concurrent_solves_each_match_the_serial_loop():
     finally:
         sys.setswitchinterval(interval)
     for i, report in enumerate(reports):
-        expected = serial_fixed_point(par, RAD, stream(34, str(i)), tol=rde.TOL, **kw)
-        assert report.gaps == expected.gaps
+        expected = serial_fixed_point(par, RAD, stream(34, str(i)), **kw)
+        assert report.brackets == expected.brackets
         assert report.population.values.tobytes() == expected.population.values.tobytes()
 
 
 @pytest.mark.parametrize("pop_size", [1, 0])
 def test_solve_rejects_a_population_that_cannot_split(pop_size):
-    # the floor compares two halves of pop_size // 2 outputs each
+    # the stop compares the bracket with the population's SE of the mean,
+    # which takes at least two values
     rng = stream(33, "bad-pop")
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="pop_size"):

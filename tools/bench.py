@@ -13,7 +13,8 @@ and merges one entry for W into ``--out``: every pair's end-to-end
 metrics and ``correct``, per metric each side's median and IQR, the
 number of pairs the change won in the direction
 BENCHMARK.json calls better, whether the change's median is within the
-metric's bound, whether a gain is resolved, and the traced line.
+metric's bound, whether a gain is resolved (which takes at least 10
+pairs), and the traced line.
 Other workloads' entries in ``--out`` are kept;
 an ``--out`` that exists but holds no JSON object ends the tool before the first run.
 The standard library is all it needs.
@@ -33,6 +34,8 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 # end-to-end metric -> (the better direction, "lower" or "higher"; the relative bound)
 METRICS = {m["name"]: (m["better"], m["bound"]) for m in SPEC["end_to_end"]}
 RUN_TIMEOUT_S = 600
+# the fewest pairs that resolve a gain: a coin wins 3 pairs in 3 one time in 8
+MIN_PAIRS = 10
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int, side: str) -> dict:
@@ -89,9 +92,10 @@ def summary(pairs: list[dict]) -> dict:
     A pair is won when the change reads better than the parent in the
     metric's direction; ``within_bound`` holds when the change's median
     is worse than the parent's by at most ``bound`` times the parent's.
-    ``resolved`` holds when the change won at least 9 in 10 of the pairs
-    and its median is better than the parent's by more than the parent's
-    IQR: a gain the pairs can tell from the parent's spread.
+    ``resolved`` holds when there are at least :data:`MIN_PAIRS` pairs,
+    the change won at least 9 in 10 of them and its median is better than
+    the parent's by more than the parent's IQR: a gain the pairs can tell
+    from the parent's spread.
     """
     out = {}
     for name, (better, bound) in METRICS.items():
@@ -107,7 +111,7 @@ def summary(pairs: list[dict]) -> dict:
             "change_iqr": iqr(change),
             "change_won": won,
             "within_bound": sign * (change_median - parent_median) <= bound * abs(parent_median),
-            "resolved": (10 * won >= 9 * len(pairs)
+            "resolved": (len(pairs) >= MIN_PAIRS and 10 * won >= 9 * len(pairs)
                          and sign * (parent_median - change_median) > iqr(parent)),
         }
     return out
