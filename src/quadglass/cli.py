@@ -128,17 +128,19 @@ KEY_SPECS = {
 
 # numpy's Generator.poisson rejects means above int64 max - 10*sqrt(int64 max)
 POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
-# SuperLU's workspace per site of one factored realization: its queries grew
-# peak RSS by 445 B/site with no clauses (N = 2.5e5 and 1e6), 485 B/site with
-# the clause arrays at alpha 0.5, p 2 (N = 1e6)
-SITE_BYTES = 512
+# SuperLU's workspace per site of one factored realization at linalg.PANEL_SIZE:
+# a realization's life (sample, factor, query) grew peak RSS by 242-247 B/site
+# with no clauses and by 280-292 B/site besides its clause arrays at alpha 0.5,
+# p 2 (N = 5e4 to 1e6; 438 and 482 B/site at SuperLU's default panel of 20)
+SITE_BYTES = 296
 # The assembly's peak per entry of A (tracemalloc): 27-28 B at p = 40 and 100, up to
 # 41 B at p = 2, where V and the identity add their share (N = 200-20000)
 ENTRY_BYTES = 48
 
-# Held per fanned-out item until the map returns (tracemalloc): 1.8 KB per future and
-# result row on a 2-worker pool, which submits every future at once (230 B serially),
-# and 0.9 KB more per child generator that over_realizations spawns
+# Held per fanned-out item until the map returns (tracemalloc): 1.8 KB was measured
+# when a pool held a future per item; the reused pool's runners hold about 200 B per
+# simulate row at any worker count, so this row over-counts about tenfold.  A child
+# generator that over_realizations spawns holds 0.9 KB more.
 ITEM_BYTES = 2048
 STREAM_BYTES = 1024
 

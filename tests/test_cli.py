@@ -578,6 +578,44 @@ def test_load_guard_counts_the_matrix_entries(tmp_path, capsys, monkeypatch):
     assert run_cli(["load", "--config", cfg, "--out", tmp_path / "o"]) == 0
 
 
+# the peak RSS growth of one simulate realization's life (sample, factor,
+# query) at model.alpha=argv[1], N = argv[2], after a small one has paid the
+# one-off buffers; read as VmHWM, for the reason given below
+REALIZATION_PEAK = """
+import sys
+from quadglass import cli
+from quadglass.disorder import DisorderSpec
+from quadglass.model import Factorization, ModelParams, sample_model
+from quadglass.streams import stream
+def peak():
+    with open('/proc/self/status') as fh:
+        return 1024 * int(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))
+def life(n):
+    params = ModelParams(float(sys.argv[1]), 0.5, 1.0, 2)
+    model = sample_model(params, DisorderSpec('rademacher'), n, stream(11, 'site-bytes'))
+    cli._observables(Factorization(model))
+life(2000)
+before = peak()
+life(int(sys.argv[2]))
+print(peak() - before)
+"""
+
+
+@pytest.mark.parametrize("alpha", ["1e-9", "0.5"], ids=["no-clauses", "alpha-0.5"])
+def test_memory_guard_counts_what_a_factored_realization_holds(alpha):
+    # SITE_BYTES per site and 16*p per clause, within a quarter of what
+    # the realization holds, with the factor's workspace alone and with a
+    # subcritical factor and its clause arrays
+    n = 200_000
+    raw = cli.parse_config_text(BASE_SIM.replace("model.alpha=0.8", f"model.alpha={alpha}")
+                                .replace("simulate.n_sites=100", f"simulate.n_sites={n}"))
+    options = cli.build_config("simulate", raw, workers=1).options
+    (need,) = [need for _, what, _, need in cli._allocations("simulate", options, raw, 1)
+               if what == "1 factored realization(s)"]
+    grown = int(run_python(REALIZATION_PEAK, alpha, n))
+    assert grown <= need <= 1.25 * grown
+
+
 def test_memory_guard_counts_what_the_quadrature_rule_holds():
     # the eigenvalue routine's copy and workspace are LAPACK's own, which
     # tracemalloc does not see, so the peak RSS is read; a smaller rule

@@ -223,6 +223,30 @@ def test_sparse_factor_matches_dense_oracle(p, family, alpha):
     assert noise @ noise.T == pytest.approx(inv, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "params, family, n",
+    [(ModelParams(0.5, 0.25, 1.0, 2), "rademacher", 4000),
+     (ModelParams(1.0, 0.5, 0.0, 2), "rademacher", 2000),
+     (ModelParams(0.8, 0.5, 0.0, 3), "gaussian", 600)],
+    ids=["base", "moment", "gaussian-p3"],
+)
+def test_the_narrow_panel_moves_the_queries_only_by_rounding(monkeypatch, params, family, n):
+    model = sample_model(params, DisorderSpec(family), n, stream(37, "panel", family))
+    panels = []
+
+    def default_panel(matrix, *args, panel_size, **kwargs):
+        panels.append(panel_size)
+        return splu(matrix, *args, **kwargs)
+
+    narrow = Factorization(model)
+    monkeypatch.setattr(quadglass.linalg, "splu", default_panel)
+    wide = Factorization(model)
+    assert panels == [quadglass.linalg.PANEL_SIZE]
+    assert narrow.log_det == pytest.approx(wide.log_det, rel=1e-12)
+    assert narrow.ones_quadratic_form == pytest.approx(wide.ones_quadratic_form, rel=1e-12)
+    np.testing.assert_allclose(narrow.inverse_diagonal(), wide.inverse_diagonal(), rtol=1e-12)
+
+
 def test_woodbury_residual_factors_the_bulk_only_with_interior_sites(factor_calls):
     # the bulk is the only matrix factored, and only when there is an interior
     # site to solve for (p >= 2 and R >= 1); A^{-1}_NN comes from the R x R K
